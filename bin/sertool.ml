@@ -1569,7 +1569,7 @@ let optimize_t =
   let tier_k =
     Arg.(value & opt int 6 & info [ "tier-k" ] ~docv:"K"
            ~doc:"Exact evaluations kept per greedy menu under --eval-tier \
-                 serpp.")
+                 serpp; at least 1.")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"

@@ -48,6 +48,38 @@ let default_vectors = function
   | Analyze -> 10_000
   | Optimize | Rate | Odc -> 4_000
 
+let err fmt = Printf.ksprintf (fun m -> Error (Diag.make ~subsystem m)) fmt
+
+(* The one place request values are range-checked: {!make} (every
+   front end that builds a request from flags) and {!of_json} (serve,
+   batch and worker) both go through it. *)
+let validate t =
+  if t.vectors < 1 then err "vectors must be >= 1 (got %d)" t.vectors
+  else if (not (Float.is_finite t.charge)) || t.charge <= 0. then
+    err "charge must be finite and positive"
+  else if t.top < 0 then err "top must be >= 0"
+  else if t.evals < 0 then err "evals must be >= 0"
+  else if t.greedy < 0 then err "greedy must be >= 0"
+  else if t.backend <> "aserta" && t.backend <> "serpp" then
+    err "unknown backend %S (want aserta or serpp)" t.backend
+  else if t.backend = "serpp" && t.op = Rate then
+    err "the rate op requires the aserta backend"
+  else if t.backend = "serpp" && t.op = Odc then
+    err "the odc op is backend-free and rejects backend=serpp"
+  else if t.odc_mode <> "exhaustive" && t.odc_mode <> "sampled" then
+    err "unknown odc_mode %S (want exhaustive or sampled)" t.odc_mode
+  else if
+    (not (Float.is_finite t.odc_threshold))
+    || t.odc_threshold < 0. || t.odc_threshold > 1.
+  then err "odc_threshold must be in [0, 1]"
+  else if t.eval_tier <> "exact" && t.eval_tier <> "serpp" then
+    err "unknown eval_tier %S (want exact or serpp)" t.eval_tier
+  else if t.tier_k < 1 then err "tier_k must be >= 1 (got %d)" t.tier_k
+  else if
+    match t.deadline_s with Some d -> (not (Float.is_finite d)) || d <= 0. | None -> false
+  then err "deadline_s must be finite and positive"
+  else Ok t
+
 let make ?id ?(backend = "aserta") ?vectors ?(charge = 16.) ?(top = 10)
     ?(vdds = []) ?(vths = []) ?(evals = 120) ?(greedy = 2)
     ?(eval_tier = "exact") ?(tier_k = 6) ?budget_evals ?clock ?(q_slope = 6.)
@@ -56,30 +88,35 @@ let make ?id ?(backend = "aserta") ?vectors ?(charge = 16.) ?(top = 10)
   let vectors =
     match vectors with Some v -> v | None -> default_vectors op
   in
-  {
-    id;
-    op;
-    source;
-    backend;
-    vectors;
-    charge;
-    top;
-    vdds;
-    vths;
-    evals;
-    greedy;
-    eval_tier;
-    tier_k;
-    budget_evals;
-    clock;
-    q_slope;
-    deadline_s;
-    isolate;
-    fault;
-    odc_mode;
-    odc_seed;
-    odc_threshold;
-  }
+  match
+    validate
+      {
+        id;
+        op;
+        source;
+        backend;
+        vectors;
+        charge;
+        top;
+        vdds;
+        vths;
+        evals;
+        greedy;
+        eval_tier;
+        tier_k;
+        budget_evals;
+        clock;
+        q_slope;
+        deadline_s;
+        isolate;
+        fault;
+        odc_mode;
+        odc_seed;
+        odc_threshold;
+      }
+  with
+  | Ok t -> t
+  | Error d -> raise (Diag.Diag_error d)
 
 let floats vs = Json.List (List.map (fun v -> Json.Num v) vs)
 
@@ -118,8 +155,6 @@ let to_json t =
       ])
 
 (* -------------------------- decoding ------------------------------ *)
-
-let err fmt = Printf.ksprintf (fun m -> Error (Diag.make ~subsystem m)) fmt
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -204,56 +239,31 @@ let of_json j =
     let odc_mode = Option.value odc_mode ~default:"exhaustive" in
     let* odc_seed = int_field j "odc_seed" ~default:1 in
     let* odc_threshold = num_field j "odc_threshold" ~default:0.05 in
-    if vectors < 1 then err "vectors must be >= 1 (got %d)" vectors
-    else if (not (Float.is_finite charge)) || charge <= 0. then
-      err "charge must be finite and positive"
-    else if top < 0 then err "top must be >= 0"
-    else if evals < 0 then err "evals must be >= 0"
-    else if greedy < 0 then err "greedy must be >= 0"
-    else if backend <> "aserta" && backend <> "serpp" then
-      err "unknown backend %S (want aserta or serpp)" backend
-    else if backend = "serpp" && op = Rate then
-      err "the rate op requires the aserta backend"
-    else if backend = "serpp" && op = Odc then
-      err "the odc op is backend-free and rejects backend=serpp"
-    else if odc_mode <> "exhaustive" && odc_mode <> "sampled" then
-      err "unknown odc_mode %S (want exhaustive or sampled)" odc_mode
-    else if
-      (not (Float.is_finite odc_threshold))
-      || odc_threshold < 0. || odc_threshold > 1.
-    then err "odc_threshold must be in [0, 1]"
-    else if eval_tier <> "exact" && eval_tier <> "serpp" then
-      err "unknown eval_tier %S (want exact or serpp)" eval_tier
-    else if tier_k < 1 then err "tier_k must be >= 1 (got %d)" tier_k
-    else if
-      match deadline_s with Some d -> (not (Float.is_finite d)) || d <= 0. | None -> false
-    then err "deadline_s must be finite and positive"
-    else
-      Ok
-        {
-          id;
-          op;
-          source;
-          backend;
-          vectors;
-          charge;
-          top;
-          vdds;
-          vths;
-          evals;
-          greedy;
-          eval_tier;
-          tier_k;
-          budget_evals;
-          clock;
-          q_slope;
-          deadline_s;
-          isolate;
-          fault;
-          odc_mode;
-          odc_seed;
-          odc_threshold;
-        }
+    validate
+      {
+        id;
+        op;
+        source;
+        backend;
+        vectors;
+        charge;
+        top;
+        vdds;
+        vths;
+        evals;
+        greedy;
+        eval_tier;
+        tier_k;
+        budget_evals;
+        clock;
+        q_slope;
+        deadline_s;
+        isolate;
+        fault;
+        odc_mode;
+        odc_seed;
+        odc_threshold;
+      }
   | _ -> err "request must be a JSON object"
 
 let params_json t =

@@ -105,7 +105,9 @@ val make :
 (** Omitted fields take the per-op defaults ([default_vectors],
     backend aserta, 16 fC, top 10, evals 120, greedy 2, eval tier
     exact with k 6, q-slope 6, odc mode exhaustive with seed 1 and
-    threshold 0.05). *)
+    threshold 0.05). The result is range-checked exactly like
+    {!of_json} (e.g. [tier_k >= 1], [vectors >= 1]); a bad value raises
+    [Ser_util.Diag.Diag_error] with subsystem ["cli"]. *)
 
 val to_json : t -> Ser_util.Json.t
 

@@ -1,35 +1,9 @@
 module Circuit = Ser_netlist.Circuit
-module Gate = Ser_netlist.Gate
-module Library = Ser_cell.Library
-module Cell_params = Ser_device.Cell_params
 module Assignment = Ser_sta.Assignment
-module Timing = Ser_sta.Timing
+module Sta = Ser_sta.Incr_sta
 module Analysis = Aserta.Analysis
 module Obs = Ser_obs.Obs
-
-(* The early-cutoff comparison. [true] guarantees the two values are
-   bit-identical, so they are interchangeable in every downstream
-   computation; [false] merely forces a recompute, which replays the
-   same kernels and lands on the same bits — correct either way. Plain
-   float [=] alone is not a valid [true]: it identifies 0. and -0.
-   (distinguished here by their reciprocals, with no allocation, unlike
-   [Int64.bits_of_float] which boxes in bytecode/dev builds). NaNs
-   compare unequal and simply forgo the cutoff. *)
-let same_bits a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
-
-let same_row a b =
-  a == b
-  ||
-  let n = Array.length a in
-  Array.length b = n
-  &&
-  let ok = ref true in
-  let k = ref 0 in
-  while !ok && !k < n do
-    if not (same_bits a.(!k) b.(!k)) then ok := false;
-    incr k
-  done;
-  !ok
+module Memo = Sta.Memo
 
 let same_matrix a b =
   a == b
@@ -40,57 +14,10 @@ let same_matrix a b =
   let ok = ref true in
   let j = ref 0 in
   while !ok && !j < n do
-    if not (same_row a.(!j) b.(!j)) then ok := false;
+    if not (Sta.same_row a.(!j) b.(!j)) then ok := false;
     incr j
   done;
   !ok
-
-module Memo = struct
-  type stats = { hits : int; misses : int }
-
-  type t = {
-    timing : (Cell_params.t * float * float, float * float) Hashtbl.t;
-    glitch : (Cell_params.t * float * float, float * float) Hashtbl.t;
-    mu : Mutex.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create () =
-    {
-      timing = Hashtbl.create 1024;
-      glitch = Hashtbl.create 512;
-      mu = Mutex.create ();
-      hits = 0;
-      misses = 0;
-    }
-
-  let stats m =
-    Mutex.lock m.mu;
-    let s = { hits = m.hits; misses = m.misses } in
-    Mutex.unlock m.mu;
-    s
-
-  (* The mutex is released around [compute]: a miss may itself take the
-     library's characterisation lock (Transient backend), and two
-     workers racing on the same key merely compute the same pure value
-     twice. *)
-  let lookup m tbl key compute =
-    Mutex.lock m.mu;
-    match Hashtbl.find_opt tbl key with
-    | Some v ->
-      m.hits <- m.hits + 1;
-      Mutex.unlock m.mu;
-      v
-    | None ->
-      m.misses <- m.misses + 1;
-      Mutex.unlock m.mu;
-      let v = compute () in
-      Mutex.lock m.mu;
-      Hashtbl.replace tbl key v;
-      Mutex.unlock m.mu;
-      v
-end
 
 type stats = {
   mutable updates : int;
@@ -133,49 +60,33 @@ let m_drift = Obs.Metrics.counter "incr.drift_snaps"
 let m_cone = Obs.Metrics.histogram "incr.cone_gates"
 
 type t = {
-  lib : Library.t;
+  sta : Sta.t;
+      (* cells, timing and the cell/load-dependent electrical terms *)
   config : Analysis.config;
   masking : Analysis.masking;
   circuit : Circuit.t;
   samples : float array;
   n_pos : int;
   po_pos : int array;
-  (* mutable per-gate state, mirroring Timing.t / Analysis.t *)
   ws_ctx : Analysis.ws_ctx option array;
       (* per non-input, non-PO gate: hoisted successors/sensitizations/
          weights; assignment-independent, shared by forks *)
-  cells : Cell_params.t option array;
-  loads : float array;
-  input_ramp : float array;
-  delays : float array;
-  ramps : float array;
-  arrival : float array;
-  mutable critical_delay : float;
   tables : float array array array;
   gen_width : float array;
   expected_width : float array array;
   unreliability : float array;
-  dyn_energy : float array;
-  leak_power : float array;
-  cell_area : float array;
-  (* per-gate caches of pure sub-results, refreshed only when their
-     inputs change: generated glitch widths (cell + node load), and the
-     Eq-1 attenuation brackets of the sample grid through the gate's
-     current delay (read by every driver's table recompute) *)
-  glitch_low : float array;
-  glitch_high : float array;
+  (* the Eq-1 attenuation brackets of the sample grid through each
+     gate's current delay (read by every driver's table recompute),
+     refreshed only when the delay changes *)
   brackets : (int array * float array) array;
   (* compensated running total of [unreliability]; the authoritative
      total is always the exact sequential re-fold (see [total]) *)
   mutable kahan_sum : float;
   mutable kahan_c : float;
-  memo : Memo.t;
   stats : stats;
 }
 
-(* TEMP instrumentation *)
-
-type metrics = {
+type metrics = Sta.metrics = {
   m_unreliability : float;
   m_delay : float;
   m_energy : float;
@@ -194,24 +105,6 @@ let refold t =
   let tot = ref 0. in
   Array.iter (fun u -> tot := !tot +. u) t.unreliability;
   !tot
-
-let cell_exn t id =
-  match t.cells.(id) with
-  | Some p -> p
-  | None -> invalid_arg "Incr: primary input has no cell"
-
-let memo_timing t cell ~input_ramp ~cload =
-  Memo.lookup t.memo t.memo.Memo.timing (cell, input_ramp, cload) (fun () ->
-      ( Library.delay t.lib cell ~input_ramp ~cload,
-        Library.output_ramp t.lib cell ~input_ramp ~cload ))
-
-let memo_glitch t cell ~node_cap =
-  let charge = t.config.Analysis.charge in
-  Memo.lookup t.memo t.memo.Memo.glitch (cell, node_cap, charge) (fun () ->
-      ( Library.generated_glitch_width t.lib cell ~node_cap ~charge
-          ~output_low:true,
-        Library.generated_glitch_width t.lib cell ~node_cap ~charge
-          ~output_low:false ))
 
 (* [Analysis.gate_unreliability], restated for repeated evaluation:
 
@@ -249,18 +142,22 @@ let gate_unrel t id ~w_low ~w_high =
             Ser_util.Floatx.lerp row.(br) row.(br + 1) fr
           else 0.)
   in
-  (wi, wij, t.cell_area.(id) *. Ser_util.Floatx.sum wij)
+  (wi, wij, t.sta.Sta.cell_area.(id) *. Ser_util.Floatx.sum wij)
+
+let refresh_brackets t id =
+  t.brackets.(id) <-
+    Analysis.ws_brackets ~samples:t.samples ~delay:t.sta.Sta.delays.(id)
 
 let of_analysis ?memo lib asg (a : Analysis.t) =
   let c = Assignment.circuit asg in
   if a.Analysis.circuit != c then
     invalid_arg "Incr.of_analysis: analysis is for a different circuit";
   let n = Circuit.node_count c in
-  let cells =
-    Array.init n (fun id ->
-        if Circuit.is_input c id then None else Some (Assignment.get asg id))
+  let config = a.Analysis.config in
+  let sta =
+    Sta.create ?memo ~env:config.Analysis.env ~charge:config.Analysis.charge
+      lib asg a.Analysis.timing
   in
-  let timing = a.Analysis.timing in
   let po_pos = Analysis.output_positions c in
   (* hoist the assignment-independent part of every WS-table
      computation (successors, sensitizations, Eq-2 weights); immutable,
@@ -268,55 +165,18 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
   let ws_ctx =
     Array.init n (fun id ->
         if Circuit.is_input c id || po_pos.(id) >= 0 then None
-        else Some (Analysis.make_ws_ctx a.Analysis.config a.Analysis.masking c id))
+        else Some (Analysis.make_ws_ctx config a.Analysis.masking c id))
   in
-  let config = a.Analysis.config in
-  let dyn_energy = Array.make n 0. in
-  let leak_power = Array.make n 0. in
-  let cell_area = Array.make n 0. in
-  let glitch_low = Array.make n 0. in
-  let glitch_high = Array.make n 0. in
-  let brackets = Array.make n ([||], [||]) in
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some p ->
-        dyn_energy.(id) <-
-          Library.switching_energy lib p ~cload:timing.Timing.loads.(id);
-        leak_power.(id) <- Library.leakage_power lib p;
-        cell_area.(id) <- Library.area lib p;
-        let node_cap =
-          timing.Timing.loads.(id) +. Library.output_cap lib p
-        in
-        let charge = config.Analysis.charge in
-        glitch_low.(id) <-
-          Library.generated_glitch_width lib p ~node_cap ~charge
-            ~output_low:true;
-        glitch_high.(id) <-
-          Library.generated_glitch_width lib p ~node_cap ~charge
-            ~output_low:false;
-        brackets.(id) <-
-          Analysis.ws_brackets ~samples:a.Analysis.samples
-            ~delay:timing.Timing.delays.(id))
-    cells;
   let t =
     {
-      lib;
-      config = a.Analysis.config;
+      sta;
+      config;
       masking = a.Analysis.masking;
       circuit = c;
       samples = a.Analysis.samples;
       n_pos = Array.length c.Circuit.outputs;
       po_pos;
       ws_ctx;
-      cells;
-      loads = Array.copy timing.Timing.loads;
-      input_ramp = Array.copy timing.Timing.input_ramp;
-      delays = Array.copy timing.Timing.delays;
-      ramps = Array.copy timing.Timing.ramps;
-      arrival = Array.copy timing.Timing.arrival;
-      critical_delay = timing.Timing.critical_delay;
       tables =
         (* re-point every provably-zero row at the gate's shared zero
            row ([ws_ctx_live] false implies the materialised row is all
@@ -337,18 +197,15 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
       gen_width = Array.copy a.Analysis.gen_width;
       expected_width = Array.copy a.Analysis.expected_width;
       unreliability = Array.copy a.Analysis.unreliability;
-      dyn_energy;
-      leak_power;
-      cell_area;
-      glitch_low;
-      glitch_high;
-      brackets;
+      brackets = Array.make n ([||], [||]);
       kahan_sum = 0.;
       kahan_c = 0.;
-      memo = (match memo with Some m -> m | None -> Memo.create ());
       stats = fresh_stats ();
     }
   in
+  for id = 0 to n - 1 do
+    if not (Circuit.is_input c id) then refresh_brackets t id
+  done;
   t.kahan_sum <- refold t;
   t
 
@@ -358,268 +215,113 @@ let create ?memo ~config lib asg masking =
 let fork t =
   {
     t with
-    cells = Array.copy t.cells;
-    loads = Array.copy t.loads;
-    input_ramp = Array.copy t.input_ramp;
-    delays = Array.copy t.delays;
-    ramps = Array.copy t.ramps;
-    arrival = Array.copy t.arrival;
+    sta = Sta.fork t.sta;
     (* spine copies: the inner rows are replaced wholesale on every
        recompute, never mutated, so sharing them is safe copy-on-write *)
     tables = Array.copy t.tables;
     gen_width = Array.copy t.gen_width;
     expected_width = Array.copy t.expected_width;
     unreliability = Array.copy t.unreliability;
-    dyn_energy = Array.copy t.dyn_energy;
-    leak_power = Array.copy t.leak_power;
-    cell_area = Array.copy t.cell_area;
-    glitch_low = Array.copy t.glitch_low;
-    glitch_high = Array.copy t.glitch_high;
     brackets = Array.copy t.brackets;
     stats = fresh_stats ();
   }
 
-let validate t g (cell : Cell_params.t) =
-  let c = t.circuit in
-  if g < 0 || g >= Circuit.node_count c then
-    invalid_arg "Incr.update: gate id out of range";
-  let nd = Circuit.node c g in
-  if nd.Circuit.kind = Gate.Input then
-    invalid_arg "Incr.update: primary input";
-  if
-    cell.Cell_params.kind <> nd.Circuit.kind
-    || cell.Cell_params.fanin <> Array.length nd.Circuit.fanin
-  then invalid_arg "Incr.update: cell does not match gate"
-
-(* Recompute one node's load exactly as Timing.compute_loads produces
-   it: for a fixed node, the sweep over readers adds each reader pin's
-   input capacitance in ascending (reader id, pin) order — which is
-   precisely the order of the node's [fanout] array — and the primary-
-   output pin capacitance comes last. *)
-let recompute_load t f =
-  let nd = Circuit.node t.circuit f in
-  let acc = ref 0. in
-  Array.iter
-    (fun r -> acc := !acc +. Library.input_cap t.lib (cell_exn t r))
-    nd.Circuit.fanout;
-  if Circuit.is_output t.circuit f then
-    acc := !acc +. t.config.Analysis.env.Timing.po_cap;
-  !acc
-
-let build_assignment t =
-  let asg = Assignment.uniform t.lib t.circuit in
-  Array.iteri
-    (fun id cell ->
-      match cell with None -> () | Some p -> Assignment.set asg id p)
-    t.cells;
-  asg
-
-(* When one batch touches a large fraction of the gates, the union of
-   the dirty cones covers nearly the whole circuit and cone propagation
-   costs more than the from-scratch pass it replays — rebuild wholesale
-   instead. Either path yields the same bit-identical state. *)
+(* The wholesale path for a change set above [Sta.wants_rebuild]'s
+   threshold; yields the same bit-identical state as cone propagation. *)
 let rebuild t changes =
   t.stats.full_rebuilds <- t.stats.full_rebuilds + 1;
-  Obs.Metrics.incr m_rebuilds;
-  List.iter
-    (fun (g, cell) ->
-      t.stats.cells_changed <- t.stats.cells_changed + 1;
-      t.cells.(g) <- Some cell)
-    changes;
+  t.stats.cells_changed <- t.stats.cells_changed + List.length changes;
+  Sta.set_cells t.sta changes;
   let a =
-    Analysis.run_electrical t.config t.lib (build_assignment t) t.masking
+    Analysis.run_electrical t.config t.sta.Sta.lib (Sta.assignment t.sta)
+      t.masking
   in
-  let timing = a.Analysis.timing in
-  let n = Array.length t.loads in
-  Array.blit timing.Timing.loads 0 t.loads 0 n;
-  Array.blit timing.Timing.input_ramp 0 t.input_ramp 0 n;
-  Array.blit timing.Timing.delays 0 t.delays 0 n;
-  Array.blit timing.Timing.ramps 0 t.ramps 0 n;
-  Array.blit timing.Timing.arrival 0 t.arrival 0 n;
-  t.critical_delay <- timing.Timing.critical_delay;
+  Sta.adopt t.sta a.Analysis.timing;
+  let n = Array.length t.tables in
   Array.blit a.Analysis.tables 0 t.tables 0 n;
   Array.blit a.Analysis.gen_width 0 t.gen_width 0 n;
   Array.blit a.Analysis.expected_width 0 t.expected_width 0 n;
   Array.blit a.Analysis.unreliability 0 t.unreliability 0 n;
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some p ->
-        t.dyn_energy.(id) <-
-          Library.switching_energy t.lib p ~cload:t.loads.(id);
-        t.leak_power.(id) <- Library.leakage_power t.lib p;
-        t.cell_area.(id) <- Library.area t.lib p;
-        let node_cap = t.loads.(id) +. Library.output_cap t.lib p in
-        let wl, wh = memo_glitch t p ~node_cap in
-        t.glitch_low.(id) <- wl;
-        t.glitch_high.(id) <- wh;
-        t.brackets.(id) <-
-          Analysis.ws_brackets ~samples:t.samples ~delay:t.delays.(id))
-    t.cells;
+  for id = 0 to n - 1 do
+    if not (Circuit.is_input t.circuit id) then refresh_brackets t id
+  done;
   t.kahan_sum <- refold t;
   t.kahan_c <- 0.
 
 let update_impl t changes =
-  let changes =
-    List.filter
-      (fun (g, cell) ->
-        validate t g cell;
-        not (Cell_params.equal (cell_exn t g) cell))
-      changes
-  in
+  let changes = Sta.changes ~who:"Incr.update" t.sta changes in
   if changes <> [] then begin
     t.stats.updates <- t.stats.updates + 1;
-    let c = t.circuit in
-    let n = Circuit.node_count c in
-    if List.length changes > max 8 (Circuit.gate_count c / 8) then
-      rebuild t changes
+    if Sta.wants_rebuild t.sta changes then rebuild t changes
     else begin
-    let sta_dirty = Array.make n false in
-    let delay_changed = Array.make n false in
-    let table_changed = Array.make n false in
-    let u_dirty = Array.make n false in
-    let load_dirty = Array.make n false in
-    let glitch_dirty = Array.make n false in
-    (* 1. apply the cell writes, refresh the cell-only terms, and seed
-       the dirty sets: the gate itself plus every fan-in net whose load
-       its input pins contribute to *)
-    List.iter
-      (fun (g, cell) ->
-        t.stats.cells_changed <- t.stats.cells_changed + 1;
-        t.cells.(g) <- Some cell;
-        t.leak_power.(g) <- Library.leakage_power t.lib cell;
-        t.cell_area.(g) <- Library.area t.lib cell;
-        sta_dirty.(g) <- true;
-        u_dirty.(g) <- true;
-        glitch_dirty.(g) <- true;
-        Array.iter
-          (fun f -> load_dirty.(f) <- true)
-          (Circuit.node c g).Circuit.fanin)
-      changes;
-    (* 2. loads (after all writes: two changed gates may share a net) *)
-    for f = 0 to n - 1 do
-      if load_dirty.(f) then begin
-        let l = recompute_load t f in
-        if not (same_bits l t.loads.(f)) then begin
-          t.loads.(f) <- l;
-          if not (Circuit.is_input c f) then begin
-            sta_dirty.(f) <- true;
-            glitch_dirty.(f) <- true
-          end;
-          u_dirty.(f) <- true
-        end
-      end
-    done;
-    (* 3. forward STA over the fanout cone, ascending ids (ids are
-       topological), replaying Timing.analyze's per-gate body; cutoff:
-       a gate whose output ramp and arrival are bit-unchanged does not
-       dirty its readers *)
-    let pi_ramp = t.config.Analysis.env.Timing.pi_ramp in
-    for id = 0 to n - 1 do
-      if sta_dirty.(id) then begin
-        t.stats.sta_recomputed <- t.stats.sta_recomputed + 1;
-        let nd = Circuit.node c id in
-        let worst_ramp = ref pi_ramp in
-        let worst_arrival = ref 0. in
-        Array.iter
-          (fun f ->
-            if t.ramps.(f) > !worst_ramp then worst_ramp := t.ramps.(f);
-            if t.arrival.(f) > !worst_arrival then
-              worst_arrival := t.arrival.(f))
-          nd.Circuit.fanin;
-        let cell = cell_exn t id in
-        let d, r =
-          memo_timing t cell ~input_ramp:!worst_ramp ~cload:t.loads.(id)
-        in
-        let a = !worst_arrival +. d in
-        t.input_ramp.(id) <- !worst_ramp;
-        if not (same_bits d t.delays.(id)) then begin
-          t.delays.(id) <- d;
-          delay_changed.(id) <- true;
-          t.brackets.(id) <- Analysis.ws_brackets ~samples:t.samples ~delay:d
-        end;
-        let out_changed =
-          not (same_bits r t.ramps.(id) && same_bits a t.arrival.(id))
-        in
-        t.ramps.(id) <- r;
-        t.arrival.(id) <- a;
-        if out_changed then
+      let c = t.circuit in
+      let n = Circuit.node_count c in
+      t.stats.cells_changed <- t.stats.cells_changed + List.length changes;
+      (* 1-3. loads, forward STA over the fanout cone, electrical terms *)
+      let d = Sta.propagate t.sta changes in
+      t.stats.sta_recomputed <- t.stats.sta_recomputed + d.Sta.sta_recomputed;
+      t.stats.sta_cutoff <- t.stats.sta_cutoff + d.Sta.sta_cutoff;
+      let delay_changed = d.Sta.delay_changed in
+      for id = 0 to n - 1 do
+        if delay_changed.(id) then refresh_brackets t id
+      done;
+      let table_changed = Array.make n false in
+      (* 4. WS tables over the fanin cone of the delay changes,
+         descending ids (reverse topological): a gate's table reads only
+         its successors' delays and tables, so it is stale iff some
+         successor has a changed delay or a changed table. Primary-output
+         gates' tables are constant. Cutoff: a recomputed table that is
+         bit-identical does not dirty its drivers. *)
+      for id = n - 1 downto 0 do
+        if (not (Circuit.is_input c id)) && t.po_pos.(id) < 0 then begin
+          let nd = Circuit.node c id in
+          let stale = ref false in
           Array.iter
-            (fun reader -> sta_dirty.(reader) <- true)
-            nd.Circuit.fanout
-        else t.stats.sta_cutoff <- t.stats.sta_cutoff + 1
-      end
-    done;
-    t.critical_delay <-
-      Array.fold_left
-        (fun acc po -> Float.max acc t.arrival.(po))
-        0. c.Circuit.outputs;
-    (* 4. WS tables over the fanin cone of the delay changes, descending
-       ids (reverse topological): a gate's table reads only its
-       successors' delays and tables, so it is stale iff some successor
-       has a changed delay or a changed table. Primary-output gates'
-       tables are constant. Cutoff: a recomputed table that is
-       bit-identical does not dirty its drivers. *)
-    for id = n - 1 downto 0 do
-      if (not (Circuit.is_input c id)) && t.po_pos.(id) < 0 then begin
-        let nd = Circuit.node c id in
-        let stale = ref false in
-        Array.iter
-          (fun s -> if delay_changed.(s) || table_changed.(s) then stale := true)
-          nd.Circuit.fanout;
-        if !stale then begin
-          t.stats.tables_recomputed <- t.stats.tables_recomputed + 1;
-          let tbl =
-            match t.ws_ctx.(id) with
-            | Some ctx ->
-              let succs = Analysis.ws_ctx_succs ctx in
-              let brackets = Array.map (fun s -> t.brackets.(s)) succs in
-              Analysis.ws_table_ctx ctx ~samples:t.samples ~n_pos:t.n_pos
-                ~brackets ~tables:t.tables c id
-            | None ->
-              Analysis.ws_table t.config t.masking ~samples:t.samples
-                ~po_pos:t.po_pos ~delays:t.delays ~tables:t.tables c id
-          in
-          if same_matrix tbl t.tables.(id) then
-            t.stats.tables_cutoff <- t.stats.tables_cutoff + 1
-          else begin
-            t.tables.(id) <- tbl;
-            table_changed.(id) <- true;
-            u_dirty.(id) <- true
+            (fun s ->
+              if delay_changed.(s) || table_changed.(s) then stale := true)
+            nd.Circuit.fanout;
+          if !stale then begin
+            t.stats.tables_recomputed <- t.stats.tables_recomputed + 1;
+            let tbl =
+              match t.ws_ctx.(id) with
+              | Some ctx ->
+                let succs = Analysis.ws_ctx_succs ctx in
+                let brackets = Array.map (fun s -> t.brackets.(s)) succs in
+                Analysis.ws_table_ctx ctx ~samples:t.samples ~n_pos:t.n_pos
+                  ~brackets ~tables:t.tables c id
+              | None ->
+                Analysis.ws_table t.config t.masking ~samples:t.samples
+                  ~po_pos:t.po_pos ~delays:t.sta.Sta.delays ~tables:t.tables c
+                  id
+            in
+            if same_matrix tbl t.tables.(id) then
+              t.stats.tables_cutoff <- t.stats.tables_cutoff + 1
+            else begin
+              t.tables.(id) <- tbl;
+              table_changed.(id) <- true
+            end
           end
         end
-      end
-    done;
-    (* 5. per-gate unreliability (and switching energy) wherever the
-       cell, the node load, or the WS table actually changed *)
-    for id = 0 to n - 1 do
-      if u_dirty.(id) && not (Circuit.is_input c id) then begin
-        t.stats.gates_recomputed <- t.stats.gates_recomputed + 1;
-        if glitch_dirty.(id) then begin
-          (* only a cell or load change moves the generated glitch
-             widths and the switching energy; a table-only change
-             reuses the cached pair *)
-          let cell = cell_exn t id in
-          let node_cap = t.loads.(id) +. Library.output_cap t.lib cell in
-          let wl, wh = memo_glitch t cell ~node_cap in
-          t.glitch_low.(id) <- wl;
-          t.glitch_high.(id) <- wh;
-          t.dyn_energy.(id) <-
-            Library.switching_energy t.lib cell ~cload:t.loads.(id)
-        end;
-        let wi, wij, u =
-          gate_unrel t id ~w_low:t.glitch_low.(id) ~w_high:t.glitch_high.(id)
-        in
-        t.gen_width.(id) <- wi;
-        t.expected_width.(id) <- wij;
-        let old_u = t.unreliability.(id) in
-        if not (same_bits u old_u) then begin
-          kahan_add t (u -. old_u);
-          t.unreliability.(id) <- u
+      done;
+      (* 5. per-gate unreliability wherever the cell, the node load, or
+         the WS table actually changed; a table-only change reuses the
+         cached generated glitch widths *)
+      for id = 0 to n - 1 do
+        if d.Sta.touched.(id) || table_changed.(id) then begin
+          t.stats.gates_recomputed <- t.stats.gates_recomputed + 1;
+          let wi, wij, u =
+            gate_unrel t id ~w_low:t.sta.Sta.glitch_low.(id)
+              ~w_high:t.sta.Sta.glitch_high.(id)
+          in
+          t.gen_width.(id) <- wi;
+          t.expected_width.(id) <- wij;
+          let old_u = t.unreliability.(id) in
+          if not (Sta.same_bits u old_u) then begin
+            kahan_add t (u -. old_u);
+            t.unreliability.(id) <- u
+          end
         end
-      end
-    done
+      done
     end
   end
 
@@ -650,28 +352,19 @@ let update t changes =
       d m_tbl s.tables_recomputed b_tbl;
       d m_tbl_cut s.tables_cutoff b_tbl_cut;
       d m_gates s.gates_recomputed b_gates;
+      d m_rebuilds s.full_rebuilds b_rebuilds;
       if s.updates > b_updates && s.full_rebuilds = b_rebuilds then
         Obs.Metrics.observe m_cone (s.sta_recomputed - b_sta))
     (fun () -> update_impl t changes)
 
 let set_cell t g cell = update t [ (g, cell) ]
-
-let sync t asg =
-  if Assignment.circuit asg != t.circuit then
-    invalid_arg "Incr.sync: assignment is for a different circuit";
-  let diffs = ref [] in
-  for id = Circuit.node_count t.circuit - 1 downto 0 do
-    match t.cells.(id) with
-    | None -> ()
-    | Some cur ->
-      let want = Assignment.get asg id in
-      if not (Cell_params.equal cur want) then diffs := (id, want) :: !diffs
-  done;
-  update t !diffs
-
-let cell t id = cell_exn t id
+let sync t asg = update t (Sta.diff ~who:"Incr.sync" t.sta asg)
+let cell t id =
+  match t.sta.Sta.cells.(id) with
+  | Some p -> p
+  | None -> invalid_arg "Incr.cell: primary input has no cell"
 let unreliability t id = t.unreliability.(id)
-let critical_delay t = t.critical_delay
+let critical_delay t = t.sta.Sta.critical_delay
 
 let total t =
   let r = refold t in
@@ -687,69 +380,9 @@ let total t =
   r
 
 let running_total t = t.kahan_sum
-
-(* Exactly Timing.total_energy with its default activity (0.2) and
-   default clock (1.2 x critical delay), as Cost.measure invokes it:
-   the fold visits gates in id order with the same operation tree. *)
-let energy t =
-  let clock = 1.2 *. t.critical_delay in
-  let acc = ref 0. in
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some _ ->
-        let leak = t.leak_power.(id) *. clock in
-        acc := !acc +. (0.2 *. t.dyn_energy.(id)) +. leak)
-    t.cells;
-  !acc
-
-(* Exactly Assignment.total_area's fold. *)
-let area t =
-  let acc = ref 0. in
-  Array.iteri
-    (fun id cell ->
-      match cell with None -> () | Some _ -> acc := !acc +. t.cell_area.(id))
-    t.cells;
-  !acc
-
-let metrics t =
-  {
-    m_unreliability = total t;
-    m_delay = t.critical_delay;
-    m_energy = energy t;
-    m_area = area t;
-  }
-
-let assignment = build_assignment
-
-let timing t =
-  let c = t.circuit in
-  let n = Circuit.node_count c in
-  (* required/slack are not maintained incrementally (no consumer in
-     the optimizer's inner loop); rebuild them with Timing.analyze's
-     backward sweep from the maintained delays/arrivals *)
-  let required = Array.make n Float.max_float in
-  Array.iter (fun po -> required.(po) <- t.critical_delay) c.Circuit.outputs;
-  for id = n - 1 downto 0 do
-    let nd = c.Circuit.nodes.(id) in
-    Array.iter
-      (fun reader ->
-        let r = required.(reader) -. t.delays.(reader) in
-        if r < required.(id) then required.(id) <- r)
-      nd.Circuit.fanout
-  done;
-  let slack = Array.init n (fun id -> required.(id) -. t.arrival.(id)) in
-  {
-    Timing.loads = Array.copy t.loads;
-    input_ramp = Array.copy t.input_ramp;
-    delays = Array.copy t.delays;
-    ramps = Array.copy t.ramps;
-    arrival = Array.copy t.arrival;
-    required;
-    slack;
-    critical_delay = t.critical_delay;
-  }
+let metrics t = Sta.metrics t.sta ~unreliability:(total t)
+let assignment t = Sta.assignment t.sta
+let timing t = Sta.timing t.sta
 
 let snapshot t =
   {
@@ -766,5 +399,5 @@ let snapshot t =
   }
 
 let stats t = t.stats
-let memo_stats t = Memo.stats t.memo
-let memo t = t.memo
+let memo_stats t = Memo.stats t.sta.Sta.memo
+let memo t = t.sta.Sta.memo

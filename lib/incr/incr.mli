@@ -33,19 +33,10 @@
     the only shared mutable state is the {!Memo} cache, which is
     mutex-guarded. *)
 
-module Memo : sig
-  type t
-  (** Memo table in front of the electrical characterisations, keyed by
-      (cell variant, input slope, load) for delay/output-ramp pairs and
-      (cell variant, node capacitance, charge) for generated glitch
-      widths. Thread-safe; shared by an engine and all its forks (and
-      shareable across engines over the same library). *)
-
-  type stats = { hits : int; misses : int }
-
-  val create : unit -> t
-  val stats : t -> stats
-end
+module Memo = Ser_sta.Incr_sta.Memo
+(** Memo table in front of the electrical characterisations, shared by
+    an engine and all its forks (and shareable across engines over the
+    same library, including the serpp handle). *)
 
 type t
 (** One incremental evaluation state. Mutable; not itself thread-safe —
@@ -66,7 +57,7 @@ type stats = {
           re-analysis was cheaper than cone propagation *)
 }
 
-type metrics = {
+type metrics = Ser_sta.Incr_sta.metrics = {
   m_unreliability : float;  (** U, the exact sequential re-fold *)
   m_delay : float;  (** critical delay *)
   m_energy : float;  (** as [Timing.total_energy] with default clock *)

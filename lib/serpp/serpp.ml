@@ -4,7 +4,7 @@ module Library = Ser_cell.Library
 module Assignment = Ser_sta.Assignment
 module Timing = Ser_sta.Timing
 module Lut = Ser_table.Lut
-module Glitch = Aserta.Glitch
+module Analysis = Aserta.Analysis
 module Obs = Ser_obs.Obs
 
 let m_analyses = Obs.Metrics.counter "serpp.analyses"
@@ -74,61 +74,121 @@ let latch_cap config =
   | None -> config.max_sample_width
   | Some w -> Float.min w config.max_sample_width
 
-let run ?(config = default_config) lib asg =
-  let c = Assignment.circuit asg in
+type context = {
+  c_config : config;
+  c_circuit : Circuit.t;
+  c_probs : float array;
+  c_samples : float array;
+  c_profile_cap : float;
+  c_po_row : float array;
+  c_succs : int array array;
+  c_sens : float array array;
+}
+
+let context ?probs config c =
+  let probs =
+    match probs with
+    | Some p -> p
+    | None -> Probs.signal_probabilities ?pi_probs:config.pi_probs c
+  in
+  let ws = sample_widths config in
+  let cap = latch_cap config in
   let n = Circuit.node_count c in
-  let n_pos = Array.length c.outputs in
+  (* only successors that can sensitize the gate contribute; keeping
+     them in name order preserves the accumulation order *)
+  let live =
+    Array.init n (fun id ->
+        if Circuit.is_input c id || Circuit.is_output c id then [||]
+        else
+          successors_by_name c id
+          |> List.filter_map (fun s ->
+                 let sens =
+                   Probs.sensitization_to_driver c ~probs ~gate:s ~driver:id
+                 in
+                 if sens > 0. then Some (s, sens) else None)
+          |> Array.of_list)
+  in
+  {
+    c_config = config;
+    c_circuit = c;
+    c_probs = probs;
+    c_samples = ws;
+    c_profile_cap = float_of_int (Array.length c.outputs) *. cap;
+    c_po_row = Array.map (fun w -> Float.min w cap) ws;
+    c_succs = Array.map (Array.map fst) live;
+    c_sens = Array.map (Array.map snd) live;
+  }
+
+(* The profile row of one non-input gate. A primary-output gate's glitch
+   goes straight to its own latch (and, as in ASERTA, to no other
+   output), derated by the latching window when one is configured. An
+   interior gate sums [S_is * profile_s(attenuate(w, delay_s))] over its
+   sensitizing successors, reading each successor's Eq-1 brackets
+   ([Analysis.ws_brackets] of its delay): [y0 + fr * (y1 - y0)] is
+   [Lut.interpolate_1d]'s lerp on the same bracket and fraction, so the
+   row is bit-identical to interpolating per sample. *)
+let profile_row ctx ~brackets ~profiles id =
+  if Circuit.is_output ctx.c_circuit id then Array.copy ctx.c_po_row
+  else begin
+    let n_samples = Array.length ctx.c_samples in
+    let row = Array.make n_samples 0. in
+    let succs = ctx.c_succs.(id) and sens = ctx.c_sens.(id) in
+    for si = 0 to Array.length succs - 1 do
+      let s = succs.(si) in
+      let sn = sens.(si) in
+      let s_prof = profiles.(s) in
+      let lo, fr = brackets.(s) in
+      for k = 0 to n_samples - 1 do
+        let b = Array.unsafe_get lo k in
+        if b >= 0 then begin
+          let y0 = s_prof.(b) and y1 = s_prof.(b + 1) in
+          row.(k) <- row.(k) +. (sn *. (y0 +. (Array.unsafe_get fr k *. (y1 -. y0))))
+        end
+      done
+    done;
+    (* saturate: reconvergent fan-out counts a path family more than
+       once, and without the cap the over-count could compound level by
+       level *)
+    let cap = ctx.c_profile_cap in
+    for k = 0 to n_samples - 1 do
+      if row.(k) > cap then row.(k) <- cap
+    done;
+    row
+  end
+
+let brackets ctx ~delay = Analysis.ws_brackets ~samples:ctx.c_samples ~delay
+
+let gate_estimate ctx ~w_low ~w_high ~area ~profile id =
+  let p1 = ctx.c_probs.(id) in
+  let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
+  let prop = Lut.interpolate_1d ~xs:ctx.c_samples ~ys:profile wi in
+  (wi, prop, area *. prop)
+
+let run_context ctx lib asg =
+  let config = ctx.c_config in
+  let c = Assignment.circuit asg in
+  if c != ctx.c_circuit then
+    invalid_arg "Serpp.run_context: assignment is for a different circuit";
+  let n = Circuit.node_count c in
   Obs.Metrics.incr m_analyses;
   let timing =
     Obs.Trace.with_span "serpp.sta" (fun () ->
         Timing.analyze ~env:config.env lib asg)
   in
-  let probs = Probs.signal_probabilities ?pi_probs:config.pi_probs c in
-  let ws = sample_widths config in
-  let n_samples = Array.length ws in
-  let profile_cap = float_of_int n_pos *. latch_cap config in
-  let profiles = Array.make n [||] in
   let delays = timing.Timing.delays in
+  let profiles = Array.make n [||] in
   (* one reverse-topological pass: descending ids visit every gate
      after all of its successors (the builder assigns ids in creation
      order, so a reader always has a larger id than its drivers) *)
   let prof_sp = Obs.Trace.start "serpp.profiles" in
+  let brs =
+    Array.init n (fun id ->
+        if Circuit.is_input c id then ([||], [||])
+        else brackets ctx ~delay:delays.(id))
+  in
   for id = n - 1 downto 0 do
     if not (Circuit.is_input c id) then
-      if Circuit.is_output c id then begin
-        (* the flip-flop boundary: a PO gate's glitch goes straight to
-           its own latch (and, as in ASERTA, to no other output),
-           derated by the latching window when one is configured *)
-        let cap = latch_cap config in
-        profiles.(id) <- Array.map (fun w -> Float.min w cap) ws
-      end
-      else begin
-        let row = Array.make n_samples 0. in
-        List.iter
-          (fun s ->
-            let sens =
-              Probs.sensitization_to_driver c ~probs ~gate:s ~driver:id
-            in
-            if sens > 0. then begin
-              let s_prof = profiles.(s) in
-              let ds = delays.(s) in
-              for k = 0 to n_samples - 1 do
-                let wo = Glitch.propagate ~delay:ds ~width:ws.(k) in
-                if wo > 0. then
-                  row.(k) <-
-                    row.(k)
-                    +. (sens *. Lut.interpolate_1d ~xs:ws ~ys:s_prof wo)
-              done
-            end)
-          (successors_by_name c id);
-        (* saturate: reconvergent fan-out counts a path family more
-           than once, and without the cap the over-count could compound
-           level by level *)
-        for k = 0 to n_samples - 1 do
-          if row.(k) > profile_cap then row.(k) <- profile_cap
-        done;
-        profiles.(id) <- row
-      end
+      profiles.(id) <- profile_row ctx ~brackets:brs ~profiles id
   done;
   Obs.Trace.finish prof_sp;
   let areas = Array.make n 0. in
@@ -150,13 +210,14 @@ let run ?(config = default_config) lib asg =
         Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
           ~output_low:false
       in
-      let p1 = probs.(id) in
-      let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
-      let prop = Lut.interpolate_1d ~xs:ws ~ys:profiles.(id) wi in
+      areas.(id) <- Library.area lib cell;
+      let wi, prop, u =
+        gate_estimate ctx ~w_low ~w_high ~area:areas.(id)
+          ~profile:profiles.(id) id
+      in
       gen_width.(id) <- wi;
       propagated.(id) <- prop;
-      areas.(id) <- Library.area lib cell;
-      estimate.(id) <- areas.(id) *. prop
+      estimate.(id) <- u
     end
   done;
   Obs.Metrics.add m_gate_evals !gate_evals;
@@ -166,10 +227,10 @@ let run ?(config = default_config) lib asg =
   {
     config;
     circuit = c;
-    probs;
+    probs = ctx.c_probs;
     timing;
-    samples = ws;
-    profile_cap;
+    samples = ctx.c_samples;
+    profile_cap = ctx.c_profile_cap;
     profiles;
     areas;
     gen_width;
@@ -177,6 +238,9 @@ let run ?(config = default_config) lib asg =
     estimate;
     total = !total;
   }
+
+let run ?(config = default_config) lib asg =
+  run_context (context config (Assignment.circuit asg)) lib asg
 
 let gate_bound t id =
   if Circuit.is_input t.circuit id then 0.

@@ -76,10 +76,59 @@ val gate_bound : t -> int -> float
     {!field:profile_cap} ([n_outputs * min max_sample_width
     latch_window]). 0 for primary inputs. *)
 
+type context = private {
+  c_config : config;
+  c_circuit : Ser_netlist.Circuit.t;
+  c_probs : float array;  (** signal probabilities, by node id *)
+  c_samples : float array;  (** the sample-width grid, ps *)
+  c_profile_cap : float;  (** saturation value of any profile entry *)
+  c_po_row : float array;  (** every primary-output gate's profile *)
+  c_succs : int array array;
+      (** per interior gate: the unique successors with [S_is > 0], in
+          successor-name order (empty for inputs and primary outputs) *)
+  c_sens : float array array;  (** their [S_is], aligned with [c_succs] *)
+}
+(** Everything a serpp pass needs that does not depend on the cell
+    assignment: built once per circuit and configuration, shared by
+    every full pass and incremental handle over it. *)
+
+val context : ?probs:float array -> config -> Ser_netlist.Circuit.t -> context
+(** [probs] reuses signal probabilities already computed for [config]. *)
+
+val brackets : context -> delay:float -> int array * float array
+(** The Eq-1 attenuation brackets of the context's sample grid through
+    one gate delay ({!Aserta.Analysis.ws_brackets}). *)
+
+val profile_row :
+  context ->
+  brackets:(int array * float array) array ->
+  profiles:float array array ->
+  int ->
+  float array
+(** The profile kernel: the fresh profile row of one non-input gate,
+    reading only its sensitizing successors' [brackets] and [profiles]
+    rows (both indexed by node id). Bit-identical to interpolating each
+    attenuated sample width in the successor's profile. *)
+
+val gate_estimate :
+  context ->
+  w_low:float ->
+  w_high:float ->
+  area:float ->
+  profile:float array ->
+  int ->
+  float * float * float
+(** One gate's [(w_i, profile_i(w_i), Z_i * profile_i(w_i))] from its two
+    generated glitch widths (strike with output low / high). *)
+
+val run_context : context -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> t
+(** {!run} over a prebuilt context: one STA pass, then one full pass of
+    the profile kernel and the per-gate estimates. *)
+
 val run :
   ?config:config -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> t
-(** One full estimation pass. Not validated — prefer {!run_checked} at
-    API boundaries. *)
+(** One full estimation pass: {!run_context} over a fresh {!context}.
+    Not validated — prefer {!run_checked} at API boundaries. *)
 
 val run_checked :
   ?config:config ->

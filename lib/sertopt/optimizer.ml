@@ -23,9 +23,10 @@ type eval_mode = Full_recompute | Incremental
 
 (* How the greedy menus spend the exact evaluator. [Exact] measures
    every candidate with the engine ([Incr] cone re-analysis or a full
-   recompute). [Serpp_prefilter k] first ranks the whole menu with the
-   cheap propagation-probability estimate (lib/serpp: one STA pass +
-   one profile pass, no vectors) and hands only the top [k] candidates
+   recompute). [Serpp_prefilter k] (k >= 1) first ranks the whole menu
+   with the cheap propagation-probability estimate (lib/serpp: a
+   cone-limited re-estimate on a fork of a handle that follows the
+   incumbent, no vectors) and hands only the top [k] candidates
    to the exact evaluator — the saved exact evaluations are counted in
    [sertopt.exact_evals_saved]. The ranking is a heuristic: the final
    accept decision still compares exact costs only, so tiering can
@@ -177,6 +178,32 @@ let sample_menu ~cap xs =
     List.init cap (fun i -> arr.(i * len / cap))
   end
 
+(* The menu of gate [g] under the VDD-ordering constraint against its
+   current neighbours in [asg]: a gate may not run below any successor's
+   rail (a low-swing input would leave the successor's PMOS partly on)
+   nor above any driver's; primary inputs are assumed driven from the
+   highest rail. [keep] adds the stage's own filter. *)
+let vdd_feasible_variants lib asg g ~keep =
+  let c = Assignment.circuit asg in
+  let nd = Circuit.node c g in
+  let max_succ_vdd =
+    Array.fold_left
+      (fun acc s -> Float.max acc (Assignment.get asg s).Cell_params.vdd)
+      0. nd.fanout
+  in
+  let min_driver_vdd =
+    Array.fold_left
+      (fun acc f ->
+        if Circuit.is_input c f then acc
+        else Float.min acc (Assignment.get asg f).Cell_params.vdd)
+      Float.max_float nd.fanin
+  in
+  Library.variants lib nd.kind (Array.length nd.fanin)
+  |> List.filter (fun (p : Cell_params.t) ->
+         p.vdd >= max_succ_vdd -. 1e-9
+         && p.vdd <= min_driver_vdd +. 1e-9
+         && keep p)
+
 (* Greedy critical-path upsizing: the baseline "speed optimization". *)
 let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
   let asg = Assignment.uniform lib c in
@@ -231,6 +258,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   (match config.odc_obs with
   | Some o when Array.length o <> n ->
     invalid_arg "Optimizer.optimize: odc_obs length mismatch"
+  | _ -> ());
+  (match config.tier with
+  | Serpp_prefilter k when k < 1 ->
+    invalid_arg "Optimizer.optimize: tier k must be >= 1"
   | _ -> ());
   let rng = Ser_rng.Rng.create config.seed in
   let masking =
@@ -302,8 +333,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   (* Tiered menu evaluation: the cheap ranking compares candidate
      serpp costs against a serpp-measured baseline (the delay, energy
      and area components are computed by the same Timing formulas in
-     both backends, so only the unreliability anchor changes). Built
-     once, up front, only when tiering is on. *)
+     both backends, so only the unreliability anchor changes). The
+     ranking handle follows the greedy incumbent; every candidate is
+     scored on a fork of it, so a one-gate move re-runs only its cones.
+     Built once, up front, only when tiering is on. *)
   let tier_ctx =
     match config.tier with
     | Exact -> None
@@ -317,9 +350,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
         }
       in
       let base = Ser_serpp.Serpp.run ~config:scfg lib baseline in
+      let memo = Option.map Ser_incr.Incr.memo engine in
       Some
-        ( max 1 k,
-          scfg,
+        ( k,
+          Ser_serpp.Serpp_incr.of_run ?memo lib baseline base,
           {
             baseline_metrics with
             Cost.unreliability =
@@ -464,9 +498,8 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   (* Discrete greedy refinement (extension over the paper's pure
      delay-assignment method): revisit the softest gates and try their
      whole variant menu directly, keeping any change that lowers the
-     Eq. 5 cost. The VDD-ordering constraint is enforced against the
-     current neighbours; primary inputs are assumed driven from the
-     highest rail. *)
+     Eq. 5 cost. Menus respect the VDD ordering against the current
+     neighbours ([vdd_feasible_variants]). *)
   let optimized =
     if config.greedy_passes = 0 || budget_spent () then optimized
     else begin
@@ -495,6 +528,9 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
           | Some a -> a.Analysis.unreliability.(id)
           | None -> assert false)
       in
+      (match tier_ctx with
+      | Some (_, h, _) -> Ser_serpp.Serpp_incr.sync h asg
+      | None -> ());
       let cur_cost =
         ref
           (Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
@@ -512,27 +548,12 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
         in
         List.iter
           (fun g ->
-            let nd = Circuit.node c g in
             let current = Assignment.get asg g in
-            let max_succ_vdd =
-              Array.fold_left
-                (fun acc s -> Float.max acc (Assignment.get asg s).Cell_params.vdd)
-                0. nd.fanout
-            in
-            let min_driver_vdd =
-              Array.fold_left
-                (fun acc f ->
-                  if Circuit.is_input c f then acc
-                  else Float.min acc (Assignment.get asg f).Cell_params.vdd)
-                Float.max_float nd.fanin
-            in
             let cands =
-              Library.variants lib nd.kind (Array.length nd.fanin)
-              |> List.filter (fun (p : Cell_params.t) ->
-                     p.size <= config.matching.Matching.max_size +. 1e-9
-                     && p.vdd >= max_succ_vdd -. 1e-9
-                     && p.vdd <= min_driver_vdd +. 1e-9
-                     && not (Cell_params.equal p current))
+              vdd_feasible_variants lib asg g ~keep:(fun p ->
+                  p.Cell_params.size
+                  <= config.matching.Matching.max_size +. 1e-9
+                  && not (Cell_params.equal p current))
             in
             (* cap the menu deterministically to bound the eval budget *)
             let cands = sample_menu ~cap:24 cands in
@@ -556,29 +577,16 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
                they are the economy the budget is spent through. *)
             let cands =
               match tier_ctx with
-              | Some (k, scfg, sbase) when Array.length cands > k ->
+              | Some (k, h, sbase) when Array.length cands > k ->
                 let rank_sp = Obs.Trace.start "sertopt.tier_rank" in
                 let scores =
                   Ser_par.Par.parallel_map ~chunk:1
                     (fun cand ->
-                      let trial = Assignment.copy asg in
-                      Assignment.set trial g cand;
-                      let sp = Ser_serpp.Serpp.run ~config:scfg lib trial in
-                      let m =
-                        {
-                          Cost.unreliability = sp.Ser_serpp.Serpp.total;
-                          delay =
-                            sp.Ser_serpp.Serpp.timing
-                              .Timing.critical_delay;
-                          energy =
-                            Timing.total_energy
-                              ~env:scfg.Ser_serpp.Serpp.env
-                              ~timing:sp.Ser_serpp.Serpp.timing lib trial;
-                          area = Assignment.total_area lib trial;
-                        }
-                      in
+                      let probe = Ser_serpp.Serpp_incr.fork h in
+                      Ser_serpp.Serpp_incr.set_cell probe g cand;
                       Cost.eval ~weights:config.weights
-                        ~delay_slack:config.delay_slack ~baseline:sbase m)
+                        ~delay_slack:config.delay_slack ~baseline:sbase
+                        (metrics_of_incr (Ser_serpp.Serpp_incr.metrics probe)))
                     cands
                 in
                 Obs.Trace.finish rank_sp;
@@ -653,6 +661,9 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
               Assignment.set asg g cands.(i);
               (match engine with
               | Some e -> Ser_incr.Incr.set_cell e g cands.(i)
+              | None -> ());
+              (match tier_ctx with
+              | Some (_, h, _) -> Ser_serpp.Serpp_incr.set_cell h g cands.(i)
               | None -> ())
             | _ -> ())
           order
@@ -701,26 +712,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
       in
       List.iter
         (fun g ->
-          let nd = Circuit.node c g in
           let current = Assignment.get asg g in
-          let max_succ_vdd =
-            Array.fold_left
-              (fun acc s -> Float.max acc (Assignment.get asg s).Cell_params.vdd)
-              0. nd.fanout
-          in
-          let min_driver_vdd =
-            Array.fold_left
-              (fun acc f ->
-                if Circuit.is_input c f then acc
-                else Float.min acc (Assignment.get asg f).Cell_params.vdd)
-              Float.max_float nd.fanin
-          in
           let cands =
-            Library.variants lib nd.kind (Array.length nd.fanin)
-            |> List.filter (fun (p : Cell_params.t) ->
-                   p.size < current.Cell_params.size -. 1e-9
-                   && p.vdd >= max_succ_vdd -. 1e-9
-                   && p.vdd <= min_driver_vdd +. 1e-9)
+            vdd_feasible_variants lib asg g ~keep:(fun p ->
+                p.Cell_params.size < current.Cell_params.size -. 1e-9)
           in
           let cands = Array.of_list (sample_menu ~cap:12 cands) in
           if Array.length cands > 0 then begin

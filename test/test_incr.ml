@@ -17,16 +17,8 @@ let same_arr a b = Array.for_all2 (fun x y -> bits x = bits y) a b
 
 let config = { Analysis.default_config with Analysis.vectors = 300 }
 
-let non_inputs c =
-  let out = ref [] in
-  for id = Circuit.node_count c - 1 downto 0 do
-    if not (Circuit.is_input c id) then out := id :: !out
-  done;
-  Array.of_list !out
-
-let variants_of lib c g =
-  let nd = Circuit.node c g in
-  Array.of_list (Library.variants lib nd.Circuit.kind (Array.length nd.Circuit.fanin))
+let non_inputs = Circuit_gen.non_inputs
+let variants_of = Circuit_gen.variants_of
 
 (* Full bitwise comparison of an engine against the from-scratch
    pipeline on the engine's current assignment. *)
@@ -60,20 +52,9 @@ let check_matches_scratch ?(what = "engine") lib masking asg (e : Incr.t) =
 let incremental_equals_scratch_prop =
   QCheck.Test.make ~count:12
     ~name:"incremental = from-scratch after 1-5 random swaps"
-    QCheck.(
-      quad (int_bound 10_000) (int_range 1 5) (int_range 10 60) (int_range 2 6))
+    Circuit_gen.arb
     (fun (seed, n_swaps, n_gates, depth) ->
-      let profile =
-        {
-          Ser_circuits.Iscas.pr_name = "rnd";
-          pr_inputs = 4 + (seed mod 5);
-          pr_outputs = 2 + (seed mod 3);
-          pr_gates = n_gates;
-          pr_depth = depth;
-          pr_xor_heavy = seed mod 4 = 0;
-        }
-      in
-      let c = Ser_circuits.Iscas.synthesize ~seed:(seed + 1) profile in
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
       let lib = Library.create () in
       let asg = Assignment.uniform lib c in
       let masking = Analysis.compute_masking config c in
@@ -81,9 +62,7 @@ let incremental_equals_scratch_prop =
       let rng = Ser_rng.Rng.create (seed + 17) in
       let gates = non_inputs c in
       for _ = 1 to n_swaps do
-        let g = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
-        let cands = variants_of lib c g in
-        let cand = cands.(Ser_rng.Rng.int rng (Array.length cands)) in
+        let g, cand = Circuit_gen.random_move rng lib c gates in
         Assignment.set asg g cand;
         Incr.set_cell e g cand
       done;

@@ -1,10 +1,15 @@
 module Serpp = Ser_serpp.Serpp
+module Serpp_incr = Ser_serpp.Serpp_incr
 module Xval = Ser_repro.Xval
 module Circuit = Ser_netlist.Circuit
 module Bench = Ser_netlist.Bench_format
 module L = Ser_cell.Library
 module Request = Ser_cli.Request
 module Json = Ser_util.Json
+module Assignment = Ser_sta.Assignment
+module Timing = Ser_sta.Timing
+module Probs = Ser_logicsim.Probs
+module Cell_params = Ser_device.Cell_params
 
 let lib = lazy (L.create ())
 
@@ -77,6 +82,171 @@ let test_latch_window_derates () =
     (derated.Serpp.total < full.Serpp.total);
   Alcotest.(check bool) "derated cap below full cap" true
     (derated.Serpp.profile_cap < full.Serpp.profile_cap)
+
+(* ------------------ reference profiles (bit for bit) ---------------- *)
+
+let bits = Int64.bits_of_float
+let same_arr a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+(* The per-sample profile recurrence as first written: attenuate every
+   sample through each successor's delay with [Glitch.propagate] and
+   interpolate the successor's profile with [Lut.interpolate_1d]. The
+   bracket kernel ([Serpp.profile_row]) must reproduce it bit for bit. *)
+let reference_profiles (t : Serpp.t) =
+  let config = t.Serpp.config and c = t.Serpp.circuit in
+  let ws = t.Serpp.samples and probs = t.Serpp.probs in
+  let delays = t.Serpp.timing.Timing.delays in
+  let n = Circuit.node_count c in
+  let n_samples = Array.length ws in
+  let cap =
+    match config.Serpp.latch_window with
+    | None -> config.Serpp.max_sample_width
+    | Some w -> Float.min w config.Serpp.max_sample_width
+  in
+  let successors_by_name id =
+    List.sort_uniq
+      (fun a b ->
+        String.compare (Circuit.node c a).Circuit.name
+          (Circuit.node c b).Circuit.name)
+      (Array.to_list (Circuit.node c id).Circuit.fanout)
+  in
+  let profiles = Array.make n [||] in
+  for id = n - 1 downto 0 do
+    if not (Circuit.is_input c id) then
+      if Circuit.is_output c id then
+        profiles.(id) <- Array.map (fun w -> Float.min w cap) ws
+      else begin
+        let row = Array.make n_samples 0. in
+        List.iter
+          (fun s ->
+            let sens = Probs.sensitization_to_driver c ~probs ~gate:s ~driver:id in
+            if sens > 0. then
+              for k = 0 to n_samples - 1 do
+                let wo = Aserta.Glitch.propagate ~delay:delays.(s) ~width:ws.(k) in
+                if wo > 0. then
+                  row.(k) <-
+                    row.(k)
+                    +. (sens
+                       *. Ser_table.Lut.interpolate_1d ~xs:ws ~ys:profiles.(s) wo)
+              done)
+          (successors_by_name id);
+        for k = 0 to n_samples - 1 do
+          if row.(k) > t.Serpp.profile_cap then row.(k) <- t.Serpp.profile_cap
+        done;
+        profiles.(id) <- row
+      end
+  done;
+  profiles
+
+let profiles_match t = Array.for_all2 same_arr (reference_profiles t) t.Serpp.profiles
+
+let test_kernel_matches_reference () =
+  List.iter
+    (fun (name, config) ->
+      let l, asg = sized_bench name in
+      Alcotest.(check bool)
+        (name ^ " profiles bit-equal to the per-sample loop")
+        true
+        (profiles_match (Serpp.run ~config l asg)))
+    [
+      ("c17", Serpp.default_config);
+      ("c432", Serpp.default_config);
+      ("c432", { Serpp.default_config with Serpp.latch_window = Some 20. });
+      ("c880", { Serpp.default_config with Serpp.n_samples = 7; charge = 30. });
+    ]
+
+(* ------------------------ incremental handle ------------------------ *)
+
+(* Everything the tier ranking reads from a handle, bit-compared with a
+   from-scratch run of the same assignment. *)
+let handle_matches_scratch lib asg h =
+  let r = Serpp.run lib asg in
+  let n = Circuit.node_count r.Serpp.circuit in
+  let m = Serpp_incr.metrics h in
+  let energy =
+    Timing.total_energy ~env:r.Serpp.config.Serpp.env ~timing:r.Serpp.timing
+      lib asg
+  in
+  same_arr r.Serpp.estimate (Array.init n (Serpp_incr.estimate h))
+  && bits r.Serpp.total = bits (Serpp_incr.total h)
+  && bits r.Serpp.total = bits m.Ser_sta.Incr_sta.m_unreliability
+  && bits r.Serpp.timing.Timing.critical_delay = bits m.Ser_sta.Incr_sta.m_delay
+  && bits energy = bits m.Ser_sta.Incr_sta.m_energy
+  && bits (Assignment.total_area lib asg) = bits m.Ser_sta.Incr_sta.m_area
+  && Array.for_all2 same_arr r.Serpp.profiles (Array.init n (Serpp_incr.profile h))
+  && profiles_match r
+
+(* Random set_cell / sync / fork sequences on random circuits: after
+   every step the handle is bit-equal to Serpp.run + Timing.total_energy
+   + Assignment.total_area on the same assignment. Syncs move up to half
+   the gates, so the from-scratch rebuild path is exercised too; a fork
+   step continues on the fork and the abandoned parent must still match
+   its own assignment at the end. *)
+let incremental_equals_scratch_prop =
+  QCheck.Test.make ~count:15
+    ~name:"serpp handle = from-scratch after random set_cell/sync/fork"
+    Circuit_gen.arb
+    (fun (seed, n_ops, n_gates, depth) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      let lib = Lazy.force lib in
+      let asg = ref (Assignment.uniform lib c) in
+      let h = ref (Serpp_incr.of_run lib !asg (Serpp.run lib !asg)) in
+      let parents = ref [] in
+      let rng = Ser_rng.Rng.create (seed + 29) in
+      let gates = Circuit_gen.non_inputs c in
+      let ok = ref (handle_matches_scratch lib !asg !h) in
+      for _ = 1 to 2 * n_ops do
+        (match Ser_rng.Rng.int rng 3 with
+        | 0 ->
+          let g, cand = Circuit_gen.random_move rng lib c gates in
+          Assignment.set !asg g cand;
+          Serpp_incr.set_cell !h g cand
+        | 1 ->
+          let target = Assignment.copy !asg in
+          for _ = 1 to 1 + Ser_rng.Rng.int rng (1 + (Array.length gates / 2)) do
+            let g, cand = Circuit_gen.random_move rng lib c gates in
+            Assignment.set target g cand
+          done;
+          Serpp_incr.sync !h target;
+          asg := target
+        | _ ->
+          parents := (Assignment.copy !asg, !h) :: !parents;
+          asg := Assignment.copy !asg;
+          h := Serpp_incr.fork !h);
+        ok := !ok && handle_matches_scratch lib !asg !h
+      done;
+      !ok
+      && List.for_all (fun (a, p) -> handle_matches_scratch lib a p) !parents)
+
+let test_fork_isolation () =
+  let l, asg = sized_bench "c432" in
+  let h = Serpp_incr.of_run l asg (Serpp.run l asg) in
+  let before = Serpp_incr.metrics h in
+  let g = (Circuit_gen.non_inputs (Assignment.circuit asg)).(7) in
+  let other =
+    Array.to_list (Circuit_gen.variants_of l (Assignment.circuit asg) g)
+    |> List.find (fun p -> not (Cell_params.equal p (Assignment.get asg g)))
+  in
+  let f = Serpp_incr.fork h in
+  Serpp_incr.set_cell f g other;
+  let after = Serpp_incr.metrics h in
+  Alcotest.(check bool) "parent untouched by fork mutation" true
+    (bits before.Ser_sta.Incr_sta.m_unreliability
+     = bits after.Ser_sta.Incr_sta.m_unreliability
+    && bits before.Ser_sta.Incr_sta.m_delay = bits after.Ser_sta.Incr_sta.m_delay
+    && bits before.Ser_sta.Incr_sta.m_energy = bits after.Ser_sta.Incr_sta.m_energy
+    && bits before.Ser_sta.Incr_sta.m_area = bits after.Ser_sta.Incr_sta.m_area);
+  Alcotest.(check bool) "parent still equals scratch" true
+    (handle_matches_scratch l asg h);
+  let fasg = Assignment.copy asg in
+  Assignment.set fasg g other;
+  Alcotest.(check bool) "fork equals scratch on its own assignment" true
+    (handle_matches_scratch l fasg f);
+  let st = Serpp_incr.stats f in
+  Alcotest.(check bool) "a one-gate move re-runs a cone, not the circuit" true
+    (st.Serpp_incr.updates = 1 && st.Serpp_incr.full_rebuilds = 0
+    && st.Serpp_incr.rows_recomputed < Circuit.gate_count (Assignment.circuit asg))
 
 (* ------------------------- qcheck properties ----------------------- *)
 
@@ -221,9 +391,7 @@ let test_request_backend_codec () =
   | Some (Json.Str "serpp") -> ()
   | _ -> Alcotest.fail "params_json must carry the backend");
   (* rate needs ASERTA's per-output tables *)
-  let rate =
-    Request.make ~backend:"serpp" Request.Rate (Request.Spec "c17")
-  in
+  let rate = { req with Request.op = Request.Rate } in
   (match Request.of_json (Request.to_json rate) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "rate with serpp backend accepted");
@@ -252,12 +420,34 @@ let test_request_tier_codec () =
   (match (Json.member "eval_tier" params, Json.member "tier_k" params) with
   | Some (Json.Str "serpp"), Some tk when Json.to_int_opt tk = Some 3 -> ()
   | _ -> Alcotest.fail "params_json must carry eval_tier and tier_k");
-  match
-    Request.of_json
-      (Request.to_json { req with Request.tier_k = 0 })
-  with
+  (match
+     Request.of_json
+       (Request.to_json { req with Request.tier_k = 0 })
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "tier_k 0 accepted"
+  | Ok _ -> Alcotest.fail "tier_k 0 accepted");
+  (* the flag path (Request.make) runs the same check and fails typed *)
+  List.iter
+    (fun k ->
+      match
+        Request.make ~eval_tier:"serpp" ~tier_k:k Request.Optimize
+          (Request.Spec "c17")
+      with
+      | exception Ser_util.Diag.Diag_error d ->
+        Alcotest.(check string) "typed cli diagnostic" "cli"
+          d.Ser_util.Diag.subsystem
+      | _ -> Alcotest.failf "Request.make accepted tier_k %d" k)
+    [ 0; -3 ];
+  (* and the optimizer no longer clamps a bad k to 1 *)
+  let l, asg = sized_bench "c17" in
+  match
+    Sertopt.Optimizer.optimize
+      ~config:
+        { tier_config with Sertopt.Optimizer.tier = Sertopt.Optimizer.Serpp_prefilter 0 }
+      l asg
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "optimizer accepted tier k 0"
 
 let () =
   Alcotest.run "serpp"
@@ -272,6 +462,13 @@ let () =
             test_latch_window_derates;
           QCheck_alcotest.to_alcotest bounded_prop;
           QCheck_alcotest.to_alcotest order_invariance_prop;
+          Alcotest.test_case "kernel matches per-sample loop" `Quick
+            test_kernel_matches_reference;
+        ] );
+      ( "handle",
+        [
+          Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
+          QCheck_alcotest.to_alcotest incremental_equals_scratch_prop;
         ] );
       ( "xval",
         [
