@@ -199,19 +199,25 @@ let timing_tables t p =
           Pmap.add p { timing = (delay_tbl, ramp_tbl) } t.timing_cache;
         (delay_tbl, ramp_tbl))
 
-let delay t p ~input_ramp ~cload =
+type kernel = Model of Gate_model.compiled | Tables of Lut.t * Lut.t
+
+let kernel t p =
   match t.backend with
-  | Analytic -> Gate_model.delay p ~input_ramp ~cload
+  | Analytic -> Model (Gate_model.compile p)
   | Transient ->
-    let d, _ = timing_tables t p in
-    Lut.eval2 d input_ramp cload
+    let d, r = timing_tables t p in
+    Tables (d, r)
+
+let kernel_timing k ~input_ramp ~cload =
+  match k with
+  | Model m -> Gate_model.eval m ~input_ramp ~cload
+  | Tables (d, r) -> (Lut.eval2 d input_ramp cload, Lut.eval2 r input_ramp cload)
+
+let delay t p ~input_ramp ~cload =
+  fst (kernel_timing (kernel t p) ~input_ramp ~cload)
 
 let output_ramp t p ~input_ramp ~cload =
-  match t.backend with
-  | Analytic -> Gate_model.output_ramp p ~input_ramp ~cload
-  | Transient ->
-    let _, r = timing_tables t p in
-    Lut.eval2 r input_ramp cload
+  snd (kernel_timing (kernel t p) ~input_ramp ~cload)
 
 let glitch_tables t p =
   with_lock t (fun () ->

@@ -67,6 +67,20 @@ val switching_energy : t -> Ser_device.Cell_params.t -> cload:float -> float
 val delay : t -> Ser_device.Cell_params.t -> input_ramp:float -> cload:float -> float
 val output_ramp : t -> Ser_device.Cell_params.t -> input_ramp:float -> cload:float -> float
 
+type kernel
+(** One variant's timing model, ready to evaluate: the compiled closed
+    form ({!Ser_device.Gate_model.compile}) on the analytic backend,
+    the variant's two look-up tables (characterised on first use,
+    fetched once under the library lock) on the transient backend.
+    Immutable; hold one per gate or per menu entry instead of paying
+    the model derivation or the table lookup on every query. *)
+
+val kernel : t -> Ser_device.Cell_params.t -> kernel
+
+val kernel_timing : kernel -> input_ramp:float -> cload:float -> float * float
+(** [(delay, output_ramp)], bit-identical to {!delay} and
+    {!output_ramp}. *)
+
 val generated_glitch_width :
   t ->
   Ser_device.Cell_params.t ->

@@ -134,33 +134,48 @@ let drive_at (p : Cell_params.t) direction ~vout =
     let wl = w /. p.length /. float_of_int s.p_stack in
     Mosfet.drain_current m ~w_over_l:wl ~vgs:p.vdd ~vds:(p.vdd -. vout)
 
-(* Half-swing time of a stage driving [c] fF at constant worst drive. *)
-let stage_half_swing p s ~c direction =
-  let i = stage_drive p s direction in
-  if i <= 0. then Float.max_float else c *. p.vdd /. 2. /. i
-
 let ramp_sensitivity = 0.25
 let intrinsic_delay_per_stage = 0.6 (* ps: junction/miller effects *)
 
-let timing (p : Cell_params.t) ~input_ramp ~cload =
-  let stage_list = stages p in
-  let n_stages = List.length stage_list in
-  let rec loop acc_delay ramp idx = function
-    | [] -> (acc_delay, ramp)
-    | s :: rest ->
-      let c =
-        if idx = n_stages - 1 then cload +. output_cap p
-        else internal_cap p +. 0.1
-      in
-      let t_down = stage_half_swing p s ~c Pull_down in
-      let t_up = stage_half_swing p s ~c Pull_up in
-      let t = Float.max t_down t_up in
-      let d = intrinsic_delay_per_stage +. t +. (ramp_sensitivity *. ramp) in
-      let out_ramp = 1.6 *. t in
-      loop (acc_delay +. d) out_ramp (idx + 1) rest
-  in
-  loop 0. input_ramp 0 stage_list
+(* Everything the timing formula reads from the cell, evaluated once:
+   per-stage worst drives and the capacitance each non-final stage
+   drives. The final stage drives [cload +. c_output]. *)
+type compiled = {
+  c_vdd : float;
+  i_down : float array;
+  i_up : float array;
+  c_output : float;
+  c_internal : float;
+}
 
+let compile (p : Cell_params.t) =
+  let st = Array.of_list (stages p) in
+  {
+    c_vdd = p.vdd;
+    i_down = Array.map (fun s -> stage_drive p s Pull_down) st;
+    i_up = Array.map (fun s -> stage_drive p s Pull_up) st;
+    c_output = (if Array.length st = 0 then 0. else output_cap p);
+    c_internal = internal_cap p +. 0.1;
+  }
+
+(* Half-swing time of a stage driving [c] fF at constant worst drive. *)
+let half_swing k ~c i = if i <= 0. then Float.max_float else c *. k.c_vdd /. 2. /. i
+
+let eval k ~input_ramp ~cload =
+  let last = Array.length k.i_down - 1 in
+  let acc_delay = ref 0. and ramp = ref input_ramp in
+  for idx = 0 to last do
+    let c = if idx = last then cload +. k.c_output else k.c_internal in
+    let t =
+      Float.max (half_swing k ~c k.i_down.(idx)) (half_swing k ~c k.i_up.(idx))
+    in
+    let d = intrinsic_delay_per_stage +. t +. (ramp_sensitivity *. !ramp) in
+    acc_delay := !acc_delay +. d;
+    ramp := 1.6 *. t
+  done;
+  (!acc_delay, !ramp)
+
+let timing p ~input_ramp ~cload = eval (compile p) ~input_ramp ~cload
 let delay p ~input_ramp ~cload = fst (timing p ~input_ramp ~cload)
 let output_ramp p ~input_ramp ~cload = snd (timing p ~input_ramp ~cload)
 

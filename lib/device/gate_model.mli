@@ -58,6 +58,18 @@ val drive_at : Cell_params.t -> direction -> vout:float -> float
 
 (** {1 Timing} *)
 
+type compiled
+(** A variant's timing model with every cell-dependent term evaluated:
+    per-stage pull-down and pull-up drive currents, the output-node
+    capacitance and the internal-node load. Immutable; safe to share
+    across domains. *)
+
+val compile : Cell_params.t -> compiled
+
+val eval : compiled -> input_ramp:float -> cload:float -> float * float
+(** [(delay, output_ramp)] of the compiled model, bit-identical to
+    {!delay} and {!output_ramp} (which compile and evaluate per call). *)
+
 val delay : Cell_params.t -> input_ramp:float -> cload:float -> float
 (** Propagation delay (50% to 50%), ps. Worst case over rise/fall. *)
 

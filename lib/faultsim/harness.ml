@@ -1252,17 +1252,22 @@ let run_all () =
      safe to race from several domains (the losers raise
      Lazy.Undefined), and base_asg pulls in the other two *)
   ignore (Lazy.force base_asg);
+  let serve, rest =
+    List.partition (fun s -> s.group = "serve") (scenarios ())
+  in
+  (* the serve scenarios start their daemon with Unix.fork, which OCaml
+     5 refuses once the process has spawned any domain: run them before
+     anything touches the pool *)
+  let served = List.map (fun s -> (s, run_scenario s)) serve in
   let par, seq =
-    List.partition
-      (fun s -> s.group <> "jobs" && s.group <> "shard" && s.group <> "serve")
-      (scenarios ())
+    List.partition (fun s -> s.group <> "jobs" && s.group <> "shard") rest
   in
   let ps = Array.of_list par in
   let outcomes = Ser_par.Par.parallel_map ~chunk:1 run_scenario ps in
   let par_results =
     Array.to_list (Array.mapi (fun i o -> (ps.(i), o)) outcomes)
   in
-  (* the jobs and serve scenarios fork child processes; fork from a
+  (* the jobs and shard scenarios spawn child processes; fork from a
      pool worker domain is unsafe in a multicore runtime, so they stay
      on the main domain, after the pooled groups *)
-  par_results @ List.map (fun s -> (s, run_scenario s)) seq
+  par_results @ List.map (fun s -> (s, run_scenario s)) seq @ served

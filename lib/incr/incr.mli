@@ -34,9 +34,11 @@
     mutex-guarded. *)
 
 module Memo = Ser_sta.Incr_sta.Memo
-(** Memo table in front of the electrical characterisations, shared by
-    an engine and all its forks (and shareable across engines over the
-    same library, including the serpp handle). *)
+(** Memo table in front of the generated-glitch-width
+    characterisation, shared by an engine and all its forks (and
+    shareable across engines over the same library, including the serpp
+    handle). Timing is evaluated on per-gate compiled kernels and needs
+    no memo. *)
 
 type t
 (** One incremental evaluation state. Mutable; not itself thread-safe —

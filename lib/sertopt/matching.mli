@@ -17,24 +17,23 @@ type options = {
 val default_options : options
 (** [max_size = 8.], default timing env. *)
 
-val match_delays :
-  ?options:options ->
-  Ser_cell.Library.t ->
-  Ser_sta.Assignment.t ->
-  targets:float array ->
-  Ser_sta.Assignment.t
-(** [match_delays lib asg ~targets] returns a fresh assignment whose
-    gate delays approximate [targets] (indexed by node id; entries for
-    primary inputs are ignored). The input assignment supplies the
-    input-slew estimates. *)
+type context
+(** Everything about a matching run that does not depend on the
+    targets, built once per optimization: for each (kind, fan-in) the
+    allowed menu (size at most [max_size], {!Ser_cell.Library.variants}
+    order) with its compiled timing kernels, VDDs, areas and pin
+    capacitances, and the input-slew estimates from one timing pass of
+    the base assignment. Immutable; safe to share across domains.
+    Building it compiles every allowed variant's kernel (on the
+    transient backend: characterises every allowed variant). *)
 
-val achievable_delay_range :
-  ?options:options ->
-  Ser_cell.Library.t ->
-  Ser_sta.Assignment.t ->
-  timing:Ser_sta.Timing.t ->
-  int ->
-  float * float
-(** Fastest and slowest delay any allowed variant can give a gate at
-    its current load and slew — the box constraints for the delay
-    assignment search. *)
+val context :
+  ?options:options -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> context
+(** [context lib base]: [base] supplies the input slews and the
+    fallback cell of a gate whose menu is empty under the VDD floor. *)
+
+val match_delays : context -> targets:float array -> Ser_sta.Assignment.t
+(** A fresh assignment whose gate delays approximate [targets] (indexed
+    by node id; entries for primary inputs are ignored). Among the
+    candidates within the tie band ([max 1 (best error + 10% of the
+    target)] ps) the first one of minimum area wins. *)

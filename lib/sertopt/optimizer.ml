@@ -4,6 +4,7 @@ module Library = Ser_cell.Library
 module Cell_params = Ser_device.Cell_params
 module Assignment = Ser_sta.Assignment
 module Timing = Ser_sta.Timing
+module Incr_sta = Ser_sta.Incr_sta
 module Paths = Ser_sta.Paths
 module Matrix = Ser_linalg.Matrix
 module Analysis = Aserta.Analysis
@@ -18,6 +19,7 @@ let m_tier_ranks = Obs.Metrics.counter "sertopt.tier_rank_evals"
 let m_exact_saved = Obs.Metrics.counter "sertopt.exact_evals_saved"
 let m_odc_moves = Obs.Metrics.counter "sertopt.odc_moves"
 let m_odc_accepts = Obs.Metrics.counter "sertopt.odc_accepts"
+let m_sizing_trials = Obs.Metrics.counter "sta.sizing_trials"
 
 type eval_mode = Full_recompute | Incremental
 
@@ -204,23 +206,29 @@ let vdd_feasible_variants lib asg g ~keep =
          && p.vdd <= min_driver_vdd +. 1e-9
          && keep p)
 
-(* Greedy critical-path upsizing: the baseline "speed optimization". *)
+(* Greedy critical-path upsizing: the baseline "speed optimization".
+   Each trial is re-timed on an incremental timing-only core: the
+   one-gate move is propagated through its cones and reverted by
+   propagating the old cell back, which replays the same kernels and
+   restores the same bits. *)
 let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
+  Obs.Trace.with_span "sertopt.size_for_speed" @@ fun () ->
   let asg = Assignment.uniform lib c in
+  let sta = Incr_sta.create ~env lib asg (Timing.analyze ~env lib asg) in
   let sizes =
     List.filter (fun s -> s <= max_size +. 1e-9) (Library.axes lib).Library.sizes
     |> List.sort compare
   in
   let next_size s = List.find_opt (fun x -> x > s +. 1e-9) sizes in
+  let move id cell = ignore (Incr_sta.propagate sta [ (id, cell) ]) in
   (* one gate at a time: upsizing the whole path at once mostly feeds
      itself through the increased pin loads *)
   let continue = ref true in
   let iter = ref 0 in
   while !continue && !iter < 60 do
     incr iter;
-    let timing = Timing.analyze ~env lib asg in
-    let best = ref timing.Timing.critical_delay in
-    let path = Timing.critical_path asg timing in
+    let best = ref sta.Incr_sta.critical_delay in
+    let path = Timing.critical_path asg (Incr_sta.timing sta) in
     let improved = ref false in
     Array.iter
       (fun id ->
@@ -228,13 +236,16 @@ let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
           let cell = Assignment.get asg id in
           match next_size cell.Cell_params.size with
           | Some s ->
-            Assignment.set asg id { cell with Cell_params.size = s };
-            let after = (Timing.analyze ~env lib asg).Timing.critical_delay in
+            let bigger = { cell with Cell_params.size = s } in
+            Obs.Metrics.incr m_sizing_trials;
+            move id bigger;
+            let after = sta.Incr_sta.critical_delay in
             if after < !best -. 1e-9 then begin
               best := after;
-              improved := true
+              improved := true;
+              Assignment.set asg id bigger
             end
-            else Assignment.set asg id cell
+            else move id cell
           | None -> ()
         end)
       path;
@@ -374,13 +385,14 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     out
   in
   let d0 = timing0.Timing.delays in
+  let matching = Matching.context ~options:config.matching lib baseline in
   let assignment_of delta =
     let targets =
       Array.init n (fun id ->
           if Circuit.is_input c id then 0.
           else Float.max 0.5 (d0.(id) +. delta.(id)))
     in
-    Matching.match_delays ~options:config.matching lib baseline ~targets
+    Matching.match_delays matching ~targets
   in
   let evals = ref 0 in
   let best_cost = ref Float.max_float in

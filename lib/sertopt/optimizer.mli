@@ -152,7 +152,11 @@ val size_for_speed :
   Ser_sta.Assignment.t
 (** Greedy critical-path upsizing at the nominal corner — the stand-in
     for the paper's Design-Compiler speed optimization that produces
-    the baseline circuits. *)
+    the baseline circuits. Each trial is re-timed incrementally on a
+    timing-only {!Ser_sta.Incr_sta} core (counted in
+    [sta.sizing_trials], traced as [sertopt.size_for_speed]); the
+    result is bit-identical to re-running {!Ser_sta.Timing.analyze} per
+    trial. *)
 
 val optimize :
   ?config:config ->

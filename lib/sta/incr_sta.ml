@@ -31,7 +31,6 @@ module Memo = struct
   type stats = { hits : int; misses : int }
 
   type t = {
-    timing : (Cell_params.t * float * float, float * float) Hashtbl.t;
     glitch : (Cell_params.t * float * float, float * float) Hashtbl.t;
     mu : Mutex.t;
     mutable hits : int;
@@ -39,13 +38,7 @@ module Memo = struct
   }
 
   let create () =
-    {
-      timing = Hashtbl.create 1024;
-      glitch = Hashtbl.create 512;
-      mu = Mutex.create ();
-      hits = 0;
-      misses = 0;
-    }
+    { glitch = Hashtbl.create 512; mu = Mutex.create (); hits = 0; misses = 0 }
 
   let stats m =
     Mutex.lock m.mu;
@@ -57,9 +50,9 @@ module Memo = struct
      library's characterisation lock (Transient backend), and two
      workers racing on the same key merely compute the same pure value
      twice. *)
-  let lookup m tbl key compute =
+  let lookup m key compute =
     Mutex.lock m.mu;
-    match Hashtbl.find_opt tbl key with
+    match Hashtbl.find_opt m.glitch key with
     | Some v ->
       m.hits <- m.hits + 1;
       Mutex.unlock m.mu;
@@ -69,7 +62,7 @@ module Memo = struct
       Mutex.unlock m.mu;
       let v = compute () in
       Mutex.lock m.mu;
-      Hashtbl.replace tbl key v;
+      Hashtbl.replace m.glitch key v;
       Mutex.unlock m.mu;
       v
 end
@@ -84,9 +77,10 @@ type metrics = {
 type t = {
   lib : Library.t;
   env : Timing.env;
-  charge : float;
+  charge : float option;
   circuit : Circuit.t;
   cells : Cell_params.t option array;
+  kernels : Library.kernel option array;
   loads : float array;
   input_ramp : float array;
   delays : float array;
@@ -113,14 +107,17 @@ let cell_exn t id =
   | Some p -> p
   | None -> invalid_arg "Incr_sta: primary input has no cell"
 
-let memo_timing t cell ~input_ramp ~cload =
-  Memo.lookup t.memo t.memo.Memo.timing (cell, input_ramp, cload) (fun () ->
-      ( Library.delay t.lib cell ~input_ramp ~cload,
-        Library.output_ramp t.lib cell ~input_ramp ~cload ))
+let kernel_exn t id =
+  match t.kernels.(id) with
+  | Some k -> k
+  | None -> invalid_arg "Incr_sta: primary input has no cell"
 
-let memo_glitch t cell ~node_cap =
-  let charge = t.charge in
-  Memo.lookup t.memo t.memo.Memo.glitch (cell, node_cap, charge) (fun () ->
+let put_cell t g cell =
+  t.cells.(g) <- Some cell;
+  t.kernels.(g) <- Some (Library.kernel t.lib cell)
+
+let memo_glitch t cell ~node_cap ~charge =
+  Memo.lookup t.memo (cell, node_cap, charge) (fun () ->
       ( Library.generated_glitch_width t.lib cell ~node_cap ~charge
           ~output_low:true,
         Library.generated_glitch_width t.lib cell ~node_cap ~charge
@@ -128,12 +125,17 @@ let memo_glitch t cell ~node_cap =
 
 (* The terms that move with a gate's cell or its node load: switching
    energy and the two generated glitch widths. *)
-let refresh_electrical t id cell =
+let refresh_electrical t id cell ~charge =
   t.dyn_energy.(id) <- Library.switching_energy t.lib cell ~cload:t.loads.(id);
   let node_cap = t.loads.(id) +. Library.output_cap t.lib cell in
-  let wl, wh = memo_glitch t cell ~node_cap in
+  let wl, wh = memo_glitch t cell ~node_cap ~charge in
   t.glitch_low.(id) <- wl;
   t.glitch_high.(id) <- wh
+
+(* The terms that move with the cell alone. *)
+let refresh_static t id cell =
+  t.leak_power.(id) <- Library.leakage_power t.lib cell;
+  t.cell_area.(id) <- Library.area t.lib cell
 
 let adopt t (timing : Timing.t) =
   let n = Array.length t.loads in
@@ -143,29 +145,34 @@ let adopt t (timing : Timing.t) =
   Array.blit timing.Timing.ramps 0 t.ramps 0 n;
   Array.blit timing.Timing.arrival 0 t.arrival 0 n;
   t.critical_delay <- timing.Timing.critical_delay;
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some p ->
-        t.leak_power.(id) <- Library.leakage_power t.lib p;
-        t.cell_area.(id) <- Library.area t.lib p;
-        refresh_electrical t id p)
-    t.cells
+  match t.charge with
+  | None -> ()
+  | Some charge ->
+    Array.iteri
+      (fun id cell ->
+        match cell with
+        | None -> ()
+        | Some p ->
+          refresh_static t id p;
+          refresh_electrical t id p ~charge)
+      t.cells
 
-let create ?memo ~env ~charge lib asg timing =
+let create ?memo ?charge ~env lib asg timing =
   let c = Assignment.circuit asg in
   let n = Circuit.node_count c in
   let z () = Array.make n 0. in
+  let cells =
+    Array.init n (fun id ->
+        if Circuit.is_input c id then None else Some (Assignment.get asg id))
+  in
   let t =
     {
       lib;
       env;
       charge;
       circuit = c;
-      cells =
-        Array.init n (fun id ->
-            if Circuit.is_input c id then None else Some (Assignment.get asg id));
+      cells;
+      kernels = Array.map (Option.map (Library.kernel lib)) cells;
       loads = z ();
       input_ramp = z ();
       delays = z ();
@@ -187,6 +194,7 @@ let fork t =
   {
     t with
     cells = Array.copy t.cells;
+    kernels = Array.copy t.kernels;
     loads = Array.copy t.loads;
     input_ramp = Array.copy t.input_ramp;
     delays = Array.copy t.delays;
@@ -233,7 +241,7 @@ let diff ~who t asg =
 let wants_rebuild t batch =
   List.length batch > max 8 (Circuit.gate_count t.circuit / 8)
 
-let set_cells t batch = List.iter (fun (g, cell) -> t.cells.(g) <- Some cell) batch
+let set_cells t batch = List.iter (fun (g, cell) -> put_cell t g cell) batch
 
 let assignment t =
   let asg = Assignment.uniform t.lib t.circuit in
@@ -269,9 +277,8 @@ let propagate t batch =
      its input pins contribute to *)
   List.iter
     (fun (g, cell) ->
-      t.cells.(g) <- Some cell;
-      t.leak_power.(g) <- Library.leakage_power t.lib cell;
-      t.cell_area.(g) <- Library.area t.lib cell;
+      put_cell t g cell;
+      if Option.is_some t.charge then refresh_static t g cell;
       sta_dirty.(g) <- true;
       touched.(g) <- true;
       Array.iter
@@ -309,7 +316,7 @@ let propagate t batch =
           if t.arrival.(f) > !worst_arrival then worst_arrival := t.arrival.(f))
         nd.Circuit.fanin;
       let d, r =
-        memo_timing t (cell_exn t id) ~input_ramp:!worst_ramp
+        Library.kernel_timing (kernel_exn t id) ~input_ramp:!worst_ramp
           ~cload:t.loads.(id)
       in
       let a = !worst_arrival +. d in
@@ -334,9 +341,12 @@ let propagate t batch =
       0. c.Circuit.outputs;
   (* 4. switching energy and generated glitch widths wherever the cell
      or the node load changed *)
-  for id = 0 to n - 1 do
-    if touched.(id) then refresh_electrical t id (cell_exn t id)
-  done;
+  (match t.charge with
+  | None -> ()
+  | Some charge ->
+    for id = 0 to n - 1 do
+      if touched.(id) then refresh_electrical t id (cell_exn t id) ~charge
+    done);
   { touched; delay_changed; sta_recomputed = !recomputed; sta_cutoff = !cutoff }
 
 (* Exactly Timing.total_energy with its default activity (0.2) and

@@ -1,11 +1,13 @@
 (** The incremental STA core shared by the cone-limited re-analysis
     handles ([Ser_incr.Incr] for ASERTA, [Ser_serpp.Serpp_incr] for the
-    propagation-probability estimate).
+    propagation-probability estimate) and, timing-only, by the
+    optimizer's critical-path upsizing.
 
     A value holds one cell assignment's complete timing state (loads,
-    slews, delays, arrivals, critical delay) plus the per-gate terms
-    that move only with a gate's cell or its node load: switching
-    energy, leakage power, area and the two generated glitch widths.
+    slews, delays, arrivals, critical delay, and each gate's compiled
+    timing kernel) plus the per-gate terms that move only with a gate's
+    cell or its node load: switching energy, leakage power, area and
+    the two generated glitch widths.
     {!propagate} applies a batch of cell changes and recomputes only
     what they can reach:
 
@@ -35,11 +37,13 @@ val same_row : float array -> float array -> bool
 
 module Memo : sig
   type t
-  (** Memo table in front of the electrical characterisations, keyed by
-      (cell variant, input slope, load) for delay/output-ramp pairs and
-      (cell variant, node capacitance, charge) for generated glitch
-      widths. Thread-safe; shared by a core and all its forks (and
-      shareable across cores over the same library). *)
+  (** Memo table in front of the generated-glitch-width
+      characterisation, keyed by (cell variant, node capacitance,
+      charge). Thread-safe; shared by a core and all its forks (and
+      shareable across cores over the same library). Timing needs no
+      memo: each gate holds its variant's compiled
+      {!Ser_cell.Library.kernel}, whose evaluation is cheaper than a
+      memo hit. *)
 
   type stats = { hits : int; misses : int }
 
@@ -57,16 +61,23 @@ type metrics = {
 type t = private {
   lib : Ser_cell.Library.t;
   env : Timing.env;
-  charge : float;  (** deposited charge of the generated glitch widths, fC *)
+  charge : float option;
+      (** deposited charge of the generated glitch widths, fC; [None]
+          for a timing-only core *)
   circuit : Ser_netlist.Circuit.t;
   cells : Ser_device.Cell_params.t option array;  (** [None] at PIs *)
+  kernels : Ser_cell.Library.kernel option array;
+      (** each gate's compiled timing model, refreshed only when its
+          cell changes *)
   loads : float array;
   input_ramp : float array;
   delays : float array;
   ramps : float array;
   arrival : float array;
   mutable critical_delay : float;
-  dyn_energy : float array;  (** switching energy at the node load *)
+  dyn_energy : float array;
+      (** switching energy at the node load; this and the next four
+          arrays stay zero in a timing-only core *)
   leak_power : float array;
   cell_area : float array;
   glitch_low : float array;  (** generated width, strike with output low *)
@@ -86,13 +97,17 @@ type dirty = {
 
 val create :
   ?memo:Memo.t ->
+  ?charge:float ->
   env:Timing.env ->
-  charge:float ->
   Ser_cell.Library.t ->
   Assignment.t ->
   Timing.t ->
   t
-(** Adopt a from-scratch timing pass of [asg] (arrays are copied). *)
+(** Adopt a from-scratch timing pass of [asg] (arrays are copied).
+    Without [charge] the core is timing-only: it maintains loads,
+    slews, delays and arrivals but no electrical terms, so it never
+    queries (or, on the transient backend, characterises) glitch
+    widths. *)
 
 val fork : t -> t
 (** O(nodes) copy; the memo is shared. *)

@@ -50,10 +50,13 @@ let analyze ?(env = default_env) lib asg =
             if ramps.(f) > !worst_ramp then worst_ramp := ramps.(f);
             if arrival.(f) > !worst_arrival then worst_arrival := arrival.(f))
           nd.fanin;
-        let cell = Assignment.get asg id in
+        let k = Library.kernel lib (Assignment.get asg id) in
+        let d, r =
+          Library.kernel_timing k ~input_ramp:!worst_ramp ~cload:loads.(id)
+        in
         input_ramp.(id) <- !worst_ramp;
-        delays.(id) <- Library.delay lib cell ~input_ramp:!worst_ramp ~cload:loads.(id);
-        ramps.(id) <- Library.output_ramp lib cell ~input_ramp:!worst_ramp ~cload:loads.(id);
+        delays.(id) <- d;
+        ramps.(id) <- r;
         arrival.(id) <- !worst_arrival +. delays.(id)
       end)
     c.nodes;

@@ -136,6 +136,122 @@ let test_vth_below_vdd_filter () =
       Alcotest.(check bool) "vth < vdd" true (p.P.vth < p.P.vdd))
     vs
 
+(* ---------------- compiled timing kernels ---------------- *)
+
+module GM = Ser_device.Gate_model
+module Mosfet = Ser_device.Mosfet
+
+(* The per-call model walk the compiled kernel replaced, kept as the
+   reference: it re-derives the stage list, the drive currents and the
+   node capacitances on every query. *)
+let reference_timing (p : P.t) ~input_ramp ~cload =
+  let stage_list = GM.stages p in
+  let n_stages = List.length stage_list in
+  let stack_factor k = sqrt (float_of_int k) in
+  let drive (s : GM.stage) ~down =
+    if down then
+      let w = p.P.size *. Mosfet.w_min *. stack_factor s.GM.n_stack in
+      let wl = w /. p.P.length /. float_of_int s.GM.n_stack in
+      Mosfet.saturation_current (Mosfet.nmos ~vth:p.P.vth) ~w_over_l:wl ~vgs:p.P.vdd
+    else
+      let w =
+        p.P.size *. Mosfet.w_min *. Mosfet.pmos_width_ratio
+        *. stack_factor s.GM.p_stack
+      in
+      let wl = w /. p.P.length /. float_of_int s.GM.p_stack in
+      Mosfet.saturation_current (Mosfet.pmos ~vth:p.P.vth) ~w_over_l:wl ~vgs:p.P.vdd
+  in
+  let internal_cap =
+    if n_stages > 1 then GM.input_cap { p with P.kind = Gate.Not; fanin = 1 } +. 0.1
+    else 0.
+  in
+  let half_swing s ~c ~down =
+    let i = drive s ~down in
+    if i <= 0. then Float.max_float else c *. p.P.vdd /. 2. /. i
+  in
+  let rec loop acc_delay ramp idx = function
+    | [] -> (acc_delay, ramp)
+    | s :: rest ->
+      let c =
+        if idx = n_stages - 1 then cload +. GM.output_cap p else internal_cap +. 0.1
+      in
+      let t = Float.max (half_swing s ~c ~down:true) (half_swing s ~c ~down:false) in
+      let d = 0.6 +. t +. (0.25 *. ramp) in
+      loop (acc_delay +. d) (1.6 *. t) (idx + 1) rest
+  in
+  loop 0. input_ramp 0 stage_list
+
+let bits = Int64.bits_of_float
+
+let all_default_variants =
+  lazy
+    (let lib = L.create () in
+     List.concat_map
+       (fun (kind, fanins) ->
+         List.concat_map (fun fanin -> L.variants lib kind fanin) fanins)
+       [
+         (Gate.Not, [ 1 ]); (Gate.Buf, [ 1 ]);
+         (Gate.Nand, [ 2; 3; 4; 5; 8 ]); (Gate.Nor, [ 2; 3; 4; 5; 8 ]);
+         (Gate.And, [ 2; 3; 4; 5; 8 ]); (Gate.Or, [ 2; 3; 4; 5; 8 ]);
+         (Gate.Xor, [ 2; 3 ]); (Gate.Xnor, [ 2; 3 ]);
+       ]
+     |> Array.of_list)
+
+(* loads from an open output to absurdly heavy ones *)
+let load_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.);
+        (6, float_range 0. 100.);
+        (2, float_range 100. 1e6);
+        (1, return 1e12);
+      ])
+
+let prop_kernel_matches_walk =
+  QCheck.Test.make ~name:"kernel = per-call model walk" ~count:100
+    QCheck.(
+      make ~print:(fun (r, c) -> Printf.sprintf "ramp=%h cload=%h" r c)
+        Gen.(pair (frequency [ (1, return 0.); (5, float_range 0. 400.) ]) load_gen))
+    (fun (input_ramp, cload) ->
+      let lib = L.create () in
+      Array.for_all
+        (fun p ->
+          let d_ref, r_ref = reference_timing p ~input_ramp ~cload in
+          let k = L.kernel lib p in
+          let d, r = L.kernel_timing k ~input_ramp ~cload in
+          let d_lib = L.delay lib p ~input_ramp ~cload in
+          let r_lib = L.output_ramp lib p ~input_ramp ~cload in
+          let same a b = Int64.equal (bits a) (bits b) in
+          same d d_ref && same r r_ref && same d_lib d_ref
+          && same r_lib r_ref)
+        (Lazy.force all_default_variants))
+
+let test_transient_kernel () =
+  let axes =
+    L.restrict ~sizes:[ 1. ] ~lengths:[ 70. ] ~vdds:[ 1.0 ] ~vths:[ 0.2 ]
+      L.default_axes
+  in
+  let lib = L.create ~backend:L.Transient ~axes () in
+  List.iter
+    (fun (kind, fanin) ->
+      List.iter
+        (fun p ->
+          let k = L.kernel lib p in
+          List.iter
+            (fun (input_ramp, cload) ->
+              let d, r = L.kernel_timing k ~input_ramp ~cload in
+              let same a b = Int64.equal (bits a) (bits b) in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s ramp=%g cload=%g" (P.to_string p) input_ramp
+                   cload)
+                true
+                (same d (L.delay lib p ~input_ramp ~cload)
+                && same r (L.output_ramp lib p ~input_ramp ~cload)))
+            [ (2., 0.3); (20., 2.); (45., 7.5); (160., 30.); (500., 100.) ])
+        (L.variants lib kind fanin))
+    [ (Gate.Not, 1); (Gate.Nand, 2) ]
+
 let () =
   Alcotest.run "ser_cell"
     [
@@ -158,5 +274,10 @@ let () =
           Alcotest.test_case "analytic backend" `Quick test_analytic_backend_delay;
           Alcotest.test_case "transient tables" `Slow test_transient_backend_tables;
           Alcotest.test_case "backend agreement" `Slow test_backends_correlate;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_matches_walk;
+          Alcotest.test_case "transient kernel = tables" `Slow test_transient_kernel;
         ] );
     ]

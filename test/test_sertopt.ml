@@ -37,7 +37,7 @@ let test_match_identity () =
   let lib = lib_small () in
   let asg = A.uniform lib c in
   let t0 = T.analyze lib asg in
-  let matched = Matching.match_delays lib asg ~targets:t0.T.delays in
+  let matched = Matching.match_delays (Matching.context lib asg) ~targets:t0.T.delays in
   let t1 = T.analyze lib matched in
   Alcotest.(check bool)
     (Printf.sprintf "critical delay within 10%% (%.1f vs %.1f)"
@@ -58,7 +58,7 @@ let test_match_vdd_ordering () =
     let targets =
       Array.map (fun d -> Float.max 0.5 (d +. Ser_rng.Rng.range rng (-15.) 25.)) t0.T.delays
     in
-    let matched = Matching.match_delays lib asg ~targets in
+    let matched = Matching.match_delays (Matching.context lib asg) ~targets in
     Alcotest.(check bool) "VDD ordering holds" true (vdd_ordering_ok c matched)
   done
 
@@ -69,7 +69,7 @@ let test_match_slower_targets () =
   let asg = A.uniform lib c in
   let t0 = T.analyze lib asg in
   let targets = Array.map (fun d -> d *. 2.5) t0.T.delays in
-  let matched = Matching.match_delays lib asg ~targets in
+  let matched = Matching.match_delays (Matching.context lib asg) ~targets in
   let t1 = T.analyze lib matched in
   Alcotest.(check bool) "slower" true (t1.T.critical_delay > 1.3 *. t0.T.critical_delay)
 
@@ -80,19 +80,207 @@ let test_match_max_size () =
   let t0 = T.analyze lib asg in
   let targets = Array.map (fun d -> Float.max 0.5 (d *. 0.3)) t0.T.delays in
   let options = { Matching.default_options with Matching.max_size = 2. } in
-  let matched = Matching.match_delays ~options lib asg ~targets in
+  let matched = Matching.match_delays (Matching.context ~options lib asg) ~targets in
   A.fold_gates matched ~init:() ~f:(fun () _ cell ->
       Alcotest.(check bool) "size cap" true (cell.P.size <= 2.0 +. 1e-9))
 
-let test_achievable_range () =
-  let c = Ser_circuits.Iscas.load "c432" in
-  let lib = lib_small () in
+(* ---------------- reference oracles ---------------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_cells c a b =
+  let ok = ref true in
+  for id = 0 to Circuit.node_count c - 1 do
+    if not (Circuit.is_input c id) then
+      if not (P.equal (A.get a id) (A.get b id)) then ok := false
+  done;
+  !ok
+
+(* The list-based matching the context replaced: re-times the base
+   assignment, rebuilds every gate's variant list and queries the
+   library per candidate on every call. *)
+let reference_match ?(options = Matching.default_options) lib asg ~targets =
+  let c = A.circuit asg in
+  let n = Circuit.node_count c in
+  let ref_timing = T.analyze ~env:options.Matching.env lib asg in
+  let result = A.copy asg in
+  let loads = Array.make n 0. in
+  Array.iter
+    (fun po -> loads.(po) <- loads.(po) +. options.Matching.env.T.po_cap)
+    c.Circuit.outputs;
+  let min_vdd = Array.make n 0. in
+  for id = n - 1 downto 0 do
+    let nd = c.Circuit.nodes.(id) in
+    if nd.Circuit.kind <> Gate.Input then begin
+      let cands =
+        L.variants lib nd.Circuit.kind (Array.length nd.Circuit.fanin)
+        |> List.filter (fun (p : P.t) ->
+               p.P.size <= options.Matching.max_size +. 1e-9
+               && p.P.vdd >= min_vdd.(id) -. 1e-9)
+      in
+      let ramp = ref_timing.T.input_ramp.(id) in
+      let target = targets.(id) in
+      let scored =
+        List.map
+          (fun p ->
+            let d = L.delay lib p ~input_ramp:ramp ~cload:loads.(id) in
+            (Float.abs (d -. target), p))
+          cands
+      in
+      let best_err =
+        List.fold_left (fun acc (e, _) -> Float.min acc e) Float.max_float scored
+      in
+      let tie = Float.max 1. (best_err +. (0.1 *. target)) in
+      let cell =
+        match
+          List.filter (fun (e, _) -> e <= tie) scored
+          |> List.fold_left
+               (fun best (_, p) ->
+                 let a = L.area lib p in
+                 match best with
+                 | Some (ba, _) when ba <= a -> best
+                 | Some _ | None -> Some (a, p))
+               None
+        with
+        | Some (_, p) -> p
+        | None -> A.get asg id
+      in
+      A.set result id cell;
+      let cin = L.input_cap lib cell in
+      Array.iter
+        (fun f ->
+          loads.(f) <- loads.(f) +. cin;
+          if cell.P.vdd > min_vdd.(f) then min_vdd.(f) <- cell.P.vdd)
+        nd.Circuit.fanin
+    end
+  done;
+  result
+
+(* The from-scratch size-for-speed the incremental core replaced: one
+   full timing pass per trial. *)
+let reference_size_for_speed ?(env = T.default_env) ?(max_size = 8.) lib c =
   let asg = A.uniform lib c in
-  let timing = T.analyze lib asg in
-  let lo, hi = Matching.achievable_delay_range lib asg ~timing 40 in
-  Alcotest.(check bool) "lo < hi" true (lo < hi);
-  Alcotest.(check bool) "current inside" true
-    (timing.T.delays.(40) >= lo -. 1e-9 && timing.T.delays.(40) <= hi +. 1e-9)
+  let sizes =
+    List.filter (fun s -> s <= max_size +. 1e-9) (L.axes lib).L.sizes
+    |> List.sort compare
+  in
+  let next_size s = List.find_opt (fun x -> x > s +. 1e-9) sizes in
+  let continue = ref true in
+  let iter = ref 0 in
+  while !continue && !iter < 60 do
+    incr iter;
+    let timing = T.analyze ~env lib asg in
+    let best = ref timing.T.critical_delay in
+    let path = T.critical_path asg timing in
+    let improved = ref false in
+    Array.iter
+      (fun id ->
+        if not (Circuit.is_input c id) then begin
+          let cell = A.get asg id in
+          match next_size cell.P.size with
+          | Some s ->
+            A.set asg id { cell with P.size = s };
+            let after = (T.analyze ~env lib asg).T.critical_delay in
+            if after < !best -. 1e-9 then begin
+              best := after;
+              improved := true
+            end
+            else A.set asg id cell
+          | None -> ()
+        end)
+      path;
+    if not !improved then continue := false
+  done;
+  asg
+
+let random_targets rng c (t0 : T.t) =
+  Array.init (Circuit.node_count c) (fun id ->
+      if Circuit.is_input c id then 0.
+      else
+        match Ser_rng.Rng.int rng 4 with
+        | 0 -> 0.5
+        | 1 -> t0.T.delays.(id) *. Ser_rng.Rng.range rng 0.2 4.
+        | _ -> Float.max 0.5 (t0.T.delays.(id) +. Ser_rng.Rng.range rng (-20.) 40.))
+
+let check_match_oracle ~what ?options lib base targets =
+  let want = reference_match ?options lib base ~targets in
+  let got = Matching.match_delays (Matching.context ?options lib base) ~targets in
+  Alcotest.(check bool) (what ^ ": same cells as the list-based reference") true
+    (same_cells (A.circuit base) want got)
+
+let size_options = [ None; Some 2.; Some 0.5 ]
+
+let options_of = function
+  | None -> None
+  | Some max_size -> Some { Matching.default_options with Matching.max_size }
+
+let prop_match_oracle_random =
+  QCheck.Test.make ~name:"matching = list reference (random circuits)" ~count:25
+    Circuit_gen.arb
+    (fun (seed, _, n_gates, depth) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      let lib = L.create () in
+      let rng = Ser_rng.Rng.create seed in
+      let base = A.uniform lib c in
+      (* a scrambled base: random variants, so the slews and the
+         fallback cells differ from the nominal corner *)
+      Array.iter
+        (fun g ->
+          let vs = Circuit_gen.variants_of lib c g in
+          A.set base g vs.(Ser_rng.Rng.int rng (Array.length vs)))
+        (Circuit_gen.non_inputs c);
+      let t0 = T.analyze lib base in
+      List.iter
+        (fun ms ->
+          check_match_oracle ~what:"random" ?options:(options_of ms) lib base
+            (random_targets rng c t0))
+        size_options;
+      true)
+
+let test_match_oracle_iscas () =
+  List.iter
+    (fun name ->
+      let c = Ser_circuits.Iscas.load name in
+      let lib = L.create () in
+      let base = Opt.size_for_speed lib c in
+      let t0 = T.analyze lib base in
+      let rng = Ser_rng.Rng.create 7 in
+      List.iter
+        (fun ms ->
+          for _ = 1 to 3 do
+            check_match_oracle ~what:name ?options:(options_of ms) lib base
+              (random_targets rng c t0)
+          done)
+        size_options)
+    [ "c432"; "c880" ]
+
+let check_sizing_oracle ~what ?max_size lib c =
+  let want = reference_size_for_speed ?max_size lib c in
+  let got = Opt.size_for_speed ?max_size lib c in
+  Alcotest.(check bool) (what ^ ": same cells as the from-scratch reference")
+    true (same_cells c want got);
+  Alcotest.(check bool) (what ^ ": same critical-delay bits") true
+    (same_bits (T.analyze lib want).T.critical_delay
+       (T.analyze lib got).T.critical_delay)
+
+let test_sizing_oracle () =
+  let lib = L.create () in
+  List.iter
+    (fun seed ->
+      let c =
+        Circuit_gen.circuit ~seed ~n_gates:(20 + (seed * 7 mod 40))
+          ~depth:(2 + (seed mod 5))
+      in
+      check_sizing_oracle ~what:(Printf.sprintf "random %d" seed) lib c;
+      check_sizing_oracle ~what:(Printf.sprintf "random %d max 2" seed)
+        ~max_size:2. lib c)
+    [ 1; 2; 3; 5; 8; 13; 21; 34 ];
+  List.iter
+    (fun name ->
+      let c = Ser_circuits.Iscas.load name in
+      check_sizing_oracle ~what:name lib c;
+      check_sizing_oracle ~what:(name ^ " small lib") (lib_small ()) c)
+    [ "c432"; "c880" ]
 
 (* ---------------- cost ---------------- *)
 
@@ -421,7 +609,9 @@ let () =
           Alcotest.test_case "VDD ordering" `Slow test_match_vdd_ordering;
           Alcotest.test_case "slower targets" `Quick test_match_slower_targets;
           Alcotest.test_case "max size" `Quick test_match_max_size;
-          Alcotest.test_case "achievable range" `Quick test_achievable_range;
+          QCheck_alcotest.to_alcotest prop_match_oracle_random;
+          Alcotest.test_case "list reference on c432/c880" `Slow
+            test_match_oracle_iscas;
         ] );
       ( "cost",
         [
@@ -440,6 +630,8 @@ let () =
           Alcotest.test_case "replay guard" `Slow test_replay_guard;
           Alcotest.test_case "masking override" `Quick test_masking_override;
           Alcotest.test_case "menu sampling" `Quick test_sample_menu;
+          Alcotest.test_case "size_for_speed = from-scratch" `Slow
+            test_sizing_oracle;
         ] );
       ( "budgets and checkpoints",
         [
