@@ -275,9 +275,6 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
       ?budget_evals Request.Optimize (Request.Spec spec)
   in
   let odc_report = Option.map load_odc_report odc in
-  let c = load_circuit spec in
-  let lib = make_library vdds vths in
-  let baseline = Sertopt.Optimizer.size_for_speed lib c in
   (* a budget always exists so that SIGINT/SIGTERM can cancel it: the
      optimizer then stops at its next poll and returns the best-so-far
      incumbent, which flushes the checkpoint and prints the partial
@@ -285,16 +282,20 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
   let budget =
     Ser_util.Budget.create ?max_evals:budget_evals ?max_seconds:timeout ()
   in
+  (* the checkpoint is restored onto the baseline the handler sizes, so
+     the circuit is loaded and sized once *)
   let initial =
     match checkpoint with
     | Some path when Sys.file_exists path ->
-      let cp = or_diag (Sertopt.Checkpoint.restore path ~base:baseline) in
-      Printf.printf "resuming from checkpoint %s (%d evals%s)\n" path
-        cp.Sertopt.Checkpoint.evals
-        (match cp.Sertopt.Checkpoint.cost with
-        | Some v -> Printf.sprintf ", cost %.4f" v
-        | None -> "");
-      Some cp.Sertopt.Checkpoint.assignment
+      Some
+        (fun baseline ->
+          let cp = or_diag (Sertopt.Checkpoint.restore path ~base:baseline) in
+          Printf.printf "resuming from checkpoint %s (%d evals%s)\n" path
+            cp.Sertopt.Checkpoint.evals
+            (match cp.Sertopt.Checkpoint.cost with
+            | Some v -> Printf.sprintf ", cost %.4f" v
+            | None -> "");
+          cp.Sertopt.Checkpoint.assignment)
     | _ -> None
   in
   let restore_signals =
@@ -358,6 +359,7 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
   (match output with
   | None -> ()
   | Some path ->
+    let c = r.Sertopt.Optimizer.baseline_analysis.Aserta.Analysis.circuit in
     let oc = open_out path in
     Printf.fprintf oc "# optimized cell assignment for %s\n"
       c.Ser_netlist.Circuit.name;

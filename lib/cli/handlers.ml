@@ -108,6 +108,7 @@ let optimize ?budget ?initial ?odc_report (req : Request.t) =
         make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
       in
       let baseline = Sertopt.Optimizer.size_for_speed lib c in
+      let initial = Option.map (fun f -> f baseline) initial in
       let odc_obs =
         match odc_report with
         | None -> None

@@ -61,11 +61,14 @@ val analyze :
 
 val optimize :
   ?budget:Ser_util.Budget.t ->
-  ?initial:Ser_sta.Assignment.t ->
+  ?initial:(Ser_sta.Assignment.t -> Ser_sta.Assignment.t) ->
   ?odc_report:Ser_odc.Odc.t ->
   Request.t ->
   (Sertopt.Optimizer.result, Ser_util.Diag.t) result
-(** [odc_report] additionally seeds the optimizer's ODC downsizing
+(** [initial] is called once with the sized-for-speed baseline and
+    returns the incumbent to start from (a checkpoint restored onto
+    that baseline); without it the search starts at the baseline.
+    [odc_report] additionally seeds the optimizer's ODC downsizing
     stage ({!Sertopt.Optimizer.config.odc_obs}) with the report's
     observability bounds, cut at [req.odc_threshold]. *)
 

@@ -40,12 +40,28 @@ let run_scenario s = try s.run () with e -> Uncaught e
 
 (* -------------------- shared fixtures -------------------- *)
 
+(* A fixture is built on first use and shared by every scenario. Not a
+   [lazy]: the scenarios run concurrently on the pool, and forcing one
+   lazy value from two domains at once raises [Lazy.Undefined] in the
+   loser. *)
+let shared build =
+  let m = Mutex.create () and v = ref None in
+  fun () ->
+    Mutex.protect m (fun () ->
+        match !v with
+        | Some x -> x
+        | None ->
+          let x = build () in
+          v := Some x;
+          x)
+
+let c17 = shared (fun () -> Ser_circuits.Iscas.load "c17")
+
 (* The analysis/optimizer scenarios fail config validation before any
    electrical work, so the default library is never characterised for
    them; only the budget scenario pays for real measurements. *)
-let c17 = lazy (Ser_circuits.Iscas.load "c17")
-let lib = lazy (Ser_cell.Library.create ())
-let base_asg = lazy (Ser_sta.Assignment.uniform (Lazy.force lib) (Lazy.force c17))
+let lib = shared (fun () -> Ser_cell.Library.create ())
+let base_asg = shared (fun () -> Ser_sta.Assignment.uniform (lib ()) (c17 ()))
 
 let of_result = function Ok _ -> Passed | Error d -> Graceful d
 
@@ -67,7 +83,7 @@ let bench name text =
   }
 
 let truncated_c17 () =
-  let text = Bench.to_string (Lazy.force c17) in
+  let text = Bench.to_string (c17 ()) in
   (* cut mid-statement: declared outputs now reference gates that were
      defined after the cut *)
   String.sub text 0 (String.length text / 2)
@@ -228,8 +244,7 @@ let checked_config name mutate =
       (fun () ->
         let config = mutate Aserta.Analysis.default_config in
         of_result
-          (Aserta.Analysis.run_checked ~config (Lazy.force lib)
-             (Lazy.force base_asg)));
+          (Aserta.Analysis.run_checked ~config (lib ()) (base_asg ())));
   }
 
 let analysis_scenarios () =
@@ -251,8 +266,8 @@ let analysis_scenarios () =
 module Odc = Ser_odc.Odc
 
 let odc_c17_report =
-  lazy (Odc.analyze ~config:{ Odc.default with Odc.vectors = 200 }
-          (Lazy.force c17))
+  shared (fun () ->
+      Odc.analyze ~config:{ Odc.default with Odc.vectors = 200 } (c17 ()))
 
 let odc_scenarios () =
   [
@@ -265,7 +280,7 @@ let odc_scenarios () =
           of_result
             (Odc.analyze_checked
                ~config:{ Odc.default with Odc.vectors = 0 }
-               (Lazy.force c17)));
+               (c17 ())));
     };
     {
       name = "pi_cap beyond the proof limit";
@@ -276,7 +291,7 @@ let odc_scenarios () =
           of_result
             (Odc.analyze_checked
                ~config:{ Odc.default with Odc.pi_cap = 21 }
-               (Lazy.force c17)));
+               (c17 ())));
     };
     {
       name = "report minted for a different netlist";
@@ -287,7 +302,7 @@ let odc_scenarios () =
           of_result
             (Odc.prune_set
                (Ser_circuits.Iscas.load "c432")
-               (Lazy.force odc_c17_report)));
+               (odc_c17_report ())));
     };
     {
       name = "report referencing a nonexistent gate";
@@ -295,7 +310,7 @@ let odc_scenarios () =
       expect = Must_reject;
       run =
         (fun () ->
-          let r = Lazy.force odc_c17_report in
+          let r = odc_c17_report () in
           let r =
             {
               r with
@@ -305,7 +320,7 @@ let odc_scenarios () =
                   r.Odc.sites;
             }
           in
-          of_result (Odc.obs_array (Lazy.force c17) r));
+          of_result (Odc.obs_array (c17 ()) r));
     };
     {
       name = "non-object report document";
@@ -333,7 +348,7 @@ let restore text =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      of_result (Sertopt.Checkpoint.restore path ~base:(Lazy.force base_asg)))
+      of_result (Sertopt.Checkpoint.restore path ~base:(base_asg ())))
 
 let optimizer_scenarios () =
   [
@@ -345,7 +360,7 @@ let optimizer_scenarios () =
         (fun () ->
           of_result
             (Sertopt.Checkpoint.restore "/nonexistent/faultsim-cp.json"
-               ~base:(Lazy.force base_asg)));
+               ~base:(base_asg ())));
     };
     {
       name = "garbage checkpoint";
@@ -375,8 +390,8 @@ let optimizer_scenarios () =
       run =
         (fun () ->
           let nd =
-            (Ser_netlist.Circuit.node (Lazy.force c17)
-               (Lazy.force c17).Ser_netlist.Circuit.outputs.(0))
+            (Ser_netlist.Circuit.node (c17 ())
+               (c17 ()).Ser_netlist.Circuit.outputs.(0))
               .Ser_netlist.Circuit.name
           in
           restore
@@ -390,8 +405,8 @@ let optimizer_scenarios () =
       expect = Must_flag;
       run =
         (fun () ->
-          let lib = Lazy.force lib in
-          let baseline = Lazy.force base_asg in
+          let lib = lib () in
+          let baseline = base_asg () in
           let config =
             {
               Sertopt.Optimizer.default_config with
@@ -1248,10 +1263,6 @@ let scenarios () =
   @ serve_scenarios ()
 
 let run_all () =
-  (* force the shared fixtures before fanning out: Lazy.force is not
-     safe to race from several domains (the losers raise
-     Lazy.Undefined), and base_asg pulls in the other two *)
-  ignore (Lazy.force base_asg);
   let serve, rest =
     List.partition (fun s -> s.group = "serve") (scenarios ())
   in

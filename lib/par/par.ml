@@ -149,9 +149,9 @@ type stats = {
 }
 
 (* The counters live in the process-wide obs registry — one source of
-   truth shared with --metrics snapshots and the bench writers. This
-   section is a compatibility shim over that registry preserving the
-   historical [stats]/[stats_diag]/[stats_json] API. *)
+   truth shared with --metrics snapshots. [stats]/[stats_diag] are
+   read-only views over it; reset with
+   [Obs.Metrics.reset ~prefix:"par." ()]. *)
 
 module Obs = Ser_obs.Obs
 
@@ -194,8 +194,6 @@ let stats () =
     busy = Array.of_list (List.rev !busy);
   }
 
-let reset_stats () = Obs.Metrics.reset ~prefix:"par." ()
-
 let stats_diag () =
   let s = stats () in
   Diag.makef ~severity:Diag.Info ~subsystem:"par"
@@ -212,19 +210,6 @@ let stats_diag () =
       ]
     "pool executed %d parallel sections (%d chunks, %d stolen) on %d jobs"
     s.sections s.chunks s.stolen_chunks s.jobs
-
-let stats_json () =
-  let s = stats () in
-  Ser_util.Json.(
-    Obj
-      [
-        ("jobs", int s.jobs);
-        ("sections", int s.sections);
-        ("sequential_sections", int s.sequential_sections);
-        ("chunks", int s.chunks);
-        ("stolen_chunks", int s.stolen_chunks);
-        ("busy_s", List (Array.to_list (Array.map (fun b -> Num b) s.busy)));
-      ])
 
 (* ------------------------------------------------------------------ *)
 (* the chunk engine                                                    *)

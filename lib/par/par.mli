@@ -116,9 +116,11 @@ val parallel_reduce :
 
 (** {1 Instrumentation}
 
-    Cumulative counters over every section since start (or
-    {!reset_stats}), surfaced through the diagnostics layer so speedup
-    regressions are observable in the field. *)
+    Cumulative counters over every section since start, kept in the
+    {!Ser_obs.Obs.Metrics} registry under the [par.] prefix (reset them
+    with [Obs.Metrics.reset ~prefix:"par." ()]) and surfaced through the
+    diagnostics layer so speedup regressions are observable in the
+    field. *)
 
 type stats = {
   jobs : int;  (** current effective worker count *)
@@ -134,9 +136,6 @@ type stats = {
 }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
 
 val stats_diag : unit -> Ser_util.Diag.t
 (** An [Info]-severity diagnostic summarising {!stats}. *)
-
-val stats_json : unit -> Ser_util.Json.t

@@ -42,9 +42,9 @@ let test_map_order () =
     (fun i v -> if v <> 2 * i then Alcotest.fail "mapi index wrong")
     outi
 
-let analysis_with jobs =
+let analysis_with name jobs =
   Par.set_jobs jobs;
-  let c = Ser_circuits.Iscas.load "c17" in
+  let c = Ser_circuits.Iscas.load name in
   let lib = Ser_cell.Library.create () in
   let asg = Ser_sta.Assignment.uniform lib c in
   let config =
@@ -52,21 +52,28 @@ let analysis_with jobs =
   in
   Aserta.Analysis.run ~config lib asg
 
+(* c17 at three widths, plus c432 so that the masking and per-level
+   passes split into many chunks *)
 let test_analysis_determinism () =
-  let a1 = analysis_with 1 in
-  let a2 = analysis_with 2 in
-  let a4 = analysis_with 4 in
-  Alcotest.(check int64) "total: jobs 1 = jobs 2"
-    (bits a1.Aserta.Analysis.total)
-    (bits a2.Aserta.Analysis.total);
-  Alcotest.(check int64) "total: jobs 1 = jobs 4"
-    (bits a1.Aserta.Analysis.total)
-    (bits a4.Aserta.Analysis.total);
-  Array.iteri
-    (fun id u ->
-      if bits u <> bits a2.Aserta.Analysis.unreliability.(id) then
-        Alcotest.fail "per-gate unreliability differs between jobs 1 and 2")
-    a1.Aserta.Analysis.unreliability
+  List.iter
+    (fun (name, widths) ->
+      let a1 = analysis_with name 1 in
+      List.iter
+        (fun jobs ->
+          let a = analysis_with name jobs in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s total: jobs 1 = jobs %d" name jobs)
+            (bits a1.Aserta.Analysis.total)
+            (bits a.Aserta.Analysis.total);
+          Array.iteri
+            (fun id u ->
+              if bits u <> bits a.Aserta.Analysis.unreliability.(id) then
+                Alcotest.failf
+                  "%s: per-gate unreliability differs between jobs 1 and %d"
+                  name jobs)
+            a1.Aserta.Analysis.unreliability)
+        widths)
+    [ ("c17", [ 2; 4 ]); ("c432", [ 2 ]) ]
 
 (* ---------------- exception propagation ---------------- *)
 
@@ -180,7 +187,7 @@ let test_invalid_args () =
 
 let test_stats () =
   Par.set_jobs 2;
-  Par.reset_stats ();
+  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
   ignore (Par.parallel_map (fun x -> x) (Array.init 100 Fun.id));
   let s = Par.stats () in
   Alcotest.(check int) "jobs reported" 2 s.Par.jobs;
@@ -188,7 +195,7 @@ let test_stats () =
     (s.Par.sections + s.Par.sequential_sections >= 1);
   Alcotest.(check bool) "chunks counted" true (s.Par.chunks >= 1);
   Par.set_jobs 1;
-  Par.reset_stats ();
+  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
   ignore (Par.parallel_map (fun x -> x) (Array.init 10 Fun.id));
   let s = Par.stats () in
   Alcotest.(check int) "jobs=1 never uses the pool" 0 s.Par.sections;

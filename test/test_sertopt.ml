@@ -554,6 +554,49 @@ let test_optimize_resume_from_checkpoint () =
      Alcotest.fail "foreign incumbent accepted"
    with Invalid_argument _ -> ())
 
+let test_handler_resume_sizes_once () =
+  (* the CLI path: the checkpoint is restored onto the baseline that
+     Handlers.optimize sizes, so a resumed run is accepted (the
+     incumbent belongs to that baseline's circuit) and sizes exactly
+     as often as a fresh run *)
+  let module Request = Ser_cli.Request in
+  let module Handlers = Ser_cli.Handlers in
+  let module Metrics = Ser_obs.Obs.Metrics in
+  let req =
+    Request.make ~vectors:300 ~evals:4 ~greedy:0 Request.Optimize
+      (Request.Spec "c17")
+  in
+  let trials () =
+    match Metrics.find_counter "sta.sizing_trials" with
+    | Some ctr -> Metrics.value ctr
+    | None -> 0
+  in
+  let run ?initial () =
+    let t0 = trials () in
+    match Handlers.optimize ?initial req with
+    | Ok r -> (r, trials () - t0)
+    | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+  in
+  let first, fresh_trials = run () in
+  let path = Filename.temp_file "ser_ckpt" ".json" in
+  (match Sertopt.Checkpoint.save path first.Opt.optimized with
+  | Ok () -> ()
+  | Error d -> Alcotest.fail (Ser_util.Diag.to_string d));
+  let restore base =
+    match Sertopt.Checkpoint.restore path ~base with
+    | Ok ck -> ck.Sertopt.Checkpoint.assignment
+    | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+  in
+  let resumed, resumed_trials =
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+        run ~initial:restore ())
+  in
+  Alcotest.(check bool) "sizing ran" true (fresh_trials > 0);
+  Alcotest.(check int) "one sizing per run" fresh_trials resumed_trials;
+  Alcotest.(check bool) "no worse than incumbent" true
+    (resumed.Opt.optimized_metrics.Cost.unreliability
+     <= first.Opt.optimized_metrics.Cost.unreliability +. 1e-9)
+
 let test_masking_override () =
   let c = Ser_circuits.Iscas.c17 () in
   let lib = lib_small () in
@@ -645,5 +688,7 @@ let () =
             test_checkpoint_rejects_garbage;
           Alcotest.test_case "resume from checkpoint" `Quick
             test_optimize_resume_from_checkpoint;
+          Alcotest.test_case "handler resume sizes once" `Quick
+            test_handler_resume_sizes_once;
         ] );
     ]
