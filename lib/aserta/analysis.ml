@@ -11,6 +11,7 @@ let m_analyses = Obs.Metrics.counter "aserta.analyses"
 let m_masking_runs = Obs.Metrics.counter "aserta.masking_runs"
 let m_gate_evals = Obs.Metrics.counter "aserta.gate_evals"
 let m_odc_pruned = Obs.Metrics.counter "aserta.odc_pruned"
+let m_stem_flips = Obs.Metrics.counter "aserta.stem_flips"
 
 type pi_split = Normalized | Naive
 
@@ -64,7 +65,7 @@ let sample_widths config =
   (* geometric grid from a few ps up to the "very wide" sample *)
   Ser_util.Floatx.logspace 2. config.max_sample_width config.n_samples
 
-let compute_masking ?domains ?prune config (c : Circuit.t) =
+let compute_masking ?prune config (c : Circuit.t) =
   Obs.Metrics.incr m_masking_runs;
   Obs.Trace.with_span "aserta.masking" (fun () ->
       let probs = Probs.signal_probabilities ?pi_probs:config.pi_probs c in
@@ -77,8 +78,12 @@ let compute_masking ?domains ?prune config (c : Circuit.t) =
               (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 p)
           | None -> ());
           let rng = Ser_rng.Rng.create config.seed in
-          Probs.path_probabilities ?domains ?pi_probs:config.pi_probs ?prune
-            ~rng ~vectors:config.vectors c
+          let pp =
+            Probs.path_probabilities ?pi_probs:config.pi_probs ?prune ~rng
+              ~vectors:config.vectors c
+          in
+          Obs.Metrics.add m_stem_flips pp.Probs.flips;
+          pp
         | Analytic_masking ->
           (* The analytic backend ignores [prune]: its independence
              assumption can put nonzero P_ij on a genuinely masked

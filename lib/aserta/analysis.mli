@@ -91,18 +91,19 @@ type t = {
 }
 
 val compute_masking :
-  ?domains:int -> ?prune:bool array -> config -> Ser_netlist.Circuit.t -> masking
+  ?prune:bool array -> config -> Ser_netlist.Circuit.t -> masking
 (** Signal probabilities (analytic, 0.5 at PIs, as the paper obtains
-    from Synopsys DC) and fault-simulated [P_ij]. [domains] > 1 runs
-    the fault simulation on that many cores with bit-identical
-    results.
+    from Synopsys DC) and fault-simulated [P_ij], bit-identical at any
+    pool width. The fault simulation's root flips (fanout-free-region
+    roots times batches) are added to the [aserta.stem_flips]
+    counter.
 
     [prune] (node-id-indexed, from {e lib/odc}'s
     [Odc.prune_set]) skips fault injection for ODC-proven-masked
     sites: their exhaustive no-PO-difference witness guarantees the
     simulation would count zero detections, so their [P_ij] rows are
     zero either way and every downstream number is bit-identical to
-    the unpruned run — the skip only saves the cone propagation. The
+    the unpruned run — the skip only saves simulation work. The
     pruned-site count is recorded in the [aserta.odc_pruned] counter.
     Only the [Monte_carlo] backend consumes it: the analytic
     backend's independence assumption can assign nonzero [P_ij] to a

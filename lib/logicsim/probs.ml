@@ -110,103 +110,23 @@ type path_probs = {
   vectors : int;
   po_index : int array;
   p : float array array;
+  flips : int;
 }
 
-(* Bit-parallel fault simulation: for each batch of patterns and each
-   gate, flip the gate's output word and propagate the difference
-   through its (precomputed, topologically ordered) fan-out cone,
-   counting at the primary outputs the patterns whose value changed. *)
-(* Per-gate fault propagation over one batch of patterns. [ws] holds
-   the domain-local scratch (faulty values + generation stamps). *)
-type fault_scratch = {
-  faulty : int array;
-  stamp : int array;
-  mutable gen : int;
-}
-
-let fresh_scratch n = { faulty = Array.make n 0; stamp = Array.make n (-1); gen = 0 }
-
-(* Core flip propagation: invert gate [i]'s output word and walk its
-   (topologically ordered) fan-out [cone], calling [on_diff t diff] for
-   every cone node whose word actually changed ([diff] is the nonzero
-   masked xor against the good value). Shared by the per-PO detection
-   counters below and by lib/odc's any-PO observability kernel. *)
-let propagate_flip (c : Circuit.t) ~cone ~good ~mask ws i ~on_diff =
-  ws.gen <- ws.gen + 1;
-  let g = ws.gen in
-  let faulty = ws.faulty and stamp = ws.stamp in
-  faulty.(i) <- lnot good.(i);
-  stamp.(i) <- g;
-  for idx = 0 to Array.length cone - 1 do
-    let t = cone.(idx) in
-    if t <> i then begin
-      let nd = c.Circuit.nodes.(t) in
-      let fi = nd.Circuit.fanin in
-      (* only re-evaluate when a fanin actually changed; a node whose
-         recomputed value equals the good value is not stamped, pruning
-         its own fan-out (logical masking) *)
-      let touched = ref false in
-      for q = 0 to Array.length fi - 1 do
-        if stamp.(fi.(q)) = g then touched := true
-      done;
-      if !touched then begin
-        let value_of f = if stamp.(f) = g then faulty.(f) else good.(f) in
-        let v =
-          match nd.Circuit.kind with
-          | Gate.Input -> good.(t)
-          | Gate.Buf -> value_of fi.(0)
-          | Gate.Not -> lnot (value_of fi.(0))
-          | Gate.And | Gate.Nand ->
-            let acc = ref (value_of fi.(0)) in
-            for q = 1 to Array.length fi - 1 do
-              acc := !acc land value_of fi.(q)
-            done;
-            if nd.Circuit.kind = Gate.And then !acc else lnot !acc
-          | Gate.Or | Gate.Nor ->
-            let acc = ref (value_of fi.(0)) in
-            for q = 1 to Array.length fi - 1 do
-              acc := !acc lor value_of fi.(q)
-            done;
-            if nd.Circuit.kind = Gate.Or then !acc else lnot !acc
-          | Gate.Xor | Gate.Xnor ->
-            let acc = ref (value_of fi.(0)) in
-            for q = 1 to Array.length fi - 1 do
-              acc := !acc lxor value_of fi.(q)
-            done;
-            if nd.Circuit.kind = Gate.Xor then !acc else lnot !acc
-        in
-        if (v lxor good.(t)) land mask <> 0 then begin
-          faulty.(t) <- v;
-          stamp.(t) <- g
-        end
-      end
-    end;
-    if stamp.(t) = g then begin
-      let diff = (faulty.(t) lxor good.(t)) land mask in
-      if diff <> 0 then on_diff t diff
-    end
-  done
-
-let propagate_gate (c : Circuit.t) ~cones ~is_po ~good ~mask ~detect ws i =
-  propagate_flip c ~cone:cones.(i) ~good ~mask ws i ~on_diff:(fun t diff ->
-      let pos = is_po.(t) in
-      if pos >= 0 then
-        detect.(i).(pos) <- detect.(i).(pos) + Bitsim.popcount diff)
-
-let flip_observed_word (c : Circuit.t) ~cone ~is_po ~good ~mask ws i =
-  let acc = ref 0 in
-  propagate_flip c ~cone ~good ~mask ws i ~on_diff:(fun t diff ->
-      if is_po.(t) >= 0 then acc := !acc lor diff);
-  !acc
-
-let path_probabilities ?(domains = 0) ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
+(* Bit-parallel fault simulation on the compiled kernel ({!Flipsim}):
+   per batch of patterns, flip each fanout-free-region root once, then
+   trace the root and its region's members from the root's per-output
+   difference words. *)
+let path_probabilities ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
   let n = Circuit.node_count c in
   let n_pos = Array.length c.outputs in
-  (* Pruned sites (ODC-proven masked) are dropped before the cone
-     precomputation and the gate deal: their detect rows stay all-zero,
-     which is exactly what an exhaustive no-PO-difference witness
-     guarantees simulation would produce, so surviving rows are
-     bit-identical to the unpruned run. *)
+  (* Pruned sites (ODC-proven masked) keep all-zero detect rows, which
+     is exactly what their exhaustive no-PO-difference witness
+     guarantees simulation would produce. A pruned root is never
+     flipped: its observation word is zero, so its whole region adds
+     nothing. A pruned member still passes its word through to the
+     members below it but adds nothing to its own row. Surviving rows
+     are bit-identical to the unpruned run. *)
   let pruned =
     match prune with
     | None -> fun _ -> false
@@ -215,91 +135,81 @@ let path_probabilities ?(domains = 0) ?pi_probs ?prune ~rng ~vectors (c : Circui
         invalid_arg "Probs.path_probabilities: prune length mismatch";
       fun i -> p.(i)
   in
-  let cones =
-    Array.init n (fun id ->
-        if Circuit.is_input c id || pruned id then [||]
-        else Circuit.fanout_cone c id)
+  let kernel = Flipsim.compile c in
+  let roots =
+    Array.of_seq
+      (Seq.filter (fun r -> not (pruned r)) (Array.to_seq (Flipsim.roots kernel)))
   in
-  let is_po = Array.make n (-1) in
-  Array.iteri (fun pos id -> is_po.(id) <- pos) c.outputs;
-  let detect = Array.make_matrix n n_pos 0 in
-  let gates =
-    Array.of_list
-      (List.filter
-         (fun i -> (not (Circuit.is_input c i)) && not (pruned i))
-         (List.init n Fun.id))
-  in
-  (* Per-gate cost is the fanout-cone size, and cones are heavily
-     skewed: gates near the primary inputs drag cones of thousands of
-     gates while sinks touch a handful (the incr.cone_gates histogram
-     shows the same spread on the incremental path). Topological id
-     order clusters the heavy gates into the same leading chunks, so
-     the default ~32-chunk split leaves one chunk ~4x the mean and a
-     straggler tail no amount of stealing can break up (c7552:
-     par.chunk max/mean > 4 inside every aserta.masking batch). Dealing
-     the gates round-robin across the chunks in descending cone order
-     gives every chunk the same heavy-to-light profile, so chunk sums
-     even out and stealing only has to absorb the residue. Gate order
-     is free to change: each gate owns its [detect] row and its
+  (* A root's cost is its fanout cone plus its region, and cones are
+     heavily skewed: roots near the primary inputs drag cones of
+     thousands of gates while sinks touch a handful. Topological id
+     order clusters the heavy roots into the same leading chunks, so
+     the default split leaves one chunk several times the mean and a
+     straggler tail stealing cannot break up. Dealing the roots
+     round-robin across the chunks in descending cost order gives
+     every chunk the same heavy-to-light profile. Root order is free
+     to change: each root owns its region's detect rows and its
      patterns come from the index-keyed stream, so results stay
      bit-identical for any order, chunking and worker count. *)
-  let n_gates = Array.length gates in
-  let chunk = max 1 ((n_gates + 63) / 64) in
-  if n_gates > 1 then begin
+  let n_roots = Array.length roots in
+  let chunk = max 1 ((n_roots + 63) / 64) in
+  if n_roots > 1 then begin
+    let cost =
+      Array.map
+        (fun r ->
+          (Array.length (Circuit.fanout_cone c r) + Flipsim.ffr_size kernel r, r))
+        roots
+    in
     Array.sort
-      (fun a b ->
-        match compare (Array.length cones.(b)) (Array.length cones.(a)) with
-        | 0 -> compare a b
-        | r -> r)
-      gates;
-    let nchunks = (n_gates + chunk - 1) / chunk in
-    let dealt = Array.make n_gates gates.(0) in
+      (fun (ca, a) (cb, b) -> match compare cb ca with 0 -> compare a b | r -> r)
+      cost;
+    let nchunks = (n_roots + chunk - 1) / chunk in
     let pos = ref 0 in
     for c = 0 to nchunks - 1 do
       let s = ref c in
-      while !s < n_gates do
-        dealt.(!pos) <- gates.(!s);
+      while !s < n_roots do
+        roots.(!pos) <- snd cost.(!s);
         Stdlib.incr pos;
         s := !s + nchunks
       done
-    done;
-    Array.blit dealt 0 gates 0 n_gates
+    done
   end;
-  (* [domains = 1] forces inline execution; anything else defers to the
-     shared lib/par pool. Results are bit-identical either way: every
-     gate's detect row is owned by exactly one chunk, and the random
-     patterns of batch [b] come from the index-keyed stream
-     [Rng.stream base b] — never from a generator shared across
-     workers (the old per-call [Domain.spawn] code drew all batches
-     from one sequential stream, which made results depend on how many
-     batches each domain had consumed). *)
-  let sequential = domains = 1 in
-  let slots = if sequential then 1 else Ser_par.Par.jobs () in
-  let scratches = Array.init slots (fun _ -> fresh_scratch n) in
+  let detect = Array.make_matrix n n_pos 0 in
+  let slots = Ser_par.Par.jobs () in
+  let scratches = Array.init slots (fun _ -> Flipsim.scratch kernel) in
   let base = Ser_rng.Rng.split rng in
   let nbatches = batch_count vectors in
   for b = 0 to nbatches - 1 do
     let rng_b = Ser_rng.Rng.stream base b in
     let k = min (vectors - (b * Bitsim.bits_per_word)) Bitsim.bits_per_word in
     let mask = Bitsim.mask_of k in
-    let batch = Bitsim.random_batch ?pi_probs rng_b c ~n_patterns:k in
-    let good = batch.Bitsim.values in
-    let body ~slot ~lo ~hi =
-      for idx = lo to hi - 1 do
-        propagate_gate c ~cones ~is_po ~good ~mask ~detect
-          scratches.(min slot (slots - 1))
-          gates.(idx)
-      done
+    let good =
+      (Bitsim.random_batch ?pi_probs rng_b c ~n_patterns:k).Bitsim.values
     in
-    if sequential then body ~slot:0 ~lo:0 ~hi:n_gates
-    else Ser_par.Par.parallel_chunks ~chunk ~n:n_gates body
+    Ser_par.Par.parallel_chunks ~chunk ~n:n_roots (fun ~slot ~lo ~hi ->
+        let ws = scratches.(min slot (slots - 1)) in
+        for idx = lo to hi - 1 do
+          let r = roots.(idx) in
+          Flipsim.flip ws ~good ~mask r;
+          let nh = Flipsim.hits ws in
+          if nh > 0 then
+            Flipsim.trace ws r (fun g w ->
+                if not (pruned g) then begin
+                  let row = detect.(g) in
+                  for h = 0 to nh - 1 do
+                    let pos = Flipsim.hit_pos ws h in
+                    row.(pos) <-
+                      row.(pos) + Bitsim.popcount (w land Flipsim.hit_diff ws h)
+                  done
+                end)
+        done)
   done;
   let p =
     Array.map
       (fun row -> Array.map (fun d -> float_of_int d /. float_of_int vectors) row)
       detect
   in
-  { vectors; po_index = Array.init n_pos Fun.id; p }
+  { vectors; po_index = Array.init n_pos Fun.id; p; flips = n_roots * nbatches }
 
 let path_probabilities_analytic ?probs (c : Circuit.t) =
   let probs =
@@ -332,7 +242,7 @@ let path_probabilities_analytic ?probs (c : Circuit.t) =
         nd.fanout
     end
   done;
-  { vectors = 0; po_index = Array.init n_pos Fun.id; p }
+  { vectors = 0; po_index = Array.init n_pos Fun.id; p; flips = 0 }
 
 let detection_counts_for_vector (c : Circuit.t) vector ~strike =
   if Circuit.is_input c strike then

@@ -42,10 +42,12 @@ type path_probs = {
   vectors : int;             (** vectors actually simulated *)
   po_index : int array;      (** primary-output positions, = 0..n_pos-1 *)
   p : float array array;     (** [p.(id).(pos)] = P_ij *)
+  flips : int;
+      (** root flips simulated: unpruned FFR roots times batches
+          (0 for the analytic estimate) *)
 }
 
 val path_probabilities :
-  ?domains:int ->
   ?pi_probs:float array ->
   ?prune:bool array ->
   rng:Ser_rng.Rng.t ->
@@ -59,19 +61,19 @@ val path_probabilities :
     [P_jj = 1].
 
     [prune.(id) = true] (indexed by node id, length [node_count])
-    skips fault injection for node [id] entirely — no cone walk, row
-    left all-zero. Sound only for sites holding an exhaustive
+    leaves node [id]'s row all-zero, and a pruned root is never
+    flipped. Sound only for sites holding an exhaustive
     no-PO-difference witness (an ODC [Proven_masked] classification),
     where simulation would count zero detections anyway; surviving
-    rows are bit-identical to the unpruned run because each row is
-    owned by exactly one gate and patterns are index-keyed per batch.
+    rows are bit-identical to the unpruned run.
 
-    The per-gate fault propagation of each batch fans out over the
-    shared {!Ser_par.Par} pool. [domains = 1] forces inline sequential
-    execution; the default (0) and any value > 1 use the pool at its
-    configured width. The result is bit-identical in every case: each
-    gate's counters are owned by exactly one chunk, and batch [b] draws
-    its random vectors from the index-keyed stream
+    Each batch flips every unpruned fanout-free-region root once on
+    the compiled {!Flipsim} kernel and traces the region's members
+    from the root's difference words, so the estimate equals flipping
+    every gate separately, bit for bit. The roots of a batch fan out
+    over the shared {!Ser_par.Par} pool. The result is bit-identical
+    for any worker count: each root owns its region's counters, and
+    batch [b] draws its random vectors from the index-keyed stream
     [Ser_rng.Rng.stream base b] (where [base] is split off [rng] once),
     not from a generator shared across workers. *)
 
@@ -96,34 +98,3 @@ val detection_counts_for_vector :
 (** Single-vector variant: which primary outputs flip when the output
     of [strike] is inverted under the given input vector. Used by the
     measured-unreliability mode and by tests as a brute-force oracle. *)
-
-(** {1 Raw injection kernel}
-
-    Exposed for {!module:Ser_odc}'s observability analysis, which runs
-    the same bit-parallel flip propagation but only needs "did any
-    primary output change" per pattern, not per-output counts. *)
-
-type fault_scratch
-(** Domain-local propagation scratch (faulty words + generation
-    stamps). One per worker; reusable across gates and batches. *)
-
-val fresh_scratch : int -> fault_scratch
-(** [fresh_scratch n] for a circuit with [n] nodes. *)
-
-val flip_observed_word :
-  Ser_netlist.Circuit.t ->
-  cone:int array ->
-  is_po:int array ->
-  good:int array ->
-  mask:int ->
-  fault_scratch ->
-  int ->
-  int
-(** [flip_observed_word c ~cone ~is_po ~good ~mask ws i] inverts gate
-    [i]'s output word, propagates through [cone] (its topologically
-    ordered fanout cone, as from {!Ser_netlist.Circuit.fanout_cone}),
-    and returns the OR over primary outputs of the masked difference
-    words: bit [k] is set iff pattern [k] propagates the flip to at
-    least one primary output. [is_po.(id)] is the output position of
-    node [id] or [-1]; [good] is the fault-free batch
-    ({!Bitsim.batch} values); [mask] covers the live patterns. *)

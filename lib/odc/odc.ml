@@ -1,6 +1,6 @@
 module Circuit = Ser_netlist.Circuit
 module Bitsim = Ser_logicsim.Bitsim
-module Probs = Ser_logicsim.Probs
+module Flipsim = Ser_logicsim.Flipsim
 module Rng = Ser_rng.Rng
 module Json = Ser_util.Json
 module Diag = Ser_util.Diag
@@ -62,6 +62,7 @@ let m_tested = Obs.Metrics.counter "odc.sites_tested"
 let m_proven = Obs.Metrics.counter "odc.sites_proven"
 let m_observed = Obs.Metrics.counter "odc.sites_observed"
 let m_sampled = Obs.Metrics.counter "odc.sites_sampled"
+let m_stem_flips = Obs.Metrics.counter "odc.stem_flips"
 let h_site_vectors = Obs.Metrics.histogram "odc.site_vectors"
 let h_proof_patterns = Obs.Metrics.histogram "odc.proof_patterns"
 
@@ -73,32 +74,33 @@ let batch_count vectors =
 (* Sampled screen: any-PO detection counts per site over shared random
    batches. Batch [b] draws from the index-keyed stream
    [Rng.stream base b] and the reduction combines in ascending chunk
-   order, so the counts are bit-identical for any worker count. *)
-let screen ~config (c : Circuit.t) ~cones ~is_po =
+   order, so the counts are bit-identical for any worker count. Each
+   batch flips only the fanout-free-region roots and traces their
+   members (lib/logicsim Flipsim), which gives every site's count
+   exactly. *)
+let screen ~config (c : Circuit.t) kernel =
   let n = Circuit.node_count c in
+  let roots = Flipsim.roots kernel in
   let base = Rng.split (Rng.create config.seed) in
   Ser_par.Par.parallel_reduce ~n:(batch_count config.vectors)
     ~init:(Array.make n 0)
     ~map:(fun ~lo ~hi ->
       let counts = Array.make n 0 in
-      let ws = Probs.fresh_scratch n in
+      let ws = Flipsim.scratch kernel in
       for b = lo to hi - 1 do
         let rng_b = Rng.stream base b in
         let k =
           min (config.vectors - (b * Bitsim.bits_per_word)) Bitsim.bits_per_word
         in
         let mask = Bitsim.mask_of k in
-        let batch = Bitsim.random_batch rng_b c ~n_patterns:k in
-        let good = batch.Bitsim.values in
-        for id = 0 to n - 1 do
-          if not (Circuit.is_input c id) then begin
-            let w =
-              Probs.flip_observed_word c ~cone:cones.(id) ~is_po ~good ~mask ws
-                id
-            in
-            counts.(id) <- counts.(id) + Bitsim.popcount w
-          end
-        done
+        let good = (Bitsim.random_batch rng_b c ~n_patterns:k).Bitsim.values in
+        Array.iter
+          (fun r ->
+            Flipsim.flip ws ~good ~mask r;
+            if Flipsim.observed ws <> 0 then
+              Flipsim.trace ws r (fun g w ->
+                  counts.(g) <- counts.(g) + Bitsim.popcount w))
+          roots
       done;
       counts)
     ~combine:(fun a b ->
@@ -147,12 +149,11 @@ let influence_support (c : Circuit.t) cone =
    which is sound because the difference function does not read them.
    Returns (detections, patterns). Zero detections is a proof: every
    achievable behaviour of the difference function was enumerated. *)
-let prove (c : Circuit.t) ~cone ~is_po ~supp id =
-  let n = Circuit.node_count c in
+let prove (c : Circuit.t) kernel ~supp id =
   let k_sup = Array.length supp in
   let total = 1 lsl k_sup in
   let pi_words = Array.make (Array.length c.Circuit.inputs) 0 in
-  let ws = Probs.fresh_scratch n in
+  let ws = Flipsim.scratch kernel in
   let det = ref 0 in
   for b = 0 to batch_count total - 1 do
     let p0 = b * Bitsim.bits_per_word in
@@ -165,12 +166,9 @@ let prove (c : Circuit.t) ~cone ~is_po ~supp id =
       done;
       pi_words.(supp.(s)) <- !w
     done;
-    let batch = Bitsim.eval c ~pi_words ~n_patterns:k in
-    let w =
-      Probs.flip_observed_word c ~cone ~is_po ~good:batch.Bitsim.values ~mask ws
-        id
-    in
-    det := !det + Bitsim.popcount w
+    let good = (Bitsim.eval c ~pi_words ~n_patterns:k).Bitsim.values in
+    Flipsim.flip ws ~good ~mask id;
+    det := !det + Bitsim.popcount (Flipsim.observed ws)
   done;
   (!det, total)
 
@@ -191,15 +189,12 @@ let analyze ?(config = default) (c : Circuit.t) =
   validate config;
   Obs.Trace.with_span "odc.analyze" @@ fun () ->
   let n = Circuit.node_count c in
-  let cones =
-    Array.init n (fun id ->
-        if Circuit.is_input c id then [||] else Circuit.fanout_cone c id)
-  in
-  let is_po = Array.make n (-1) in
-  Array.iteri (fun pos id -> is_po.(id) <- pos) c.Circuit.outputs;
+  let kernel = Flipsim.compile c in
   let counts =
-    Obs.Trace.with_span "odc.screen" @@ fun () -> screen ~config c ~cones ~is_po
+    Obs.Trace.with_span "odc.screen" @@ fun () -> screen ~config c kernel
   in
+  Obs.Metrics.add m_stem_flips
+    (Array.length (Flipsim.roots kernel) * batch_count config.vectors);
   (* Screen survivors get their influence support computed; in
      Exhaustive mode the small-support ones are then settled by
      enumeration. Both passes are RNG-free and element-independent, so
@@ -227,12 +222,12 @@ let analyze ?(config = default) (c : Circuit.t) =
               min 1. (float_of_int (det + 3) /. float_of_int config.vectors);
           }
         else
-          let supp = influence_support c cones.(id) in
+          let supp = influence_support c (Circuit.fanout_cone c id) in
           let k_sup = Array.length supp in
           if config.mode = Exhaustive && k_sup <= config.pi_cap then begin
             let det, total =
               Obs.Trace.with_span "odc.prove" @@ fun () ->
-              prove c ~cone:cones.(id) ~is_po ~supp id
+              prove c kernel ~supp id
             in
             Obs.Metrics.observe h_proof_patterns total;
             if det = 0 then

@@ -200,8 +200,8 @@ let masking_backend ?(vectors = 8000) () =
   let corr = Ser_linalg.Stats.pearson (flat mc) (flat an) in
   Printf.sprintf
     "Ablation: masking backend (c432)\n\
-    \  monte-carlo (%d vectors): U=%.1f  masking time %.2f s\n\
-    \  analytic (vectorless)   : U=%.1f  masking time %.4f s\n\
+    \  monte-carlo (%d vectors): U=%.1f  masking time %.4f s\n\
+    \  analytic (vectorless)   : U=%.1f  masking time %.5f s\n\
     \  P_ij correlation between backends: %.3f\n\
      (the analytic backend is optimistic under reconvergent fan-out but\n\
     \ costs microseconds -- usable inside tight optimization loops)\n"

@@ -316,20 +316,200 @@ let test_biased_inputs () =
     Alcotest.fail "length mismatch accepted"
   with Invalid_argument _ -> ()
 
-let test_parallel_identical () =
-  let c = Ser_circuits.Iscas.load "c432" in
-  let run domains =
-    Probs.path_probabilities ~domains ~rng:(Ser_rng.Rng.create 4) ~vectors:500 c
-  in
-  let seq = run 1 and par = run 3 in
+(* ----------------- masking kernel vs the per-gate oracle ----------------- *)
+
+module Odc = Ser_odc.Odc
+module Oracle = Masking_oracle
+
+let bits_equal what a b =
   Array.iteri
     (fun i row ->
       Array.iteri
         (fun j v ->
-          if v <> par.Probs.p.(i).(j) then
-            Alcotest.failf "mismatch at gate %d PO %d" i j)
+          if Int64.bits_of_float v <> Int64.bits_of_float b.(i).(j) then
+            Alcotest.failf "%s: P_ij differs at node %d PO %d (%h vs %h)" what i
+              j v b.(i).(j))
         row)
-    seq.Probs.p
+    a
+
+let site_id c (s : Odc.site) = Option.get (Circuit.find_by_name c s.Odc.gate)
+
+(* In Sampled mode every site's [detected] is its screen count. *)
+let screen_counts ~seed ~vectors c =
+  let config = { Odc.default with Odc.mode = Odc.Sampled; vectors; seed } in
+  let r = Odc.analyze ~config c in
+  let counts = Array.make (Circuit.node_count c) 0 in
+  Array.iter (fun s -> counts.(site_id c s) <- s.Odc.detected) r.Odc.sites;
+  counts
+
+(* Every site the screen leaves unobserved and whose support fits
+   [pi_cap] is settled by [Odc.prove] with the oracle's exact counts.
+   Returns the number of proofs compared. *)
+let check_proofs what ~vectors ~pi_cap c =
+  let seed = 5 in
+  let screen = Oracle.screen_counts ~seed ~vectors c in
+  let r =
+    Odc.analyze ~config:{ Odc.mode = Odc.Exhaustive; vectors; seed; pi_cap } c
+  in
+  let proofs = ref 0 in
+  Array.iter
+    (fun (s : Odc.site) ->
+      let id = site_id c s in
+      if screen.(id) > 0 then begin
+        if s.Odc.detected <> screen.(id) || s.Odc.tested <> vectors then
+          Alcotest.failf "%s: screen-observed %s: %d/%d vs oracle %d" what
+            s.Odc.gate s.Odc.detected s.Odc.tested screen.(id)
+      end
+      else if s.Odc.support >= 0 && s.Odc.support <= pi_cap then begin
+        incr proofs;
+        let det, total = Oracle.prove c id in
+        let tested = if det = 0 then vectors + total else total in
+        if
+          s.Odc.detected <> det || s.Odc.tested <> tested
+          || s.Odc.support <> Array.length (Oracle.support c id)
+          || (det = 0) <> (s.Odc.cls = Odc.Proven_masked)
+        then
+          Alcotest.failf "%s: proof of %s: %d/%d vs oracle %d/%d" what
+            s.Odc.gate s.Odc.detected s.Odc.tested det total
+      end)
+    r.Odc.sites;
+  !proofs
+
+let check_against_oracle what ?pi_probs ?prune ~vectors c =
+  let rng () = Ser_rng.Rng.create 21 in
+  let kernel =
+    Probs.path_probabilities ?pi_probs ?prune ~rng:(rng ()) ~vectors c
+  in
+  bits_equal what kernel.Probs.p
+    (Oracle.path_probabilities ?pi_probs ?prune ~rng:(rng ()) ~vectors c);
+  let screen = screen_counts ~seed:3 ~vectors c in
+  let expected = Oracle.screen_counts ~seed:3 ~vectors c in
+  Array.iteri
+    (fun id e ->
+      if screen.(id) <> e then
+        Alcotest.failf "%s: screen count of node %d: %d vs oracle %d" what id
+          screen.(id) e)
+    expected
+
+let oracle_prop =
+  QCheck.Test.make ~name:"kernel = per-gate oracle on random circuits" ~count:25
+    Circuit_gen.arb (fun (seed, _, n_gates, depth) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      (* never a multiple of 62: a partial last batch every time *)
+      let vectors = (62 * (seed mod 3)) + 1 + (seed mod 61) in
+      let pi_probs =
+        Array.mapi
+          (fun pos _ -> 0.1 +. (0.08 *. float_of_int ((seed + (7 * pos)) mod 11)))
+          c.Circuit.inputs
+      in
+      check_against_oracle "random" ~pi_probs ~vectors c;
+      check_against_oracle "random, fair" ~vectors c;
+      ignore (check_proofs "random" ~vectors:(1 + (seed mod 5)) ~pi_cap:12 c);
+      true)
+
+(* A hand-built circuit with every FFR corner: a PO that also fans
+   out, a stem driving two pins of one successor, members feeding
+   XOR/XNOR/BUF/NOT successors, and a dead (fanout-0) primary input.
+   Dead gates cannot be built: Builder.build rejects them and
+   build_trimmed deletes them. *)
+let corners () =
+  let b = Circuit.Builder.create ~name:"corners" () in
+  let i =
+    Array.init 5 (fun k -> Circuit.Builder.add_input b (Printf.sprintf "i%d" k))
+  in
+  let g kind fanin = Circuit.Builder.add_gate b kind fanin in
+  let n1 = g Gate.Nand [ i.(0); i.(1) ] in
+  let n2 = g Gate.Buf [ n1 ] in
+  let n3 = g Gate.Not [ n2 ] in
+  let n4 = g Gate.And [ n3; n3; i.(2) ] in
+  let n5 = g Gate.Xor [ n4; i.(3) ] in
+  let n6 = g Gate.Nor [ i.(0); i.(2) ] in
+  let n7 = g Gate.Xnor [ n6; n5 ] in
+  let n8 = g Gate.Or [ n5; i.(1) ] in
+  let n9 = g Gate.Nand [ n8; n7; n1 ] in
+  List.iter (Circuit.Builder.set_output b) [ n5; n7; n9 ];
+  match Circuit.Builder.build_trimmed b with Ok c -> c | Error e -> failwith e
+
+let test_oracle_fixed () =
+  let tmr = Ser_harden.Transforms.tmr (Ser_circuits.Iscas.c17 ()) in
+  let tmr_prune =
+    let r = Odc.analyze ~config:{ Odc.default with Odc.vectors = 300 } tmr in
+    match Odc.prune_set tmr r with
+    | Ok p -> p
+    | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+  in
+  let generated =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun seed ->
+            (Printf.sprintf "%s/%d" name seed, Ser_circuits.Iscas.load ~seed name))
+          [ 10; 11; 12; 13 ])
+      [ "c432"; "c880" ]
+  in
+  let cases =
+    ("c17", Ser_circuits.Iscas.c17 ())
+    :: ("corners", corners ()) :: ("tmr(c17)", tmr) :: generated
+  in
+  List.iter
+    (fun (what, c) ->
+      check_against_oracle what ~vectors:131 c;
+      check_against_oracle what
+        ~pi_probs:(Array.map (fun _ -> 0.8) c.Circuit.inputs)
+        ~vectors:70 c)
+    cases;
+  check_against_oracle "tmr(c17) pruned" ~prune:tmr_prune ~vectors:131 tmr;
+  Alcotest.(check bool) "tmr(c17) prunes" true (Array.exists Fun.id tmr_prune);
+  let proofs =
+    List.fold_left
+      (fun n (what, c) -> n + check_proofs what ~vectors:2 ~pi_cap:10 c)
+      0 cases
+  in
+  Alcotest.(check bool) "proofs compared" true (proofs > 0);
+  (* the fixed suite exercises every FFR corner *)
+  let cs = List.map snd cases in
+  let exists f = List.exists (fun c -> Array.exists (f c) c.Circuit.nodes) cs in
+  let kind_of c id = (Circuit.node c id).Circuit.kind in
+  let member c (nd : Circuit.node) =
+    nd.kind <> Gate.Input && Array.length nd.fanout = 1
+    && not (Circuit.is_output c nd.id)
+  in
+  Alcotest.(check bool) "PO that fans out" true
+    (exists (fun c nd ->
+         Circuit.is_output c nd.id && Array.length nd.fanout > 0));
+  Alcotest.(check bool) "two pins on one successor" true
+    (exists (fun _ nd ->
+         Array.length nd.fanout = 2 && nd.fanout.(0) = nd.fanout.(1)));
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Gate.to_string k ^ " successor of a member")
+        true
+        (exists (fun c nd -> member c nd && kind_of c nd.fanout.(0) = k)))
+    [ Gate.Xor; Gate.Xnor; Gate.Buf; Gate.Not ];
+  Alcotest.(check bool) "dead primary input" true
+    (exists (fun _ nd -> nd.kind = Gate.Input && Array.length nd.fanout = 0))
+
+(* The pool width never changes a bit: P_ij and the ODC screen on a
+   sequential pool against a 3-wide one. *)
+let test_parallel_identical () =
+  let with_jobs j f =
+    let prev = Ser_par.Par.jobs () in
+    Ser_par.Par.set_jobs j;
+    Fun.protect ~finally:(fun () -> Ser_par.Par.set_jobs prev) f
+  in
+  List.iter
+    (fun c ->
+      let run j =
+        with_jobs j (fun () ->
+            let rng = Ser_rng.Rng.create 4 in
+            ( (Probs.path_probabilities ~rng ~vectors:500 c).Probs.p,
+              screen_counts ~seed:2 ~vectors:500 c ))
+      in
+      let p1, s1 = run 1 and p3, s3 = run 3 in
+      bits_equal c.Circuit.name p1 p3;
+      Alcotest.(check (array int)) "ODC screen counts" s1 s3)
+    [ Ser_circuits.Iscas.load "c432"; Ser_circuits.Iscas.load ~seed:11 "c880" ]
 
 let test_detection_counts_requires_gate () =
   let c = Ser_circuits.Iscas.c17 () in
@@ -368,5 +548,10 @@ let () =
           Alcotest.test_case "biased inputs" `Quick test_biased_inputs;
           Alcotest.test_case "parallel = sequential" `Quick test_parallel_identical;
           Alcotest.test_case "PI strike rejected" `Quick test_detection_counts_requires_gate;
+        ] );
+      ( "masking oracle",
+        [
+          QCheck_alcotest.to_alcotest oracle_prop;
+          Alcotest.test_case "fixed circuits" `Quick test_oracle_fixed;
         ] );
     ]
