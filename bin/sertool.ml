@@ -64,6 +64,27 @@ let wrap f =
 
 let or_diag = function Ok v -> v | Error d -> raise (Ser_util.Diag.Diag_error d)
 
+(* The prelude every one-shot engine command shares: classed errors,
+   pool width, trace/metrics export, one top-level "sertool.<name>"
+   span and the pool summary at the end. *)
+let one_shot name (jobs, obs) body =
+  wrap @@ fun () ->
+  apply_jobs jobs;
+  apply_obs obs;
+  Obs.Trace.with_span ("sertool." ^ name) @@ fun () ->
+  body ();
+  report_pool ();
+  `Ok exit_ok
+
+(* Whole-file JSON inputs: I/O errors keep the system's message, parse
+   errors name the file. *)
+let read_json what path =
+  match Ser_util.Json.of_file path with
+  | Ok j -> j
+  | Error (Ser_util.Json.Io msg) -> failwith msg
+  | Error (Ser_util.Json.Syntax msg) ->
+    failwith (Printf.sprintf "unreadable %s %s: %s" what path msg)
+
 (* The canonical request/handler pair (lib/cli) is the single place
    that loads netlists, builds libraries and executes the three core
    operations; one-shot commands, the batch worker and the serve daemon
@@ -73,6 +94,10 @@ module Request = Ser_cli.Request
 module Handlers = Ser_cli.Handlers
 
 let load_circuit spec = Handlers.load_circuit (Request.Spec spec)
+
+(* the request a command's flags describe: the op's defaults, overridden *)
+let request op source override =
+  or_diag (Request.validate (override (Request.defaults op source)))
 let make_library vdds vths = Handlers.make_library ~vdds ~vths
 
 (* ------------------------------------------------------------------ *)
@@ -114,31 +139,15 @@ let generate_cmd name seed format output =
    one netlist, so feeding it to the wrong circuit is a typed error,
    not a silent wrong answer. *)
 let load_odc_report path =
-  let ic =
-    try open_in_bin path with Sys_error msg -> failwith msg
-  in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ser_util.Json.of_string s with
-  | Error msg ->
-    failwith (Printf.sprintf "unreadable ODC report %s: %s" path msg)
-  | Ok j ->
-    let j =
-      (* accept the whole odc payload too, not just the bare report *)
-      match Ser_util.Json.member "report" j with Some r -> r | None -> j
-    in
-    or_diag (Ser_odc.Odc.of_json j)
+  let j = read_json "ODC report" path in
+  (* accept the whole odc payload too, not just the bare report *)
+  let j = match Ser_util.Json.member "report" j with Some r -> r | None -> j in
+  or_diag (Ser_odc.Odc.of_json j)
 
-let analyze_cmd jobs obs backend spec vectors charge top vdds vths odc json
-    dot =
-  wrap @@ fun () ->
-  apply_jobs jobs;
-  apply_obs obs;
-  Obs.Trace.with_span "sertool.analyze" @@ fun () ->
-  let req =
-    Request.make ~backend ~vectors ~charge ~top ~vdds ~vths Request.Analyze
-      (Request.Spec spec)
-  in
+let analyze_cmd run spec override odc json dot =
+  one_shot "analyze" run @@ fun () ->
+  let req = request Request.Analyze (Request.Spec spec) override in
+  let { Request.vectors; charge; top; _ } = req in
   let odc_report = Option.map load_odc_report odc in
   let t0 = Unix.gettimeofday () in
   let ({ Handlers.assignment = asg; result } as analyzed) =
@@ -232,19 +241,11 @@ let analyze_cmd jobs obs backend spec vectors charge top vdds vths odc json
     in
     Ser_netlist.Dot_export.write_dot ~annotation path c;
     Printf.printf "wrote %s\n" path
-  | None -> ());
-  report_pool ();
-  `Ok exit_ok
+  | None -> ())
 
-let odc_cmd jobs obs spec mode vectors seed threshold output =
-  wrap @@ fun () ->
-  apply_jobs jobs;
-  apply_obs obs;
-  Obs.Trace.with_span "sertool.odc" @@ fun () ->
-  let req =
-    Request.make ~vectors ~odc_mode:mode ~odc_seed:seed
-      ~odc_threshold:threshold Request.Odc (Request.Spec spec)
-  in
+let odc_cmd run spec override output =
+  one_shot "odc" run @@ fun () ->
+  let req = request Request.Odc (Request.Spec spec) override in
   let t0 = Unix.gettimeofday () in
   let r = or_diag (Handlers.odc req) in
   let dt = Unix.gettimeofday () -. t0 in
@@ -260,27 +261,19 @@ let odc_cmd jobs obs spec mode vectors seed threshold output =
        file analyze/optimize --odc consume *)
     Ser_repro.Report.write path (Ser_odc.Odc.to_json r);
     Printf.printf "wrote %s\n" path
-  | None -> ());
-  report_pool ();
-  `Ok exit_ok
+  | None -> ())
 
-let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
-    budget_evals timeout checkpoint odc output json =
-  wrap @@ fun () ->
-  apply_jobs jobs;
-  apply_obs obs;
-  Obs.Trace.with_span "sertool.optimize" @@ fun () ->
-  let req =
-    Request.make ~vectors ~evals ~greedy ~eval_tier ~tier_k ~vdds ~vths
-      ?budget_evals Request.Optimize (Request.Spec spec)
-  in
+let optimize_cmd run spec override timeout checkpoint odc output json =
+  one_shot "optimize" run @@ fun () ->
+  let req = request Request.Optimize (Request.Spec spec) override in
   let odc_report = Option.map load_odc_report odc in
   (* a budget always exists so that SIGINT/SIGTERM can cancel it: the
      optimizer then stops at its next poll and returns the best-so-far
      incumbent, which flushes the checkpoint and prints the partial
      summary instead of discarding the run *)
   let budget =
-    Ser_util.Budget.create ?max_evals:budget_evals ?max_seconds:timeout ()
+    Ser_util.Budget.create ?max_evals:req.Request.budget_evals
+      ?max_seconds:timeout ()
   in
   (* the checkpoint is restored onto the baseline the handler sizes, so
      the circuit is loaded and sized once *)
@@ -374,19 +367,12 @@ let optimize_cmd jobs obs spec vectors evals greedy eval_tier tier_k vdds vths
   | Some path ->
     Ser_repro.Report.write path (Ser_repro.Report.optimization_to_json r);
     Printf.printf "wrote %s\n" path
-  | None -> ());
-  report_pool ();
-  `Ok exit_ok
+  | None -> ())
 
-let rate_cmd jobs obs spec vectors clock q_slope top =
-  wrap @@ fun () ->
-  apply_jobs jobs;
-  apply_obs obs;
-  Obs.Trace.with_span "sertool.rate" @@ fun () ->
-  let req =
-    Request.make ~vectors ?clock ~q_slope ~top Request.Rate
-      (Request.Spec spec)
-  in
+let rate_cmd run spec override =
+  one_shot "rate" run @@ fun () ->
+  let req = request Request.Rate (Request.Spec spec) override in
+  let { Request.q_slope; top; _ } = req in
   let { Handlers.r_analysis; r_rate = r; _ } = or_diag (Handlers.rate req) in
   let c = r_analysis.Aserta.Analysis.circuit in
   Printf.printf
@@ -406,16 +392,11 @@ let rate_cmd jobs obs spec vectors clock q_slope top =
           (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name
           r.Aserta.Ser_rate.per_gate.(id)
           (100. *. r.Aserta.Ser_rate.per_gate.(id) /. r.Aserta.Ser_rate.total))
-    idx;
-  report_pool ();
-  `Ok exit_ok
+    idx
 
-let xval_cmd jobs obs spec corpus vectors charge top json =
-  wrap @@ fun () ->
-  apply_jobs jobs;
-  apply_obs obs;
-  Obs.Trace.with_span "sertool.xval" @@ fun () ->
-  (match corpus with
+let xval_cmd run spec corpus vectors charge top json =
+  one_shot "xval" run @@ fun () ->
+  match corpus with
   | None ->
     let r = Ser_repro.Xval.run ~circuit:spec ~vectors ~charge ~top_n:top () in
     print_string (Ser_repro.Xval.render r);
@@ -450,9 +431,7 @@ let xval_cmd jobs obs spec corpus vectors charge top json =
     | Some path ->
       Ser_repro.Report.write path (Ser_repro.Xval.corpus_to_json results);
       Printf.printf "wrote %s\n" path
-    | None -> ()));
-  report_pool ();
-  `Ok exit_ok
+    | None -> ())
 
 let harden_cmd jobs spec method_ fraction output =
   wrap @@ fun () ->
@@ -513,10 +492,13 @@ let pipeline_cmd jobs spec stages clock =
   report_pool ();
   `Ok exit_ok
 
-let timing_cmd jobs spec n_paths vdds vths =
+let timing_cmd jobs spec n_paths axes =
   wrap @@ fun () ->
   apply_jobs jobs;
   let c = load_circuit spec in
+  let { Request.vdds; vths; _ } =
+    axes (Request.defaults Request.Analyze (Request.Spec spec))
+  in
   let lib = make_library vdds vths in
   let asg = Sertopt.Optimizer.size_for_speed lib c in
   let t = Ser_sta.Timing.analyze lib asg in
@@ -627,11 +609,12 @@ module Supervisor = Ser_jobs.Supervisor
 module Shard = Ser_jobs.Shard
 module Merge = Ser_jobs.Merge
 
-(* The worker half of the supervisor protocol: run one analysis in
-   this (child) process and emit exactly one JSON document on stdout —
-   {"ok":true,"result":...} or {"ok":false,"diag":...} plus a classed
-   exit code. [--fault] is test-only injection used by the fault
-   harness and CI to exercise the supervisor's failure taxonomy. *)
+(* The worker half of the supervisor protocol: read one spooled
+   request (--req-file, written by batch run or the serve daemon), run
+   it in this (child) process and emit exactly one JSON document on
+   stdout — {"ok":true,"result":...} or {"ok":false,"diag":...} plus a
+   classed exit code. The request's test-only fault field exercises the
+   supervisor's failure taxonomy. *)
 let worker_attempt () =
   match Sys.getenv_opt "SERTOOL_WORKER_ATTEMPT" with
   | Some s -> (match int_of_string_opt s with Some n -> n | None -> 1)
@@ -641,106 +624,46 @@ let apply_worker_fault fault =
   let crash signal = Unix.kill (Unix.getpid ()) signal in
   match fault with
   | None -> ()
-  | Some "hang" ->
+  | Some Request.Hang ->
     while true do
       Unix.sleepf 3600.
     done
-  | Some "crash" -> crash Sys.sigsegv
-  | Some "oom" ->
+  | Some Request.Crash -> crash Sys.sigsegv
+  | Some Request.Oom ->
     (* stand-in for the OOM killer: die by uncatchable SIGKILL *)
     crash Sys.sigkill
-  | Some "garbage" ->
+  | Some Request.Garbage ->
     print_string "%% this is not the worker protocol %%\n";
     exit 0
-  | Some f when String.length f > 5 && String.sub f 0 5 = "exit:" ->
-    exit
-      (match int_of_string_opt (String.sub f 5 (String.length f - 5)) with
-      | Some n -> n
-      | None -> 1)
-  | Some f when String.length f > 6 && String.sub f 0 6 = "flaky:" ->
+  | Some (Request.Exit n) -> exit n
+  | Some (Request.Flaky n) ->
     (* transient: crash on attempts below N, succeed afterwards — the
        path that proves retry-with-backoff recovers a job *)
-    let n =
-      match int_of_string_opt (String.sub f 6 (String.length f - 6)) with
-      | Some n -> n
-      | None -> 2
-    in
     if worker_attempt () < n then crash Sys.sigsegv
-  | Some f when String.length f > 6 && String.sub f 0 6 = "sleep:" -> (
+  | Some (Request.Sleep_ms ms) ->
     (* non-destructive delay, for deadline/overload scenarios *)
-    match float_of_string_opt (String.sub f 6 (String.length f - 6)) with
-    | Some ms when ms >= 0. -> Unix.sleepf (ms /. 1000.)
-    | _ ->
-      prerr_endline ("sertool worker: unparseable fault " ^ f);
-      exit exit_input)
-  | Some other ->
-    prerr_endline ("sertool worker: unknown fault " ^ other);
-    exit exit_input
+    Unix.sleepf (ms /. 1000.)
 
-(* The worker body is just [Handlers.run] over a canonical request.
-   Two ways in: the batch flags (--cmd/--vectors/--evals, CIRCUIT), or
-   --req-file pointing at a spooled request JSON — how the serve daemon
-   ships arbitrary requests (including inline netlists) to an isolated
-   child. *)
-let worker_request spec cmd vectors evals req_file =
-  match req_file with
-  | Some path ->
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Ser_util.Json.of_string s with
-    | Error msg ->
-      failwith (Printf.sprintf "unreadable request file %s: %s" path msg)
-    | Ok j -> or_diag (Request.of_json j))
-  | None ->
-    let spec =
-      match spec with
-      | Some s -> s
-      | None -> failwith "worker needs a CIRCUIT argument or --req-file"
-    in
-    let op =
-      match Request.op_of_string cmd with
-      | Some op -> op
-      | None -> failwith (Printf.sprintf "unknown worker command %S" cmd)
-    in
-    Request.make ~vectors ~evals ~greedy:1 op (Request.Spec spec)
-
-let emit_worker_doc doc =
-  print_string (Ser_util.Json.to_string ~indent:false doc);
-  print_newline ()
-
-let worker_cmd spec cmd vectors evals fault req_file =
-  match
-    Ser_util.Diag.guard ~subsystem:"worker" (fun () ->
-        worker_request spec cmd vectors evals req_file)
-  with
-  | Error d ->
-    emit_worker_doc
-      (Ser_util.Json.Obj
-         [
-           ("ok", Ser_util.Json.Bool false);
-           ("diag", Ser_util.Diag.to_json d);
-         ]);
+let worker_cmd req_file =
+  let emit ok field =
+    print_string
+      (Ser_util.Json.to_string ~indent:false
+         (Ser_util.Json.Obj [ ("ok", Ser_util.Json.Bool ok); field ]));
+    print_newline ()
+  in
+  let fail d =
+    emit false ("diag", Ser_util.Diag.to_json d);
     `Ok (exit_code_of_diag d)
+  in
+  match Request.of_file req_file with
+  | Error d -> fail d
   | Ok req -> (
-    (* --fault wins over the request's fault field (batch manifests
-       pass --fault; serve spools it inside the request) *)
-    apply_worker_fault
-      (match fault with Some _ -> fault | None -> req.Request.fault);
+    apply_worker_fault req.Request.fault;
     match Handlers.run req with
     | Ok result ->
-      emit_worker_doc
-        (Ser_util.Json.Obj
-           [ ("ok", Ser_util.Json.Bool true); ("result", result) ]);
+      emit true ("result", result);
       `Ok exit_ok
-    | Error d ->
-      emit_worker_doc
-        (Ser_util.Json.Obj
-           [
-             ("ok", Ser_util.Json.Bool false);
-             ("diag", Ser_util.Diag.to_json d);
-           ]);
-      `Ok (exit_code_of_diag d))
+    | Error d -> fail d)
 
 (* ------------------------------------------------------------------ *)
 (* the persistent analysis service and its client                      *)
@@ -809,8 +732,7 @@ let reject_exit = function
   | Ser_serve.Wire.Shutting_down | Ser_serve.Wire.Internal ->
     exit_numerical
 
-let client_cmd socket tcp op spec inline id backend vectors charge top evals
-    greedy clock q_slope deadline isolate fault connect_timeout timeout
+let client_cmd socket tcp op spec inline override connect_timeout timeout
     retries retry_rejected repeat =
   wrap @@ fun () ->
   if repeat < 1 then failwith "--repeat must be >= 1";
@@ -847,21 +769,15 @@ let client_cmd socket tcp op spec inline id backend vectors charge top evals
           (* ship the netlist text inside the request: the daemon never
              touches this client's filesystem *)
           let text =
-            if Sys.file_exists spec then begin
-              let ic = open_in_bin spec in
-              let s = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              s
-            end
+            if Sys.file_exists spec then
+              In_channel.with_open_bin spec In_channel.input_all
             else Ser_netlist.Bench_format.to_string (load_circuit spec)
           in
           Request.Inline_bench text
         end
         else Request.Spec spec
       in
-      Request.to_json
-        (Request.make ?id ?backend ?vectors ?charge ?top ?evals ?greedy
-           ?clock ?q_slope ?deadline_s:deadline ?isolate ?fault opv source)
+      Request.to_json (request opv source override)
   in
   (* --repeat > 1 keeps one framed connection alive across the whole
      loop (the daemon already serves many requests per connection);
@@ -928,77 +844,49 @@ let client_cmd socket tcp op spec inline id backend vectors charge top evals
    blank lines ignored. SPEC is a .bench/.v path or a benchmark name,
    exactly as for single-run commands. *)
 let parse_manifest path =
-  let ic =
-    try open_in path
-    with Sys_error msg ->
-      raise
-        (Ser_util.Diag.Diag_error
-           (Ser_util.Diag.make ~subsystem:"jobs"
-              ~context:[ Ser_util.Diag.file path ]
-              msg))
+  let fail ?line fmt =
+    Ser_util.Diag.fail ~subsystem:"jobs"
+      ~context:
+        (Ser_util.Diag.file path
+        :: Option.to_list (Option.map Ser_util.Diag.line line))
+      fmt
   in
-  let lines = ref [] in
-  (try
-     let n = ref 0 in
-     while true do
-       incr n;
-       lines := (!n, input_line ic) :: !lines
-     done
-   with End_of_file -> close_in ic);
+  let text =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg -> fail "%s" msg
+  in
   let entries =
-    List.rev !lines
+    String.split_on_char '\n' text
+    |> List.mapi (fun i raw -> (i + 1, raw))
     |> List.filter_map (fun (n, raw) ->
            let line =
              match String.index_opt raw '#' with
              | Some h -> String.sub raw 0 h
              | None -> raw
            in
-           let line = String.trim line in
-           if line = "" then None
-           else
-             match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-             | [ spec ] -> Some (n, spec, None)
-             | [ spec; opt ] when String.length opt > 6
-                                  && String.sub opt 0 6 = "fault=" ->
-               let f = String.sub opt 6 (String.length opt - 6) in
-               let known =
-                 match f with
-                 | "hang" | "crash" | "oom" | "garbage" -> true
-                 | _ ->
-                   (String.length f > 5 && String.sub f 0 5 = "exit:")
-                   || (String.length f > 6 && String.sub f 0 6 = "flaky:")
-               in
-               (* catch typos here, with a line number, instead of
-                  letting every attempt die in the worker as a
-                  retried-then-degraded mystery *)
-               if not known then
-                 raise
-                   (Ser_util.Diag.Diag_error
-                      (Ser_util.Diag.make ~subsystem:"jobs"
-                         ~context:
-                           [ Ser_util.Diag.file path; Ser_util.Diag.line n ]
-                         (Printf.sprintf
-                            "unknown fault %S (known: hang, crash, oom, \
-                             garbage, exit:N, flaky:N)"
-                            f)));
-               Some (n, spec, Some f)
-             | _ ->
-               raise
-                 (Ser_util.Diag.Diag_error
-                    (Ser_util.Diag.make ~subsystem:"jobs"
-                       ~context:[ Ser_util.Diag.file path; Ser_util.Diag.line n ]
-                       (Printf.sprintf "malformed manifest line %S" raw))))
+           match
+             String.split_on_char ' ' (String.trim line)
+             |> List.filter (( <> ) "")
+           with
+           | [] -> None
+           | [ spec ] -> Some (spec, None)
+           | [ spec; opt ] when String.starts_with ~prefix:"fault=" opt -> (
+             (* catch typos here, with a line number, instead of letting
+                every attempt die in the worker as a retried-then-degraded
+                mystery *)
+             match
+               Request.fault_of_string
+                 (String.sub opt 6 (String.length opt - 6))
+             with
+             | Ok f -> Some (spec, Some f)
+             | Error msg -> fail ~line:n "%s" msg)
+           | _ -> fail ~line:n "malformed manifest line %S" raw)
   in
-  if entries = [] then
-    raise
-      (Ser_util.Diag.Diag_error
-         (Ser_util.Diag.make ~subsystem:"jobs"
-            ~context:[ Ser_util.Diag.file path ]
-            "manifest lists no jobs"));
+  if entries = [] then fail "manifest lists no jobs";
   (* job ids must be unique: suffix duplicated specs with #k *)
   let seen = Hashtbl.create 16 in
   List.map
-    (fun (_, spec, fault) ->
+    (fun (spec, fault) ->
       let k =
         match Hashtbl.find_opt seen spec with Some k -> k + 1 | None -> 0
       in
@@ -1067,7 +955,26 @@ let obs_results_field obs_dir entries =
           ] );
     ]
 
-let batch_cmd manifest cmd vectors evals journal_path resume shard parallel
+(* each job's request, spooled for its worker's --req-file; the spool
+   directory lives exactly as long as the run *)
+let with_spool reqs f =
+  let dir = Filename.temp_dir "sertool-batch" "" in
+  let spool k req =
+    let path = Filename.concat dir (Printf.sprintf "job-%d.req.json" k) in
+    or_diag (Request.to_file path req);
+    path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      try
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      with Sys_error _ -> ())
+    (fun () -> f (List.mapi spool reqs))
+
+let batch_cmd manifest job_request journal_path resume shard parallel
     job_timeout grace retries backoff results obs obs_dir =
   wrap @@ fun () ->
   apply_obs obs;
@@ -1089,6 +996,14 @@ let batch_cmd manifest cmd vectors evals journal_path resume shard parallel
     match shard with
     | None -> entries
     | Some t -> Shard.select t ~id:(fun (id, _, _) -> id) entries
+  in
+  let reqs =
+    List.map
+      (fun (_, spec, fault) ->
+        or_diag
+          (Request.validate
+             { (job_request (Request.Spec spec)) with Request.fault }))
+      entries
   in
   let journal_path =
     match (journal_path, shard) with
@@ -1115,18 +1030,13 @@ let batch_cmd manifest cmd vectors evals journal_path resume shard parallel
       None
     end
   in
-  let self = Sys.executable_name in
+  with_spool reqs @@ fun spools ->
   let jobs =
-    List.map
-      (fun (id, spec, fault) ->
-        let argv =
-          [ self; "worker"; "--cmd"; cmd; "--vectors"; string_of_int vectors;
-            "--evals"; string_of_int evals ]
-          @ (match fault with Some f -> [ "--fault"; f ] | None -> [])
-          @ [ spec ]
-        in
-        Supervisor.job ~env:(obs_job_env obs_dir id) ~id (Array.of_list argv))
-      entries
+    List.map2
+      (fun (id, _, _) spool ->
+        Supervisor.job ~env:(obs_job_env obs_dir id) ~id
+          [| Sys.executable_name; "worker"; "--req-file"; spool |])
+      entries spools
   in
   let cfg =
     {
@@ -1247,7 +1157,9 @@ let batch_merge_cmd journals manifest shards results retry_path trace_ins
             if List.mem id missing then
               output_string oc
                 (match fault with
-                | Some f -> Printf.sprintf "%s fault=%s\n" spec f
+                | Some f ->
+                  Printf.sprintf "%s fault=%s\n" spec
+                    (Request.fault_to_string f)
                 | None -> spec ^ "\n"))
           entries;
         close_out oc;
@@ -1262,18 +1174,7 @@ let batch_merge_cmd journals manifest shards results retry_path trace_ins
     (match merged_trace with
     | None -> ()
     | Some path ->
-      let docs =
-        List.mapi
-          (fun i p ->
-            let ic = open_in_bin p in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            match Ser_util.Json.of_string s with
-            | Ok j -> (i, j)
-            | Error msg ->
-              failwith (Printf.sprintf "unreadable trace %s: %s" p msg))
-          trace_ins
-      in
+      let docs = List.mapi (fun i p -> (i, read_json "trace" p)) trace_ins in
       if docs = [] then
         failwith "--merged-trace needs at least one --trace-in FILE";
       (match
@@ -1295,8 +1196,6 @@ let batch_merge_cmd journals manifest shards results retry_path trace_ins
        else "");
     `Ok exit_ok
 
-(* Self/total-time table from a Chrome trace, so profiling a sweep
-   does not require loading Perfetto. *)
 (* Fleet progress without merging: replay each shard journal read-only
    and tabulate done/failed/degraded/pending. Safe to run while the
    shards are still being written — replay tolerates a torn tail. *)
@@ -1350,21 +1249,11 @@ let batch_status_cmd journals =
     !t_jobs !t_ok !t_failed !t_degraded !t_pending;
   `Ok exit_ok
 
+(* Self/total-time table from a Chrome trace, so profiling a sweep
+   does not require loading Perfetto. *)
 let report_cmd trace_path top =
   wrap @@ fun () ->
-  let doc =
-    let ic =
-      try open_in_bin trace_path
-      with Sys_error msg -> failwith msg
-    in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Ser_util.Json.of_string s with
-    | Ok j -> j
-    | Error msg ->
-      failwith (Printf.sprintf "unreadable trace %s: %s" trace_path msg)
-  in
-  let rows = Obs.Trace.tabulate doc in
+  let rows = Obs.Trace.tabulate (read_json "trace" trace_path) in
   if rows = [] then print_endline "trace holds no spans"
   else begin
     let shown = if top <= 0 then rows else List.filteri (fun i _ -> i < top) rows in
@@ -1403,14 +1292,6 @@ let circuit_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT"
          ~doc:"Benchmark name (c17, c432, ...) or .bench file path.")
 
-let vdds_arg =
-  Arg.(value & opt (list float) [] & info [ "vdds" ] ~docv:"V,..."
-         ~doc:"Supply-voltage menu (default 0.8,1.0,1.2).")
-
-let vths_arg =
-  Arg.(value & opt (list float) [] & info [ "vths" ] ~docv:"V,..."
-         ~doc:"Threshold-voltage menu (default 0.1,0.2,0.3).")
-
 let jobs_arg =
   Arg.(value & opt int (-1) & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for parallel sections: 0 autodetects from the \
@@ -1438,6 +1319,9 @@ let obs_args =
                  SERTOOL_TRACE_SAMPLE environment variable.")
   in
   Term.(const (fun t m s -> (t, m, s)) $ trace $ metrics $ sample)
+
+(* pool width and observability, for {!one_shot} *)
+let run_args = Term.(const (fun j o -> (j, o)) $ jobs_arg $ obs_args)
 
 let obs_dir_arg =
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR"
@@ -1468,25 +1352,7 @@ let generate_t =
        ~doc:"Emit a benchmark circuit (.bench, Verilog or Graphviz)")
     Term.(ret (const generate_cmd $ bench_name $ seed $ format $ output))
 
-let backend_arg =
-  Arg.(value
-       & opt (enum [ ("aserta", "aserta"); ("serpp", "serpp") ]) "aserta"
-       & info [ "backend" ] ~docv:"NAME"
-           ~doc:"SER estimator: aserta (Monte-Carlo expected widths, the \
-                 paper's method) or serpp (single-pass \
-                 propagation-probability profiles; vectorless, 15-40x \
-                 faster, upper-bound tendency under reconvergence).")
-
 let analyze_t =
-  let vectors =
-    Arg.(value & opt int 10_000 & info [ "vectors" ] ~doc:"Random vectors for P_ij.")
-  in
-  let charge =
-    Arg.(value & opt float 16. & info [ "charge" ] ~doc:"Injected charge, fC.")
-  in
-  let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~doc:"Softest gates to list.")
-  in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Export the full report as JSON.")
@@ -1505,33 +1371,10 @@ let analyze_t =
                  report's digest must match this netlist.")
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Soft-error tolerance analysis")
-    Term.(ret (const analyze_cmd $ jobs_arg $ obs_args $ backend_arg
-               $ circuit_arg $ vectors $ charge $ top $ vdds_arg $ vths_arg
-               $ odc $ json $ dot))
+    Term.(ret (const analyze_cmd $ run_args $ circuit_arg
+               $ Request.Flags.one_shot Request.Analyze $ odc $ json $ dot))
 
 let odc_t =
-  let mode =
-    Arg.(value
-         & opt (enum [ ("exhaustive", "exhaustive"); ("sampled", "sampled") ])
-             "exhaustive"
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"exhaustive (sampled screen plus support-limited \
-                   exhaustive proofs for zero-detection sites, the \
-                   default) or sampled (screen only, no proofs).")
-  in
-  let vectors =
-    Arg.(value & opt int 4000 & info [ "vectors" ]
-           ~doc:"Random vectors for the sampled screen.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Screen RNG seed.")
-  in
-  let threshold =
-    Arg.(value & opt float 0.05 & info [ "threshold" ] ~docv:"T"
-           ~doc:"Observability cutoff in [0, 1] for the low-observability \
-                 site count of the summary (and of downstream \
-                 ODC-seeded optimization).")
-  in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the deterministic JSON report — the file that \
@@ -1543,36 +1386,10 @@ let odc_t =
              injection: classify every gate as provably masked \
              (exhaustive, no primary-output difference), observed, or \
              sampled-unobserved with a per-gate observability bound")
-    Term.(ret (const odc_cmd $ jobs_arg $ obs_args $ circuit_arg $ mode
-               $ vectors $ seed $ threshold $ output))
+    Term.(ret (const odc_cmd $ run_args $ circuit_arg
+               $ Request.Flags.one_shot Request.Odc $ output))
 
 let optimize_t =
-  let vectors =
-    Arg.(value & opt int 4000 & info [ "vectors" ] ~doc:"Random vectors for P_ij.")
-  in
-  let evals =
-    Arg.(value & opt int 120 & info [ "evals" ] ~doc:"Nullspace-search cost evaluations.")
-  in
-  let greedy =
-    Arg.(value & opt int 2 & info [ "greedy" ] ~doc:"Greedy refinement passes.")
-  in
-  let eval_tier =
-    Arg.(value
-         & opt (enum [ ("exact", "exact"); ("serpp", "serpp") ]) "exact"
-         & info [ "eval-tier" ] ~docv:"TIER"
-             ~doc:"Greedy-menu evaluation economy: exact measures every \
-                   candidate; serpp ranks each menu with the cheap \
-                   propagation-probability estimate and spends exact \
-                   evaluations only on the top K (see --tier-k). The \
-                   accept decision always compares exact costs; saved \
-                   evaluations are counted in the \
-                   sertopt.exact_evals_saved metric.")
-  in
-  let tier_k =
-    Arg.(value & opt int 6 & info [ "tier-k" ] ~docv:"K"
-           ~doc:"Exact evaluations kept per greedy menu under --eval-tier \
-                 serpp; at least 1.")
-  in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Dump the optimized cell assignment.")
@@ -1580,11 +1397,6 @@ let optimize_t =
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Export the optimization report as JSON.")
-  in
-  let budget_evals =
-    Arg.(value & opt (some int) None & info [ "budget-evals" ] ~docv:"N"
-           ~doc:"Hard cap on cost evaluations; the best-so-far incumbent is \
-                 returned (flagged degraded) when it is hit.")
   in
   let timeout =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
@@ -1607,9 +1419,9 @@ let optimize_t =
                  sertopt.odc_accepts metrics.")
   in
   Cmd.v (Cmd.info "optimize" ~doc:"SERTOPT soft-error tolerance optimization")
-    Term.(ret (const optimize_cmd $ jobs_arg $ obs_args $ circuit_arg $ vectors
-               $ evals $ greedy $ eval_tier $ tier_k $ vdds_arg $ vths_arg
-               $ budget_evals $ timeout $ checkpoint $ odc $ output $ json))
+    Term.(ret (const optimize_cmd $ run_args $ circuit_arg
+               $ Request.Flags.one_shot Request.Optimize $ timeout $ checkpoint
+               $ odc $ output $ json))
 
 let export_deck_t =
   let strike =
@@ -1647,25 +1459,11 @@ let characterize_t =
     Term.(ret (const characterize_cmd $ kind $ fanin $ size $ length $ vdd $ vth))
 
 let rate_t =
-  let vectors =
-    Arg.(value & opt int 4000 & info [ "vectors" ] ~doc:"Random vectors for P_ij.")
-  in
-  let clock =
-    Arg.(value & opt (some float) None & info [ "clock" ] ~docv:"PS"
-           ~doc:"Clock period (default 1.2x critical delay).")
-  in
-  let q_slope =
-    Arg.(value & opt float 6. & info [ "q-slope" ]
-           ~doc:"Charge-collection slope of the spectrum, fC.")
-  in
-  let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~doc:"Contributors to list.")
-  in
   Cmd.v
     (Cmd.info "rate"
        ~doc:"Soft-error rate (FIT) over a particle charge spectrum")
-    Term.(ret (const rate_cmd $ jobs_arg $ obs_args $ circuit_arg $ vectors
-               $ clock $ q_slope $ top))
+    Term.(ret (const rate_cmd $ run_args $ circuit_arg
+               $ Request.Flags.one_shot Request.Rate))
 
 let harden_t =
   let method_ =
@@ -1706,8 +1504,8 @@ let timing_t =
   in
   Cmd.v
     (Cmd.info "timing" ~doc:"Static timing report with the K worst paths")
-    Term.(ret (const timing_cmd $ jobs_arg $ circuit_arg $ n_paths $ vdds_arg
-               $ vths_arg))
+    Term.(ret (const timing_cmd $ jobs_arg $ circuit_arg $ n_paths
+               $ Request.Flags.axes))
 
 let export_lib_t =
   let kind =
@@ -1725,37 +1523,16 @@ let export_lib_t =
     Term.(ret (const export_lib_cmd $ kind $ fanin $ output))
 
 let worker_t =
-  let spec =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"CIRCUIT"
-           ~doc:"Benchmark name or .bench file path (omit with --req-file).")
-  in
-  let cmd =
-    Arg.(value & opt string "analyze" & info [ "cmd" ] ~docv:"CMD"
-           ~doc:"Worker command: analyze, optimize, rate or odc.")
-  in
-  let vectors =
-    Arg.(value & opt int 2000 & info [ "vectors" ] ~doc:"Random vectors for P_ij.")
-  in
-  let evals =
-    Arg.(value & opt int 60 & info [ "evals" ] ~doc:"Optimizer cost evaluations.")
-  in
-  let fault =
-    Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"F"
-           ~doc:"Test-only fault injection: hang, crash, oom, garbage, \
-                 exit:N, flaky:N (crash on attempts below N) or sleep:MS.")
-  in
   let req_file =
-    Arg.(value & opt (some string) None & info [ "req-file" ] ~docv:"FILE"
-           ~doc:"Read the full request record (canonical JSON) from FILE \
-                 instead of the flags; how the serve daemon dispatches \
-                 isolated requests.")
+    Arg.(required & opt (some string) None & info [ "req-file" ] ~docv:"FILE"
+           ~doc:"The request record (canonical JSON) to run, spooled by \
+                 batch run or the serve daemon.")
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:"(internal) Run one job as a supervised child process and \
              emit the result as JSON on stdout")
-    Term.(ret (const worker_cmd $ spec $ cmd $ vectors $ evals $ fault
-               $ req_file))
+    Term.(ret (const worker_cmd $ req_file))
 
 let default_socket = "/tmp/sertool.sock"
 
@@ -1847,57 +1624,6 @@ let client_t =
            ~doc:"Ship the netlist text inside the request instead of a \
                  path/name the daemon resolves on its own filesystem.")
   in
-  let id =
-    Arg.(value & opt (some string) None & info [ "id" ] ~docv:"ID"
-           ~doc:"Idempotency key: a repeated id replays the stored response \
-                 instead of re-executing.")
-  in
-  let backend =
-    Arg.(value & opt (some string) None & info [ "backend" ] ~docv:"NAME"
-           ~doc:"SER estimator for analyze: aserta (default) or serpp.")
-  in
-  let vectors =
-    Arg.(value & opt (some int) None & info [ "vectors" ]
-           ~doc:"Random vectors for P_ij.")
-  in
-  let charge =
-    Arg.(value & opt (some float) None & info [ "charge" ]
-           ~doc:"Injected charge, fC (analyze).")
-  in
-  let top =
-    Arg.(value & opt (some int) None & info [ "top" ]
-           ~doc:"Softest gates / contributors to list.")
-  in
-  let evals =
-    Arg.(value & opt (some int) None & info [ "evals" ]
-           ~doc:"Optimizer cost evaluations.")
-  in
-  let greedy =
-    Arg.(value & opt (some int) None & info [ "greedy" ]
-           ~doc:"Greedy refinement passes (optimize).")
-  in
-  let clock =
-    Arg.(value & opt (some float) None & info [ "clock" ] ~docv:"PS"
-           ~doc:"Clock period (rate).")
-  in
-  let q_slope =
-    Arg.(value & opt (some float) None & info [ "q-slope" ]
-           ~doc:"Charge-collection slope, fC (rate).")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS"
-           ~doc:"Per-request deadline enforced by the daemon.")
-  in
-  let isolate =
-    Arg.(value & opt (some bool) None & info [ "isolate" ] ~docv:"BOOL"
-           ~doc:"Force (true) or forbid (false) worker isolation; default: \
-                 the daemon's per-op policy.")
-  in
-  let fault =
-    Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"F"
-           ~doc:"Test-only fault injection, forwarded to the isolated \
-                 worker (crash, hang, sleep:MS, ...).")
-  in
   let connect_timeout =
     Arg.(value & opt float 5. & info [ "connect-timeout" ] ~docv:"SECONDS"
            ~doc:"Connection-establishment timeout per attempt.")
@@ -1930,26 +1656,13 @@ let client_t =
              connection) to a running sertool serve daemon and print the \
              response payload")
     Term.(ret (const client_cmd $ socket_arg $ tcp_arg $ op $ spec $ inline
-               $ id $ backend $ vectors $ charge $ top $ evals $ greedy
-               $ clock $ q_slope $ deadline $ isolate $ fault
-               $ connect_timeout $ timeout $ retries $ retry_rejected
-               $ repeat))
+               $ Request.Flags.client $ connect_timeout $ timeout $ retries
+               $ retry_rejected $ repeat))
 
 let batch_t =
   let manifest =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MANIFEST"
            ~doc:"Manifest file: one job per line, \"SPEC [fault=F]\".")
-  in
-  let cmd =
-    Arg.(value & opt string "analyze" & info [ "cmd" ] ~docv:"CMD"
-           ~doc:"Per-job command: analyze, optimize, rate or odc.")
-  in
-  let vectors =
-    Arg.(value & opt int 2000 & info [ "vectors" ] ~doc:"Random vectors for P_ij.")
-  in
-  let evals =
-    Arg.(value & opt int 60 & info [ "evals" ]
-           ~doc:"Optimizer cost evaluations (optimize jobs).")
   in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
@@ -1999,7 +1712,7 @@ let batch_t =
                  journals back together with 'sertool batch merge'.")
   in
   let run_term =
-    Term.(ret (const batch_cmd $ manifest $ cmd $ vectors $ evals $ journal
+    Term.(ret (const batch_cmd $ manifest $ Request.Flags.batch $ journal
                $ resume $ shard $ parallel $ job_timeout $ grace $ retries
                $ backoff $ results $ obs_args $ obs_dir_arg))
   in
@@ -2130,7 +1843,7 @@ let xval_t =
        ~doc:"Cross-validate the serpp backend against ASERTA: per-gate \
              Pearson/Spearman correlation and top-N rank overlap on one \
              benchmark")
-    Term.(ret (const xval_cmd $ jobs_arg $ obs_args $ circuit $ corpus
+    Term.(ret (const xval_cmd $ run_args $ circuit $ corpus
                $ vectors $ charge $ top $ json))
 
 let main =

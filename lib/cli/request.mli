@@ -4,9 +4,12 @@
     worker and the serve daemon all execute the same three operations;
     historically each re-parsed its own flags and re-assembled its own
     parameter set. A {!t} is the single source of truth: the CLI builds
-    one from cmdliner flags, the daemon decodes one from a framed JSON
-    request, the worker reads one back from a spool file — and all of
-    them hand it to {!Handlers}.
+    one from cmdliner flags ({!Flags}), the daemon decodes one from a
+    framed JSON request, the worker reads one back from a spool file —
+    and all of them hand it to {!Handlers}. Each field is declared once
+    in the implementation (JSON member, flag name, value type, doc);
+    the JSON codec, {!params_json} and {!Flags} all derive from that
+    declaration.
 
     The JSON codec is total ({!of_json} never raises) and the
     {!params_json} rendering is canonical (fixed field order, per-op
@@ -25,6 +28,26 @@ type op = Analyze | Optimize | Rate | Odc
 
 val op_to_string : op -> string
 val op_of_string : string -> op option
+
+(** Test-only fault injection, executed by the worker process (and,
+    for [Sleep_ms] only, inline by the serve daemon). *)
+type fault =
+  | Hang  (** sleep forever: the watchdog's case *)
+  | Crash  (** die by SIGSEGV *)
+  | Oom  (** die by SIGKILL, standing in for the OOM killer *)
+  | Garbage  (** print something that is not the worker protocol *)
+  | Exit of int  (** exit with this code, no output *)
+  | Flaky of int  (** crash on attempts below N, succeed afterwards *)
+  | Sleep_ms of float  (** delay, then run normally *)
+
+val fault_of_string : string -> (fault, string) result
+(** The string form shared by JSON requests, manifest [fault=] fields
+    and the client's [--fault]: [hang], [crash], [oom], [garbage],
+    [exit:N], [flaky:N] or [sleep:MS] (MS >= 0). Anything else, e.g.
+    [exit:abc], is an [Error] naming the accepted forms. *)
+
+val fault_to_string : fault -> string
+(** Inverse of {!fault_of_string}. *)
 
 type t = {
   id : string option;
@@ -60,7 +83,7 @@ type t = {
   isolate : bool option;
       (** serve: [Some true] forces worker isolation, [Some false]
           forbids it; [None] = the daemon's per-op default *)
-  fault : string option;
+  fault : fault option;
       (** test-only fault injection, forwarded to the worker exactly
           like a batch manifest's [fault=] field *)
   odc_mode : string;
@@ -74,40 +97,19 @@ type t = {
           downsizing; in [0, 1] *)
 }
 
-val default_vectors : op -> int
-(** 10 000 for analyze, 4 000 for optimize, rate and odc — the
-    historical per-command CLI defaults. *)
-
-val make :
-  ?id:string ->
-  ?backend:string ->
-  ?vectors:int ->
-  ?charge:float ->
-  ?top:int ->
-  ?vdds:float list ->
-  ?vths:float list ->
-  ?evals:int ->
-  ?greedy:int ->
-  ?eval_tier:string ->
-  ?tier_k:int ->
-  ?budget_evals:int ->
-  ?clock:float ->
-  ?q_slope:float ->
-  ?deadline_s:float ->
-  ?isolate:bool ->
-  ?fault:string ->
-  ?odc_mode:string ->
-  ?odc_seed:int ->
-  ?odc_threshold:float ->
-  op ->
-  source ->
-  t
-(** Omitted fields take the per-op defaults ([default_vectors],
+val defaults : op -> source -> t
+(** The request every front end starts from; the only place a default
+    value is written: 10 000 vectors for analyze and 4 000 otherwise,
     backend aserta, 16 fC, top 10, evals 120, greedy 2, eval tier
     exact with k 6, q-slope 6, odc mode exhaustive with seed 1 and
-    threshold 0.05). The result is range-checked exactly like
-    {!of_json} (e.g. [tier_k >= 1], [vectors >= 1]); a bad value raises
-    [Ser_util.Diag.Diag_error] with subsystem ["cli"]. *)
+    threshold 0.05, and no id, budget, clock, deadline, isolation
+    preference or fault. Front ends override fields by record update
+    and then {!validate}. *)
+
+val validate : t -> (t, Ser_util.Diag.t) result
+(** Range checks shared by every front end (e.g. [tier_k >= 1],
+    [vectors >= 1], backend/op compatibility); failures are located
+    diagnostics with subsystem ["cli"]. *)
 
 val to_json : t -> Ser_util.Json.t
 
@@ -115,7 +117,14 @@ val of_json : Ser_util.Json.t -> (t, Ser_util.Diag.t) result
 (** Total decoder with validation: unknown op, missing/ill-typed
     circuit, non-positive vectors/evals/charge come back as a located
     [Error] (subsystem ["cli"]), never an exception. Unknown fields
-    are ignored. *)
+    are ignored. Absent fields take their {!defaults}. *)
+
+val of_file : string -> (t, Ser_util.Diag.t) result
+(** {!of_json} of a whole file (a spooled request); unreadable or
+    malformed files are [Error]s naming the file. *)
+
+val to_file : string -> t -> (unit, Ser_util.Diag.t) result
+(** Spool {!to_json} to a file, for {!of_file} in a worker process. *)
 
 val params_json : t -> Ser_util.Json.t
 (** Canonical rendering of exactly the fields that determine the
@@ -123,3 +132,26 @@ val params_json : t -> Ser_util.Json.t
     [isolate], [fault] and the circuit itself). Two requests with
     equal [params_json] and equal netlists produce identical payloads
     — the contract the serve result cache is keyed on. *)
+
+(** Command-line flags, derived from the same per-field declarations as
+    the JSON codec: each field's flag name, converter and doc are
+    written once. Every term yields an override to apply to
+    {!defaults}; front ends then call {!validate}. *)
+module Flags : sig
+  val one_shot : op -> (t -> t) Cmdliner.Term.t
+  (** The flags of [sertool analyze], [optimize], [rate] or [odc]:
+      absent values are {!defaults}', so with no flags the override is
+      the identity. *)
+
+  val client : (t -> t) Cmdliner.Term.t
+  (** Every request field as an optional flag, for [sertool client]:
+      an absent flag keeps the op's default. *)
+
+  val batch : (source -> t) Cmdliner.Term.t
+  (** [sertool batch run]'s [--cmd], [--vectors] (2000) and [--evals]
+      (60): the request of one manifest job, with one greedy pass. *)
+
+  val axes : (t -> t) Cmdliner.Term.t
+  (** Just [--vdds]/[--vths], for commands that build a library
+      without running a request op. *)
+end

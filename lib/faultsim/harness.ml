@@ -974,8 +974,13 @@ let with_server ?(configure = fun c -> c) f =
 
 let analyze_req ?id ?isolate ?fault () =
   Request.to_json
-    (Request.make ?id ?isolate ?fault ~vectors:200 Request.Analyze
-       (Request.Spec "c17"))
+    {
+      (Request.defaults Request.Analyze (Request.Spec "c17")) with
+      Request.id;
+      isolate;
+      fault;
+      vectors = 200;
+    }
 
 let raw_connect socket =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1021,7 +1026,9 @@ let serve_scenarios () =
         (fun () ->
           with_server (fun ~dir:_ ~socket ~addr ->
               let fd = raw_connect socket in
-              (match Frame.write_frame fd (analyze_req ~fault:"sleep:200" ())
+              (match
+                 Frame.write_frame fd
+                   (analyze_req ~fault:(Request.Sleep_ms 200.) ())
                with
               | Ok () | Error _ -> ());
               Unix.close fd;
@@ -1155,7 +1162,8 @@ let serve_scenarios () =
                 List.init n (fun _ ->
                     let fd = raw_connect socket in
                     (match
-                       Frame.write_frame fd (analyze_req ~fault:"sleep:300" ())
+                       Frame.write_frame fd
+                         (analyze_req ~fault:(Request.Sleep_ms 300.) ())
                      with
                     | Ok () | Error _ -> ());
                     fd)

@@ -109,14 +109,7 @@ let of_json ~base json =
   { circuit; cost; evals; assignment = asg }
 
 let restore path ~base =
-  Diag.guard ~subsystem (fun () ->
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Json.of_string text with
-      | Error msg -> fail "%s" msg
-      | Ok json -> of_json ~base json)
+  (match Json.of_file path with
+  | Error (Json.Io msg | Json.Syntax msg) -> Error (Diag.make ~subsystem msg)
+  | Ok json -> Diag.guard ~subsystem (fun () -> of_json ~base json))
   |> Result.map_error (fun d -> Diag.with_context d [ Diag.file path ])

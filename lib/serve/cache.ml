@@ -88,18 +88,13 @@ let insert t k v =
 let load t path =
   if not (Sys.file_exists path) then []
   else
-    match
-      Diag.guard ~subsystem (fun () ->
-          let ic = open_in_bin path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          match Json.of_string s with
-          | Error msg -> failwith msg
-          | Ok j -> j)
-    with
-    | Error d ->
-      [ Diag.with_context d [ ("file", path); ("action", "cache-load") ] ]
+    match Json.of_file path with
+    | Error (Json.Io msg | Json.Syntax msg) ->
+      [
+        Diag.make ~subsystem
+          ~context:[ ("file", path); ("action", "cache-load") ]
+          msg;
+      ]
     | Ok j -> (
       match Json.member "entries" j with
       | Some (Json.List items) ->

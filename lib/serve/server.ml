@@ -245,13 +245,11 @@ let diagf fmt = Printf.ksprintf (fun m -> Diag.make ~subsystem m) fmt
    worker's problem, not the daemon's. *)
 let inline_fault_ok = function
   | None -> Ok None
-  | Some f when String.length f > 6 && String.sub f 0 6 = "sleep:" -> (
-    match float_of_string_opt (String.sub f 6 (String.length f - 6)) with
-    | Some ms when ms >= 0. -> Ok (Some (ms /. 1000.))
-    | _ -> Error (diagf "unparseable sleep fault %S" f))
+  | Some (Request.Sleep_ms ms) -> Ok (Some (ms /. 1000.))
   | Some f ->
     Error
-      (diagf "fault %S requires an isolated worker (set \"isolate\": true)" f)
+      (diagf "fault %S requires an isolated worker (set \"isolate\": true)"
+         (Request.fault_to_string f))
 
 let pool_params (req : Request.t) =
   Json.Obj
@@ -415,12 +413,7 @@ let run_isolated st (req : Request.t) ~deadline_left =
       (fun p -> try Sys.remove p with Sys_error _ -> ())
       [ spool; jpath ]
   in
-  let write_spool () =
-    let oc = open_out_bin spool in
-    output_string oc (Json.to_string (Request.to_json req));
-    close_out oc
-  in
-  match Diag.guard ~subsystem write_spool with
+  match Request.to_file spool req with
   | Error d ->
     cleanup ();
     Error (Wire.Internal, d)

@@ -275,6 +275,13 @@ let to_str_opt = function Str s -> Some s | _ -> None
 
 let to_list_opt = function List l -> Some l | _ -> None
 
+type file_error = Io of string | Syntax of string
+
+let of_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error (Io msg)
+  | s -> Result.map_error (fun msg -> Syntax msg) (of_string s)
+
 let to_file ?indent path t =
   match
     let oc = open_out path in

@@ -21,6 +21,13 @@ val of_string : string -> (t, string) result
 (** Parse a JSON document. Errors carry the byte offset. Total: never
     raises on any input. *)
 
+type file_error =
+  | Io of string  (** the file could not be opened or read *)
+  | Syntax of string  (** the bytes are not one JSON document *)
+
+val of_file : string -> (t, file_error) result
+(** Read and parse a whole file. Total: never raises. *)
+
 val to_file : ?indent:bool -> string -> t -> (unit, string) result
 (** Write [to_string t] plus a trailing newline to [path]. I/O errors
     ([Sys_error]) surface as [Error msg]; never raises. *)

@@ -253,8 +253,13 @@ let test_digest_mismatch () =
 
 let test_request_codec () =
   let req =
-    Request.make ~vectors:1234 ~odc_mode:"sampled" ~odc_seed:7
-      ~odc_threshold:0.1 Request.Odc (Request.Spec "c17")
+    {
+      (Request.defaults Request.Odc (Request.Spec "c17")) with
+      Request.vectors = 1234;
+      odc_mode = "sampled";
+      odc_seed = 7;
+      odc_threshold = 0.1;
+    }
   in
   match Request.of_json (Request.to_json req) with
   | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
@@ -273,7 +278,7 @@ let decode_err json =
 
 let test_request_validation () =
   let base =
-    Request.to_json (Request.make Request.Odc (Request.Spec "c17"))
+    Request.to_json (Request.defaults Request.Odc (Request.Spec "c17"))
   in
   let with_field name v =
     match base with

@@ -381,7 +381,10 @@ let test_tiered_optimizer () =
 
 let test_request_backend_codec () =
   let req =
-    Request.make ~backend:"serpp" Request.Analyze (Request.Spec "c17")
+    {
+      (Request.defaults Request.Analyze (Request.Spec "c17")) with
+      Request.backend = "serpp";
+    }
   in
   (match Request.of_json (Request.to_json req) with
   | Ok r -> Alcotest.(check string) "backend round-trips" "serpp" r.Request.backend
@@ -408,8 +411,11 @@ let test_request_backend_codec () =
 
 let test_request_tier_codec () =
   let req =
-    Request.make ~eval_tier:"serpp" ~tier_k:3 Request.Optimize
-      (Request.Spec "c17")
+    {
+      (Request.defaults Request.Optimize (Request.Spec "c17")) with
+      Request.eval_tier = "serpp";
+      tier_k = 3;
+    }
   in
   (match Request.of_json (Request.to_json req) with
   | Ok r ->
@@ -426,17 +432,14 @@ let test_request_tier_codec () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tier_k 0 accepted");
-  (* the flag path (Request.make) runs the same check and fails typed *)
+  (* the flag path (Request.validate) runs the same check and fails typed *)
   List.iter
     (fun k ->
-      match
-        Request.make ~eval_tier:"serpp" ~tier_k:k Request.Optimize
-          (Request.Spec "c17")
-      with
-      | exception Ser_util.Diag.Diag_error d ->
+      match Request.validate { req with Request.tier_k = k } with
+      | Error d ->
         Alcotest.(check string) "typed cli diagnostic" "cli"
           d.Ser_util.Diag.subsystem
-      | _ -> Alcotest.failf "Request.make accepted tier_k %d" k)
+      | Ok _ -> Alcotest.failf "Request.validate accepted tier_k %d" k)
     [ 0; -3 ];
   (* and the optimizer no longer clamps a bad k to 1 *)
   let l, asg = sized_bench "c17" in

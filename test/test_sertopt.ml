@@ -563,8 +563,12 @@ let test_handler_resume_sizes_once () =
   let module Handlers = Ser_cli.Handlers in
   let module Metrics = Ser_obs.Obs.Metrics in
   let req =
-    Request.make ~vectors:300 ~evals:4 ~greedy:0 Request.Optimize
-      (Request.Spec "c17")
+    {
+      (Request.defaults Request.Optimize (Request.Spec "c17")) with
+      Request.vectors = 300;
+      evals = 4;
+      greedy = 0;
+    }
   in
   let trials () =
     match Metrics.find_counter "sta.sizing_trials" with

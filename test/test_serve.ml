@@ -190,16 +190,43 @@ let test_cache_enospc () =
 (* --------------------- request / wire codecs ----------------------- *)
 
 let test_request_roundtrip () =
+  let with_fault f r =
+    match Request.fault_of_string f with
+    | Ok f -> { r with Request.fault = Some f }
+    | Error msg -> Alcotest.failf "fault %S rejected: %s" f msg
+  in
+  let analyze = Request.defaults Request.Analyze (Request.Spec "c17") in
   let reqs =
     [
-      Request.make ~id:"a" ~vectors:123 ~charge:8.5 ~top:3
-        ~vdds:[ 0.9; 1.0 ] ~deadline_s:2.5 ~isolate:true Request.Analyze
-        (Request.Spec "c17");
-      Request.make ~evals:17 ~greedy:1 ~budget_evals:9 ~fault:"sleep:10"
-        Request.Optimize
-        (Request.Inline_bench "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
-      Request.make ~clock:250. ~q_slope:4.5 Request.Rate (Request.Spec "c432");
+      {
+        analyze with
+        Request.id = Some "a";
+        vectors = 123;
+        charge = 8.5;
+        top = 3;
+        vdds = [ 0.9; 1.0 ];
+        deadline_s = Some 2.5;
+        isolate = Some true;
+      };
+      with_fault "sleep:10"
+        {
+          (Request.defaults Request.Optimize
+             (Request.Inline_bench "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"))
+          with
+          Request.evals = 17;
+          greedy = 1;
+          budget_evals = Some 9;
+        };
+      {
+        (Request.defaults Request.Rate (Request.Spec "c432")) with
+        Request.clock = Some 250.;
+        q_slope = 4.5;
+      };
     ]
+    (* every fault form keeps its JSON string byte-identical *)
+    @ List.map
+        (fun f -> with_fault f analyze)
+        [ "sleep:50"; "sleep:0.25"; "exit:3"; "flaky:2"; "hang"; "oom" ]
   in
   List.iter
     (fun r ->
@@ -207,6 +234,9 @@ let test_request_roundtrip () =
       | Error d -> Alcotest.failf "round-trip rejected: %s" (Diag.to_string d)
       | Ok r' ->
         Alcotest.(check bool) "record preserved" true (r' = r);
+        Alcotest.(check string) "canonical json stable"
+          (Json.to_string (Request.to_json r))
+          (Json.to_string (Request.to_json r'));
         Alcotest.(check string) "canonical params stable"
           (Json.to_string (Request.params_json r))
           (Json.to_string (Request.params_json r')))
@@ -227,6 +257,18 @@ let test_request_rejects () =
             ("vectors", Json.int (-5));
           ] );
     ]
+    (* a malformed fault is a typed error, not a silent exit 1 /
+       flaky:2 in the worker *)
+    @ List.map
+        (fun f ->
+          ( "fault " ^ f,
+            Json.Obj
+              [
+                ("op", Json.Str "analyze");
+                ("circuit", Json.Str "c17");
+                ("fault", Json.Str f);
+              ] ))
+        [ "exit:abc"; "flaky:x"; "exit:"; "sleep:-5"; "sleep:soon"; "frob" ]
   in
   List.iter
     (fun (name, j) ->
@@ -289,7 +331,11 @@ let client_opts =
 
 let analyze_json ?id () =
   Request.to_json
-    (Request.make ?id ~vectors:200 Request.Analyze (Request.Spec "c17"))
+    {
+      (Request.defaults Request.Analyze (Request.Spec "c17")) with
+      Request.id;
+      vectors = 200;
+    }
 
 let call_ok addr req =
   match Client.call ~opts:client_opts addr req with
