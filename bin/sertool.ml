@@ -46,9 +46,36 @@ let apply_obs (trace, metrics, sample) =
    investigations can see how the work was spread without the output
    format changing *)
 let report_pool () =
-  if Ser_par.Par.jobs () > 1 then
-    prerr_endline
-      ("sertool: " ^ Ser_util.Diag.to_string (Ser_par.Par.stats_diag ()))
+  let jobs = Ser_par.Par.jobs () in
+  if jobs > 1 then begin
+    let count name =
+      Option.fold ~none:0 ~some:Obs.Metrics.value (Obs.Metrics.find_counter name)
+    in
+    (* the per-slot busy gauges are registered densely from slot 0 *)
+    let rec busy slot =
+      match Obs.Metrics.find_gauge ("par.busy_s.slot" ^ string_of_int slot) with
+      | Some g ->
+        Printf.sprintf "%.3f" (Obs.Metrics.gauge_value g) :: busy (slot + 1)
+      | None -> []
+    in
+    let sections = count "par.sections" in
+    let chunks = count "par.chunks" and stolen = count "par.stolen_chunks" in
+    let d =
+      Ser_util.Diag.makef ~severity:Ser_util.Diag.Info ~subsystem:"par"
+        ~context:
+          [
+            ("jobs", string_of_int jobs);
+            ("sections", string_of_int sections);
+            ("sequential_sections", string_of_int (count "par.sequential_sections"));
+            ("chunks", string_of_int chunks);
+            ("stolen_chunks", string_of_int stolen);
+            ("busy_s", String.concat "," (busy 0));
+          ]
+        "pool executed %d parallel sections (%d chunks, %d stolen) on %d jobs"
+        sections chunks stolen jobs
+    in
+    prerr_endline ("sertool: " ^ Ser_util.Diag.to_string d)
+  end
 
 (* user-facing failures (bad file, unknown name, located diagnostics)
    become a one-line stderr message and a classed exit code instead of
@@ -154,22 +181,8 @@ let analyze_cmd run spec override odc json dot =
     or_diag (Handlers.analyze ?odc_report req)
   in
   let dt = Unix.gettimeofday () -. t0 in
-  (* both backends expose per-gate values on the same surface; the
-     table below only needs the shared projection *)
   let c, values, gen_width, critical_delay, total =
-    match result with
-    | Handlers.Aserta r ->
-      ( r.Aserta.Analysis.circuit,
-        r.Aserta.Analysis.unreliability,
-        r.Aserta.Analysis.gen_width,
-        r.Aserta.Analysis.timing.Ser_sta.Timing.critical_delay,
-        r.Aserta.Analysis.total )
-    | Handlers.Serpp s ->
-      ( s.Ser_serpp.Serpp.circuit,
-        s.Ser_serpp.Serpp.estimate,
-        s.Ser_serpp.Serpp.gen_width,
-        s.Ser_serpp.Serpp.timing.Ser_sta.Timing.critical_delay,
-        s.Ser_serpp.Serpp.total )
+    Handlers.backend_view result
   in
   Printf.printf "circuit %s: %d gates, critical delay %.1f ps\n"
     c.Ser_netlist.Circuit.name
@@ -195,26 +208,23 @@ let analyze_cmd run spec override odc json dot =
     Printf.printf "odc: pruned %d provably-masked fault sites (report %s)\n"
       pruned path
   | None -> ());
-  let idx = Array.init (Array.length values) Fun.id in
-  Array.sort (fun a b -> compare values.(b) values.(a)) idx;
   Printf.printf "top %d softest gates:\n" top;
   let tbl =
     Ser_util.Ascii_table.create
       ~aligns:[ Ser_util.Ascii_table.Left; Ser_util.Ascii_table.Left ]
       [ "gate"; "cell"; "U_i"; "w_gen (ps)"; "share" ]
   in
-  Array.iteri
-    (fun k id ->
-      if k < top && values.(id) > 0. then
-        Ser_util.Ascii_table.add_row tbl
-          [
-            (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name;
-            Ser_device.Cell_params.to_string (Ser_sta.Assignment.get asg id);
-            Printf.sprintf "%.1f" values.(id);
-            Printf.sprintf "%.1f" gen_width.(id);
-            Printf.sprintf "%.1f%%" (100. *. values.(id) /. total);
-          ])
-    idx;
+  List.iter
+    (fun id ->
+      Ser_util.Ascii_table.add_row tbl
+        [
+          (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name;
+          Ser_device.Cell_params.to_string (Ser_sta.Assignment.get asg id);
+          Printf.sprintf "%.1f" values.(id);
+          Printf.sprintf "%.1f" gen_width.(id);
+          Printf.sprintf "%.1f%%" (100. *. values.(id) /. total);
+        ])
+    (Handlers.top_indices values top);
   Ser_util.Ascii_table.print tbl;
   (match json with
   | Some path ->
@@ -380,19 +390,15 @@ let rate_cmd run spec override =
      clock %.0f ps, exponential charge spectrum with Qs = %.1f fC\n\n"
     c.Ser_netlist.Circuit.name r.Aserta.Ser_rate.total
     r.Aserta.Ser_rate.clock_period q_slope;
-  let idx = Array.init (Array.length r.Aserta.Ser_rate.per_gate) Fun.id in
-  Array.sort
-    (fun a b -> compare r.Aserta.Ser_rate.per_gate.(b) r.Aserta.Ser_rate.per_gate.(a))
-    idx;
+  let per_gate = r.Aserta.Ser_rate.per_gate in
   Printf.printf "top %d contributors:\n" top;
-  Array.iteri
-    (fun k id ->
-      if k < top && r.Aserta.Ser_rate.per_gate.(id) > 0. then
-        Printf.printf "  %-12s %8.3f FIT (%.1f%%)\n"
-          (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name
-          r.Aserta.Ser_rate.per_gate.(id)
-          (100. *. r.Aserta.Ser_rate.per_gate.(id) /. r.Aserta.Ser_rate.total))
-    idx
+  List.iter
+    (fun id ->
+      Printf.printf "  %-12s %8.3f FIT (%.1f%%)\n"
+        (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name
+        per_gate.(id)
+        (100. *. per_gate.(id) /. r.Aserta.Ser_rate.total))
+    (Handlers.top_indices per_gate top)
 
 let xval_cmd run spec corpus vectors charge top json =
   one_shot "xval" run @@ fun () ->

@@ -47,6 +47,29 @@ type masking = {
   path_probs : Probs.path_probs;
 }
 
+(* The assignment-independent part of one interior gate's WS table
+   (Section 3.2, step (iii)): its unique successors, which fix the
+   gate's dependency level, and per output j the Eq-2 blend
+   contributions (weight, successor id) with weight > 0 and P_sj > 0,
+   in successor order. *)
+type gate_ctx = {
+  g_succs : int array;
+  g_pairs : (float * int) array array;
+}
+
+type context = {
+  x_samples : float array;
+  x_n_pos : int;
+  x_po_pos : int array;
+  x_probs : float array;
+  x_zero : float array;
+      (* the one all-zero row that every dead output's table row
+         aliases; rows are never mutated after publication, so sharing
+         it is safe and saves the bulk of the allocations *)
+  x_gates : gate_ctx option array;
+      (* [None] exactly at primary inputs and primary outputs *)
+}
+
 type t = {
   config : config;
   circuit : Circuit.t;
@@ -58,6 +81,7 @@ type t = {
   total : float;
   samples : float array;
   tables : float array array array;
+  context : context;
 }
 
 let sample_widths config =
@@ -128,120 +152,7 @@ let output_positions (c : Circuit.t) =
   Array.iteri (fun pos id -> po_pos.(id) <- pos) c.outputs;
   po_pos
 
-(* The WS table of one gate (Section 3.2). Reads the [delays] of the
-   gate's successors and their already-computed rows in [tables] — and
-   nothing else that depends on the cell assignment — so it is the
-   shared kernel of both the from-scratch pass below and the
-   incremental engine (lib/incr): recomputing a gate through this one
-   function with bit-identical inputs gives bit-identical output. *)
-let ws_table config masking ~samples:ws ~po_pos ~delays ~tables
-    (c : Circuit.t) id =
-  let n_pos = Array.length c.outputs in
-  let n_samples = Array.length ws in
-  let p = masking.path_probs.Probs.p in
-  let t = Array.make_matrix n_pos n_samples 0. in
-  if po_pos.(id) >= 0 then begin
-    (* step (ii): a primary-output gate passes glitches straight to
-       its own latch and, per the paper, to no other output *)
-    let row = t.(po_pos.(id)) in
-    Array.blit ws 0 row 0 n_samples
-  end
-  else begin
-    (* step (iii): blend successors' expected widths with pi_isj.
-       The Eq-1 attenuation and the interpolation bracket of the
-       attenuated width in the sample grid depend only on the
-       successor and the sample, so they are hoisted out of the
-       per-output loop (the hot loop of SERTOPT's inner cost). *)
-    let succs = Array.of_list (successors c id) in
-    let n_succ = Array.length succs in
-    let sens =
-      Array.map
-        (fun s ->
-          Probs.sensitization_to_driver c ~probs:masking.probs ~gate:s
-            ~driver:id)
-        succs
-    in
-    (* per successor and sample: interpolation bracket of the
-       attenuated width, or -1 when fully attenuated *)
-    let lo = Array.make_matrix n_succ n_samples (-1) in
-    let fr = Array.make_matrix n_succ n_samples 0. in
-    for si = 0 to n_succ - 1 do
-      let ds = delays.(succs.(si)) in
-      for k = 0 to n_samples - 1 do
-        let wo = Glitch.propagate ~delay:ds ~width:ws.(k) in
-        if wo > 0. then begin
-          let b = Ser_util.Floatx.binary_search_bracket ws wo in
-          let woc =
-            Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wo
-          in
-          lo.(si).(k) <- b;
-          fr.(si).(k) <- Ser_util.Floatx.inv_lerp ws.(b) ws.(b + 1) woc
-        end
-      done
-    done;
-    for j = 0 to n_pos - 1 do
-      let pij = p.(id).(j) in
-      if pij > 0. then begin
-        let denom =
-          match config.split with
-          | Naive -> 1.
-          | Normalized ->
-            let acc = ref 0. in
-            for si = 0 to n_succ - 1 do
-              acc := !acc +. (sens.(si) *. p.(succs.(si)).(j))
-            done;
-            !acc
-        in
-        if denom > 0. then begin
-          let row = t.(j) in
-          for si = 0 to n_succ - 1 do
-            let s = succs.(si) in
-            let psj = p.(s).(j) in
-            let weight =
-              match config.split with
-              | Normalized -> sens.(si) *. pij /. denom
-              | Naive -> sens.(si) *. psj
-            in
-            if weight > 0. && psj > 0. then begin
-              let s_row = tables.(s).(j) in
-              let lo_s = lo.(si) and fr_s = fr.(si) in
-              for k = 0 to n_samples - 1 do
-                let b = Array.unsafe_get lo_s k in
-                if b >= 0 then begin
-                  let y0 = Array.unsafe_get s_row b in
-                  let y1 = Array.unsafe_get s_row (b + 1) in
-                  let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
-                  Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
-                end
-              done
-            end
-          done
-        end
-      end
-    done
-  end;
-  t
-
-(* Hoisted form of [ws_table] for repeated re-evaluation of the same
-   gate (the incremental engine): everything that does not depend on
-   the cell assignment — the unique successors, their sensitizations,
-   and the Eq-2 blend weights per (output, successor) — is computed
-   once with exactly the expressions of [ws_table], so replaying the
-   remaining delay-dependent part ([ws_brackets] + [ws_table_ctx])
-   reproduces [ws_table]'s matrix bit for bit. *)
-type ws_ctx = {
-  ws_succs : int array;
-  ws_pairs : (float * int) array array;
-      (* per output j: the (weight, si) contributions with
-         weight > 0 and P_sj > 0, in ascending si order *)
-  ws_zero : float array;
-      (* one shared all-zero row for the outputs with no contributions;
-         rows are never mutated after publication, so aliasing it across
-         matrices is safe and saves the bulk of the allocations *)
-}
-
-let make_ws_ctx config masking (c : Circuit.t) id =
-  let n_pos = Array.length c.outputs in
+let gate_ctx config masking (c : Circuit.t) id =
   let p = masking.path_probs.Probs.p in
   let succs = Array.of_list (successors c id) in
   let n_succ = Array.length succs in
@@ -252,7 +163,7 @@ let make_ws_ctx config masking (c : Circuit.t) id =
       succs
   in
   let pairs =
-    Array.init n_pos (fun j ->
+    Array.init (Array.length c.outputs) (fun j ->
         let pij = p.(id).(j) in
         if not (pij > 0.) then [||]
         else begin
@@ -270,29 +181,44 @@ let make_ws_ctx config masking (c : Circuit.t) id =
           else begin
             let out = ref [] in
             for si = n_succ - 1 downto 0 do
-              let psj = p.(succs.(si)).(j) in
+              let s = succs.(si) in
+              let psj = p.(s).(j) in
               let weight =
                 match config.split with
                 | Normalized -> sens.(si) *. pij /. denom
                 | Naive -> sens.(si) *. psj
               in
-              if weight > 0. && psj > 0. then out := (weight, si) :: !out
+              if weight > 0. && psj > 0. then out := (weight, s) :: !out
             done;
             Array.of_list !out
           end
         end)
   in
-  { ws_succs = succs; ws_pairs = pairs; ws_zero = Array.make config.n_samples 0. }
+  { g_succs = succs; g_pairs = pairs }
 
-let ws_ctx_succs ctx = ctx.ws_succs
-let ws_ctx_live ctx j = Array.length ctx.ws_pairs.(j) > 0
-let ws_ctx_zero_row ctx = ctx.ws_zero
+(* Every gate's context; the gates are independent, so they are built
+   over the lib/par pool. *)
+let context config masking (c : Circuit.t) =
+  let n = Circuit.node_count c in
+  let po_pos = output_positions c in
+  let gates = Array.make n None in
+  Ser_par.Par.parallel_for ~n (fun id ->
+      if not (Circuit.is_input c id || po_pos.(id) >= 0) then
+        gates.(id) <- Some (gate_ctx config masking c id));
+  {
+    x_samples = sample_widths config;
+    x_n_pos = Array.length c.outputs;
+    x_po_pos = po_pos;
+    x_probs = masking.probs;
+    x_zero = Array.make config.n_samples 0.;
+    x_gates = gates;
+  }
 
-(* The Eq-1 attenuation brackets of the sample grid through one
-   successor delay: for each sample width, the interpolation bracket of
-   the attenuated width (or -1 when fully attenuated) and its fraction.
-   Depends only on [delay] and the grid, so the incremental engine
-   memoises it per delay value. *)
+(* The Eq-1 attenuation brackets of the sample grid through one gate
+   delay: for each sample width, the interpolation bracket of the
+   attenuated width (or -1 when fully attenuated) and its fraction.
+   Depends only on [delay] and the grid, so it is computed once per
+   gate delay and read by every driver of the gate. *)
 let ws_brackets ~samples:ws ~delay =
   let n_samples = Array.length ws in
   let lo = Array.make n_samples (-1) in
@@ -308,117 +234,133 @@ let ws_brackets ~samples:ws ~delay =
   done;
   (lo, fr)
 
-(* [ws_table] with the context and brackets precomputed; only valid for
-   a non-input, non-primary-output gate. [brackets.(si)] must be
-   [ws_brackets ~samples ~delay:delays.(ws_succs.(si))]. *)
-let ws_table_ctx ctx ~samples:ws ~n_pos ~brackets ~tables _c id =
-  ignore id;
+(* The WS table of one non-input gate (Section 3.2), the one kernel of
+   both the from-scratch pass below and the incremental engine
+   (lib/incr): recomputing a gate with bit-identical inputs gives a
+   bit-identical matrix. Reads the successors' node-indexed [brackets]
+   and their rows in [tables], and nothing else that depends on the
+   cell assignment. *)
+let ws_table x ~brackets ~tables id =
+  let ws = x.x_samples in
   let n_samples = Array.length ws in
-  let zero =
-    if Array.length ctx.ws_zero = n_samples then ctx.ws_zero
-    else Array.make n_samples 0.
-  in
-  let t =
-    Array.init n_pos (fun j ->
-        if Array.length ctx.ws_pairs.(j) = 0 then zero
-        else Array.make n_samples 0.)
-  in
-  for j = 0 to n_pos - 1 do
-    let pairs = ctx.ws_pairs.(j) in
-    if Array.length pairs > 0 then begin
-      let row = t.(j) in
-      Array.iter
-        (fun (weight, si) ->
-          let s = ctx.ws_succs.(si) in
-          let s_row = tables.(s).(j) in
-          let lo_s, fr_s = brackets.(si) in
-          for k = 0 to n_samples - 1 do
-            let b = Array.unsafe_get lo_s k in
-            if b >= 0 then begin
-              let y0 = Array.unsafe_get s_row b in
-              let y1 = Array.unsafe_get s_row (b + 1) in
-              let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
-              Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
-            end
-          done)
-        pairs
-    end
-  done;
-  t
+  match x.x_gates.(id) with
+  | None ->
+    (* step (ii): a primary-output gate passes glitches straight to
+       its own latch and, per the paper, to no other output *)
+    let po = x.x_po_pos.(id) in
+    Array.init x.x_n_pos (fun j -> if j = po then Array.copy ws else x.x_zero)
+  | Some g ->
+    (* step (iii): blend the successors' expected widths at the
+       attenuated sample widths with the Eq-2 weights *)
+    Array.mapi
+      (fun j pairs ->
+        if Array.length pairs = 0 then x.x_zero
+        else begin
+          let row = Array.make n_samples 0. in
+          Array.iter
+            (fun (weight, s) ->
+              let s_row = tables.(s).(j) in
+              let lo_s, fr_s = brackets.(s) in
+              for k = 0 to n_samples - 1 do
+                let b = Array.unsafe_get lo_s k in
+                if b >= 0 then begin
+                  let y0 = Array.unsafe_get s_row b in
+                  let y1 = Array.unsafe_get s_row (b + 1) in
+                  let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
+                  Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
+                end
+              done)
+            pairs;
+          row
+        end)
+      g.g_pairs
 
 (* Steps (i)/(iv) + Eqs 3-4 for one gate, given the two generated
-   glitch widths (strike with output low / high) and the gate area —
+   glitch widths (strike with output low / high) and the gate area;
    the electrical LUT lookups stay with the caller so the incremental
-   engine can put a memo table in front of them. Returns
-   (w_i, W_ij row, U_i). *)
-let gate_unreliability masking ~samples:ws ~po_pos ~tables ~n_pos ~w_low
-    ~w_high ~area id =
-  let p1 = masking.probs.(id) in
+   engine can put a memo table in front of them. The interpolation
+   bracket of [w_i] is found once for all outputs, and an output with
+   no WS contributions (its table row is provably all zeros, where the
+   interpolation is exactly [+0.]) returns the literal without reading
+   the table. Returns (w_i, W_ij row, U_i). *)
+let gate_unreliability x ~tables ~w_low ~w_high ~area id =
+  let p1 = x.x_probs.(id) in
   let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
+  let ws = x.x_samples in
+  let n_samples = Array.length ws in
+  let br = Ser_util.Floatx.binary_search_bracket ws wi in
+  let wc = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wi in
+  let fr = Ser_util.Floatx.inv_lerp ws.(br) ws.(br + 1) wc in
+  let po = x.x_po_pos.(id) in
   let wij =
-    Array.init n_pos (fun j ->
-        if po_pos.(id) = j then wi
-        else if tables.(id) = [||] then 0.
-        else Lut.interpolate_1d ~xs:ws ~ys:tables.(id).(j) wi)
+    Array.init x.x_n_pos (fun j ->
+        if j = po then wi
+        else
+          match x.x_gates.(id) with
+          | Some g when Array.length g.g_pairs.(j) > 0 ->
+            let row = tables.(id).(j) in
+            Ser_util.Floatx.lerp row.(br) row.(br + 1) fr
+          | Some _ | None -> 0.)
   in
   (wi, wij, area *. Ser_util.Floatx.sum wij)
 
 let run_electrical config lib asg masking =
   let c = Assignment.circuit asg in
   let n = Circuit.node_count c in
-  let n_pos = Array.length c.outputs in
   Obs.Metrics.incr m_analyses;
   let timing =
     Obs.Trace.with_span "aserta.sta" (fun () ->
         Timing.analyze ~env:config.env lib asg)
   in
-  let ws = sample_widths config in
   (* expected output width tables per gate: WS.(id).(po).(k) *)
   let table = Array.make n [||] in
-  let po_pos = output_positions c in
-  let compute_table id =
-    table.(id) <-
-      ws_table config masking ~samples:ws ~po_pos
-        ~delays:timing.Timing.delays ~tables:table c id
-  in
-  (* The WS table of a gate reads only the tables of its successors
-     (and nothing at all for a primary-output gate), so the gates are
-     scheduled in reverse-topological {e dependency levels}: level 0
-     holds the gates whose table reads no other (primary-output gates
-     and fan-out-free sinks), level [l+1] the gates all of whose
-     successors sit at level <= [l]. Gates within a level are
-     independent and fan out over the lib/par pool; every per-gate
-     computation is untouched, so the tables are bit-identical for any
-     worker count. *)
-  let level = Array.make n (-1) in
-  let max_level = ref 0 in
-  for id = n - 1 downto 0 do
-    if not (Circuit.is_input c id) then begin
-      let l =
-        if po_pos.(id) >= 0 then 0
-        else
-          List.fold_left
-            (fun acc s -> max acc (level.(s) + 1))
-            0 (successors c id)
+  let x =
+    Obs.Trace.with_span "aserta.ws_tables" @@ fun () ->
+      let x = context config masking c in
+      let brackets =
+        Array.init n (fun id ->
+            if Circuit.is_input c id then ([||], [||])
+            else ws_brackets ~samples:x.x_samples ~delay:timing.Timing.delays.(id))
       in
-      level.(id) <- l;
-      if l > !max_level then max_level := l
-    end
-  done;
-  let by_level = Array.make (!max_level + 1) [] in
-  for id = n - 1 downto 0 do
-    if level.(id) >= 0 then by_level.(level.(id)) <- id :: by_level.(level.(id))
-  done;
-  Obs.Trace.with_span "aserta.ws_tables" (fun () ->
+      (* The WS table of a gate reads only the tables of its successors
+         (and nothing at all for a primary-output gate), so the gates are
+         scheduled in reverse-topological {e dependency levels}: level 0
+         holds the gates whose table reads no other (primary-output gates
+         and fan-out-free sinks), level [l+1] the gates all of whose
+         successors sit at level <= [l]. Gates within a level are
+         independent and fan out over the lib/par pool; every per-gate
+         computation is untouched, so the tables are bit-identical for any
+         worker count. *)
+      let level = Array.make n (-1) in
+      let max_level = ref 0 in
+      for id = n - 1 downto 0 do
+        if not (Circuit.is_input c id) then begin
+          let l =
+            match x.x_gates.(id) with
+            | None -> 0
+            | Some g ->
+              Array.fold_left (fun acc s -> max acc (level.(s) + 1)) 0 g.g_succs
+          in
+          level.(id) <- l;
+          if l > !max_level then max_level := l
+        end
+      done;
+      let by_level = Array.make (!max_level + 1) [] in
+      for id = n - 1 downto 0 do
+        if level.(id) >= 0 then by_level.(level.(id)) <- id :: by_level.(level.(id))
+      done;
       Array.iter
         (fun ids ->
           let ids = Array.of_list ids in
           Ser_par.Par.parallel_for ~n:(Array.length ids) (fun k ->
-              compute_table ids.(k)))
-        by_level);
+              table.(ids.(k)) <- ws_table x ~brackets ~tables:table ids.(k)))
+        by_level;
+      x
+  in
   (* generated widths, step (iv) interpolation, and Eqs 3-4; the
      per-gate pass is embarrassingly parallel, the total is summed
      sequentially in gate order afterwards *)
+  let n_pos = x.x_n_pos in
   let gen_width = Array.make n 0. in
   let expected_width = Array.make n [||] in
   let unreliability = Array.make n 0. in
@@ -442,10 +384,8 @@ let run_electrical config lib asg masking =
           ~output_low:false
       in
       let wi, wij, u =
-        gate_unreliability masking ~samples:ws ~po_pos ~tables:table ~n_pos
-          ~w_low ~w_high
-          ~area:(Library.area lib cell)
-          id
+        gate_unreliability x ~tables:table ~w_low ~w_high
+          ~area:(Library.area lib cell) id
       in
       gen_width.(id) <- wi;
       expected_width.(id) <- wij;
@@ -463,8 +403,9 @@ let run_electrical config lib asg masking =
     expected_width;
     unreliability;
     total = !total;
-    samples = ws;
+    samples = x.x_samples;
     tables = table;
+    context = x;
   }
 
 let run ?(config = default_config) ?prune lib asg =

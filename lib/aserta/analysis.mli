@@ -69,6 +69,14 @@ type masking = {
     input statistics — not on sizing/VDD/Vth — so SERTOPT computes it
     once and re-runs only the electrical pass in its loop. *)
 
+type context
+(** The assignment-independent part of the electrical pass, built once
+    per {!run_electrical} call from the config, the masking and the
+    circuit: the sample grid, and per interior gate its unique
+    successors and Eq-2 blend weights per (output, successor). Valid for
+    any cell assignment of the same circuit, so the incremental engine
+    ([Ser_incr.Incr]) reuses it for every update. *)
+
 type t = {
   config : config;
   circuit : Ser_netlist.Circuit.t;
@@ -87,7 +95,10 @@ type t = {
       (** [tables.(i).(j)] maps the sample widths to expected widths at
           output [j] for a glitch born at gate [i] (the WS tables of
           Section 3.2); empty at primary inputs. Kept for
-          {!expected_width_at}. *)
+          {!expected_width_at} and the incremental engine. Rows are
+          shared (every row a gate cannot reach aliases one all-zero
+          row) and must not be mutated. *)
+  context : context;  (** the context this pass built *)
 }
 
 val compute_masking :
@@ -113,7 +124,10 @@ val compute_masking :
 val run_electrical :
   config -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> masking -> t
 (** Electrical + latching pass for a given cell assignment, reusing
-    precomputed masking. O((V + E) * samples * outputs). *)
+    precomputed masking. Builds its {!context} once (in parallel over
+    the gates) and fills every WS table and every [U_i] through
+    {!ws_table} and {!gate_unreliability}; bit-identical at any pool
+    width. O((V + E) * samples * outputs). *)
 
 val run :
   ?config:config -> ?prune:bool array ->
@@ -142,90 +156,55 @@ val output_positions : Ser_netlist.Circuit.t -> int array
 (** Per-node primary-output position ([-1] for non-output nodes), as
     used by the electrical pass. *)
 
-val ws_table :
-  config ->
-  masking ->
-  samples:float array ->
-  po_pos:int array ->
-  delays:float array ->
-  tables:float array array array ->
-  Ser_netlist.Circuit.t ->
-  int ->
-  float array array
-(** The WS expected-width table of one gate (Section 3.2): an
-    [outputs * samples] matrix giving the expected width reaching each
-    primary output for a glitch of each sample width born at the gate.
-    Reads only the per-gate [delays] of the gate's successors and their
-    rows in [tables] ([tables.(s)] must already hold every successor
-    [s]'s matrix); a primary-output gate reads nothing. This is the
-    shared kernel of {!run_electrical} and the incremental engine
-    ([Ser_incr.Incr]) — recomputing a gate through it with bit-identical
-    inputs yields a bit-identical matrix. *)
-
-type ws_ctx
-(** The assignment-independent part of one gate's {!ws_table}
-    computation: unique successors, sensitizations, Eq-2 blend weights
-    per (output, successor). *)
-
-val make_ws_ctx : config -> masking -> Ser_netlist.Circuit.t -> int -> ws_ctx
-(** Precompute the context for a non-input, non-primary-output gate.
-    Valid as long as the circuit and masking are unchanged (they are
-    fixed during optimization). *)
-
-val ws_ctx_succs : ws_ctx -> int array
-(** The gate's unique successor ids, in [ws_table] order. *)
-
-val ws_ctx_live : ws_ctx -> int -> bool
-(** Whether output position [j] has any contribution for this gate.
-    [false] guarantees the gate's WS-table row for [j] is all zeros
-    (under any assignment), so interpolating it yields exactly [+0.] —
-    the incremental engine uses this to skip dead outputs. *)
-
-val ws_ctx_zero_row : ws_ctx -> float array
-(** The context's shared all-zero row: {!ws_table_ctx} aliases it for
-    every output with {!ws_ctx_live} [= false]. Callers must treat it as
-    immutable. Exposed so the incremental engine can alias the same row
-    in matrices it did not build through [ws_table_ctx], making
-    physical-equality cutoff checks short-circuit on dead rows. *)
-
 val ws_brackets : samples:float array -> delay:float -> int array * float array
-(** The Eq-1 attenuation of the sample grid through one successor
-    delay: per sample, the interpolation bracket of the attenuated
-    width ([-1] when fully attenuated) and its fraction. A pure
-    function of [(delay, grid)] — memoisable per delay value. *)
+(** The Eq-1 attenuation of the sample grid through one gate delay: per
+    sample, the interpolation bracket of the attenuated width ([-1] when
+    fully attenuated) and its fraction. A pure function of
+    [(delay, grid)], computed once per gate delay and read by every
+    driver of the gate. *)
 
-val ws_table_ctx :
-  ws_ctx ->
-  samples:float array ->
-  n_pos:int ->
+(** {1 Per-gate kernels}
+
+    The one WS-table kernel and the one per-gate-unreliability kernel,
+    shared by {!run_electrical} and the incremental engine
+    ([Ser_incr.Incr]): recomputing a gate through them with
+    bit-identical inputs yields bit-identical output, which is what
+    makes incremental re-analysis bit-identical to a from-scratch
+    pass. *)
+
+val ws_table :
+  context ->
   brackets:(int array * float array) array ->
   tables:float array array array ->
-  Ser_netlist.Circuit.t ->
   int ->
   float array array
-(** {!ws_table} with the context and per-successor brackets precomputed
-    ([brackets.(si)] = [ws_brackets] of successor [si]'s delay):
-    bit-identical output, used by the incremental engine to avoid
-    recomputing sensitizations and weights on every cone update. *)
+(** The WS expected-width table of one non-input gate (Section 3.2): an
+    [outputs * samples] matrix giving the expected width reaching each
+    primary output for a glitch of each sample width born at the gate.
+    [brackets] is node-indexed ([brackets.(s)] = {!ws_brackets} of gate
+    [s]'s delay); the kernel reads only the entries of the gate's
+    successors and their rows in [tables], which must already hold
+    every successor's matrix. A primary-output gate reads nothing. Rows
+    of outputs the gate cannot reach alias one shared all-zero row;
+    callers must treat every row as immutable. *)
 
 val gate_unreliability :
-  masking ->
-  samples:float array ->
-  po_pos:int array ->
+  context ->
   tables:float array array array ->
-  n_pos:int ->
   w_low:float ->
   w_high:float ->
   area:float ->
   int ->
   float * float array * float
-(** Steps (i)/(iv) and Eqs 3-4 for one gate: blend the two generated
-    glitch widths ([w_low]/[w_high], strike with output low/high) with
-    the gate's one-probability, interpolate the gate's WS table at the
-    blended width for every output, and weight by [area]. Returns
-    [(w_i, W_ij row, U_i)]. The electrical LUT lookups that produce
-    [w_low]/[w_high] stay with the caller so the incremental engine can
-    memoise them. *)
+(** Steps (i)/(iv) and Eqs 3-4 for one non-input gate: blend the two
+    generated glitch widths ([w_low]/[w_high], strike with output
+    low/high) with the gate's one-probability into [w_i], interpolate
+    the gate's WS table at [w_i] for every output, and weight by
+    [area]. Returns [(w_i, W_ij row, U_i)]. The interpolation bracket of
+    [w_i] is found once for all outputs, and an output the gate cannot
+    reach is the literal [+0.] (exactly what interpolating its all-zero
+    row gives). The electrical LUT lookups that produce [w_low]/[w_high]
+    stay with the caller so the incremental engine can memoise them. *)
 
 val successor_weight :
   t -> gate:int -> succ:int -> po:int -> float

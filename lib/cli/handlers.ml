@@ -207,24 +207,24 @@ let top_indices values top =
     idx;
   List.rev !picked
 
+(* both backends expose the same observable surface: per-gate
+   unreliability, generated widths and the shared STA pass *)
+let backend_view = function
+  | Aserta r ->
+    ( r.Aserta.Analysis.circuit,
+      r.Aserta.Analysis.unreliability,
+      r.Aserta.Analysis.gen_width,
+      r.Aserta.Analysis.timing.Ser_sta.Timing.critical_delay,
+      r.Aserta.Analysis.total )
+  | Serpp s ->
+    ( s.Ser_serpp.Serpp.circuit,
+      s.Ser_serpp.Serpp.estimate,
+      s.Ser_serpp.Serpp.gen_width,
+      s.Ser_serpp.Serpp.timing.Ser_sta.Timing.critical_delay,
+      s.Ser_serpp.Serpp.total )
+
 let analyze_payload (req : Request.t) { assignment; result } =
-  (* both backends expose the same observable surface: per-gate
-     unreliability, generated widths and the shared STA pass *)
-  let c, values, gen_width, critical_delay, total =
-    match result with
-    | Aserta r ->
-      ( r.Aserta.Analysis.circuit,
-        r.Aserta.Analysis.unreliability,
-        r.Aserta.Analysis.gen_width,
-        r.Aserta.Analysis.timing.Ser_sta.Timing.critical_delay,
-        r.Aserta.Analysis.total )
-    | Serpp s ->
-      ( s.Ser_serpp.Serpp.circuit,
-        s.Ser_serpp.Serpp.estimate,
-        s.Ser_serpp.Serpp.gen_width,
-        s.Ser_serpp.Serpp.timing.Ser_sta.Timing.critical_delay,
-        s.Ser_serpp.Serpp.total )
-  in
+  let c, values, gen_width, critical_delay, total = backend_view result in
   let top =
     top_indices values req.Request.top
     |> List.map (fun id ->

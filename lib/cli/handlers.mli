@@ -79,6 +79,17 @@ val odc : Request.t -> (Ser_odc.Odc.t, Ser_util.Diag.t) result
     by the request's [odc_mode]/[vectors]/[odc_seed]. Backend-free: no
     library is built and the VDD/Vth axes are ignored. *)
 
+val backend_view :
+  backend_result -> Ser_netlist.Circuit.t * float array * float array * float * float
+(** The surface both backends share: [(circuit, per-gate unreliability,
+    generated glitch widths, critical delay, total)]. Under serpp the
+    per-gate values are its estimate. *)
+
+val top_indices : float array -> int -> int list
+(** The ids of the [top] largest positive values, value-descending with
+    ties in ascending id order — the canonical ranking of every top-N
+    list (payloads and CLI tables). *)
+
 val analyze_payload : Request.t -> analyzed -> Ser_util.Json.t
 val optimize_payload : Request.t -> Sertopt.Optimizer.result -> Ser_util.Json.t
 val rate_payload : Request.t -> rated -> Ser_util.Json.t

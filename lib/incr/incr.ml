@@ -66,11 +66,10 @@ type t = {
   masking : Analysis.masking;
   circuit : Circuit.t;
   samples : float array;
-  n_pos : int;
   po_pos : int array;
-  ws_ctx : Analysis.ws_ctx option array;
-      (* per non-input, non-PO gate: hoisted successors/sensitizations/
-         weights; assignment-independent, shared by forks *)
+  context : Analysis.context;
+      (* the analysis's assignment-independent WS-table contexts;
+         immutable, shared by forks *)
   tables : float array array array;
   gen_width : float array;
   expected_width : float array array;
@@ -106,44 +105,6 @@ let refold t =
   Array.iter (fun u -> tot := !tot +. u) t.unreliability;
   !tot
 
-(* [Analysis.gate_unreliability], restated for repeated evaluation:
-
-   - dead outputs are skipped: when the gate's WS-table row for an
-     output is provably all zeros ([Analysis.ws_ctx_live] false; every
-     off-position row of a primary-output gate), the original
-     interpolation returns exactly [+0.] ([lerp 0. 0. t] with [t] in
-     [0, 1]), so returning the literal is bit-identical and saves the
-     table walk — on wide circuits most (gate, output) pairs are dead;
-   - the interpolation bracket of [wi] on the sample grid is hoisted
-     out of the per-output loop ([Lut.interpolate_1d] recomputes the
-     same index and fraction for every output since [x = wi] is
-     shared), leaving one [lerp] per live output. *)
-let gate_unrel t id ~w_low ~w_high =
-  let p1 = t.masking.Analysis.probs.(id) in
-  let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
-  let tbl = t.tables.(id) in
-  let ws = t.samples in
-  let n_samples = Array.length ws in
-  let br = Ser_util.Floatx.binary_search_bracket ws wi in
-  let x = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wi in
-  let fr = Ser_util.Floatx.inv_lerp ws.(br) ws.(br + 1) x in
-  let wij =
-    Array.init t.n_pos (fun j ->
-        if t.po_pos.(id) = j then wi
-        else if tbl = [||] then 0.
-        else
-          let live =
-            match t.ws_ctx.(id) with
-            | Some ctx -> Analysis.ws_ctx_live ctx j
-            | None -> false
-          in
-          if live then
-            let row = tbl.(j) in
-            Ser_util.Floatx.lerp row.(br) row.(br + 1) fr
-          else 0.)
-  in
-  (wi, wij, t.sta.Sta.cell_area.(id) *. Ser_util.Floatx.sum wij)
-
 let refresh_brackets t id =
   t.brackets.(id) <-
     Analysis.ws_brackets ~samples:t.samples ~delay:t.sta.Sta.delays.(id)
@@ -158,15 +119,6 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
     Sta.create ?memo ~env:config.Analysis.env ~charge:config.Analysis.charge
       lib asg a.Analysis.timing
   in
-  let po_pos = Analysis.output_positions c in
-  (* hoist the assignment-independent part of every WS-table
-     computation (successors, sensitizations, Eq-2 weights); immutable,
-     so forks share it *)
-  let ws_ctx =
-    Array.init n (fun id ->
-        if Circuit.is_input c id || po_pos.(id) >= 0 then None
-        else Some (Analysis.make_ws_ctx config a.Analysis.masking c id))
-  in
   let t =
     {
       sta;
@@ -174,26 +126,9 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
       masking = a.Analysis.masking;
       circuit = c;
       samples = a.Analysis.samples;
-      n_pos = Array.length c.Circuit.outputs;
-      po_pos;
-      ws_ctx;
-      tables =
-        (* re-point every provably-zero row at the gate's shared zero
-           row ([ws_ctx_live] false implies the materialised row is all
-           zeros under any assignment), so the first cutoff comparison
-           of each table short-circuits on physical equality instead of
-           scanning dead rows *)
-        Array.mapi
-          (fun id m ->
-            match ws_ctx.(id) with
-            | None -> m
-            | Some ctx ->
-              Array.mapi
-                (fun j row ->
-                  if Analysis.ws_ctx_live ctx j then row
-                  else Analysis.ws_ctx_zero_row ctx)
-                m)
-          a.Analysis.tables;
+      po_pos = Analysis.output_positions c;
+      context = a.Analysis.context;
+      tables = Array.copy a.Analysis.tables;
       gen_width = Array.copy a.Analysis.gen_width;
       expected_width = Array.copy a.Analysis.expected_width;
       unreliability = Array.copy a.Analysis.unreliability;
@@ -283,16 +218,8 @@ let update_impl t changes =
           if !stale then begin
             t.stats.tables_recomputed <- t.stats.tables_recomputed + 1;
             let tbl =
-              match t.ws_ctx.(id) with
-              | Some ctx ->
-                let succs = Analysis.ws_ctx_succs ctx in
-                let brackets = Array.map (fun s -> t.brackets.(s)) succs in
-                Analysis.ws_table_ctx ctx ~samples:t.samples ~n_pos:t.n_pos
-                  ~brackets ~tables:t.tables c id
-              | None ->
-                Analysis.ws_table t.config t.masking ~samples:t.samples
-                  ~po_pos:t.po_pos ~delays:t.sta.Sta.delays ~tables:t.tables c
-                  id
+              Analysis.ws_table t.context ~brackets:t.brackets
+                ~tables:t.tables id
             in
             if same_matrix tbl t.tables.(id) then
               t.stats.tables_cutoff <- t.stats.tables_cutoff + 1
@@ -310,8 +237,10 @@ let update_impl t changes =
         if d.Sta.touched.(id) || table_changed.(id) then begin
           t.stats.gates_recomputed <- t.stats.gates_recomputed + 1;
           let wi, wij, u =
-            gate_unrel t id ~w_low:t.sta.Sta.glitch_low.(id)
+            Analysis.gate_unreliability t.context ~tables:t.tables
+              ~w_low:t.sta.Sta.glitch_low.(id)
               ~w_high:t.sta.Sta.glitch_high.(id)
+              ~area:t.sta.Sta.cell_area.(id) id
           in
           t.gen_width.(id) <- wi;
           t.expected_width.(id) <- wij;
@@ -396,6 +325,7 @@ let snapshot t =
     total = total t;
     samples = t.samples;
     tables = Array.copy t.tables;
+    context = t.context;
   }
 
 let stats t = t.stats

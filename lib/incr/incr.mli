@@ -16,10 +16,11 @@
     - {e per-gate unreliability / switching energy}: only where the
       cell, the node load, or the WS table actually changed.
 
-    Every recomputation replays the corresponding from-scratch kernel
-    ({!Ser_sta.Timing.analyze}'s per-gate body,
-    {!Aserta.Analysis.ws_table}, {!Aserta.Analysis.gate_unreliability})
-    with bit-identical inputs, and the aggregate metrics are exact
+    Every recomputation calls the kernel the from-scratch pass uses
+    ({!Ser_sta.Timing.analyze}'s per-gate body, and
+    {!Aserta.Analysis.ws_table} and {!Aserta.Analysis.gate_unreliability}
+    through the analysis's own {!Aserta.Analysis.context}) with
+    bit-identical inputs, and the aggregate metrics are exact
     sequential re-folds in the same order as the from-scratch code, so
     the results are {e bit-identical} to a full re-analysis — not
     approximately equal. A compensated (Kahan) running total of the
@@ -83,8 +84,9 @@ val of_analysis :
   Aserta.Analysis.t ->
   t
 (** Adopt an analysis already in hand (the optimizer's baseline) without
-    re-running it. [asg] must be the assignment the analysis was run on;
-    all arrays are copied, the analysis is not aliased. *)
+    re-running it. [asg] must be the assignment the analysis was run on.
+    The per-gate arrays are copied; the immutable parts (WS-table rows,
+    the masking and the {!Aserta.Analysis.context}) are shared. *)
 
 val fork : t -> t
 (** O(nodes) copy-on-write clone; see module doc. The memo is shared. *)

@@ -139,19 +139,9 @@ let set_jobs n =
 (* instrumentation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  jobs : int;
-  sections : int;
-  sequential_sections : int;
-  chunks : int;
-  stolen_chunks : int;
-  busy : float array;
-}
-
-(* The counters live in the process-wide obs registry — one source of
-   truth shared with --metrics snapshots. [stats]/[stats_diag] are
-   read-only views over it; reset with
-   [Obs.Metrics.reset ~prefix:"par." ()]. *)
+(* The counters live in the process-wide obs registry (reset with
+   [Obs.Metrics.reset ~prefix:"par." ()]); the CLI's -j footer and
+   every --metrics snapshot read them from there. *)
 
 module Obs = Ser_obs.Obs
 
@@ -170,46 +160,6 @@ let record_section ~parallel ~chunks ~stolen ~busy =
   Array.iteri
     (fun i b -> Obs.Metrics.add_gauge (Obs.Metrics.gauge (busy_name i)) b)
     busy
-
-let stats () =
-  (* Slot gauges are registered densely from slot 0 up by
-     [record_section], so scanning until the first miss recovers the
-     widest busy array seen so far. *)
-  let busy = ref [] in
-  let scanning = ref true in
-  let i = ref 0 in
-  while !scanning do
-    match Obs.Metrics.find_gauge (busy_name !i) with
-    | Some g ->
-      busy := Obs.Metrics.gauge_value g :: !busy;
-      Stdlib.incr i
-    | None -> scanning := false
-  done;
-  {
-    jobs = jobs ();
-    sections = Obs.Metrics.value m_sections;
-    sequential_sections = Obs.Metrics.value m_seq_sections;
-    chunks = Obs.Metrics.value m_chunks;
-    stolen_chunks = Obs.Metrics.value m_stolen;
-    busy = Array.of_list (List.rev !busy);
-  }
-
-let stats_diag () =
-  let s = stats () in
-  Diag.makef ~severity:Diag.Info ~subsystem:"par"
-    ~context:
-      [
-        ("jobs", string_of_int s.jobs);
-        ("sections", string_of_int s.sections);
-        ("sequential_sections", string_of_int s.sequential_sections);
-        ("chunks", string_of_int s.chunks);
-        ("stolen_chunks", string_of_int s.stolen_chunks);
-        ( "busy_s",
-          String.concat ","
-            (Array.to_list (Array.map (Printf.sprintf "%.3f") s.busy)) );
-      ]
-    "pool executed %d parallel sections (%d chunks, %d stolen) on %d jobs"
-    s.sections s.chunks s.stolen_chunks s.jobs
 
 (* ------------------------------------------------------------------ *)
 (* the chunk engine                                                    *)

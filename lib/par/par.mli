@@ -116,26 +116,15 @@ val parallel_reduce :
 
 (** {1 Instrumentation}
 
-    Cumulative counters over every section since start, kept in the
-    {!Ser_obs.Obs.Metrics} registry under the [par.] prefix (reset them
-    with [Obs.Metrics.reset ~prefix:"par." ()]) and surfaced through the
-    diagnostics layer so speedup regressions are observable in the
-    field. *)
+    Every section adds to cumulative counters in the
+    {!Ser_obs.Obs.Metrics} registry (reset them with
+    [Obs.Metrics.reset ~prefix:"par." ()]):
 
-type stats = {
-  jobs : int;  (** current effective worker count *)
-  sections : int;  (** parallel sections executed on the pool *)
-  sequential_sections : int;
-      (** sections that ran inline (jobs = 1, nested, or pool busy) *)
-  chunks : int;  (** chunks executed by pool sections *)
-  stolen_chunks : int;
-      (** chunks claimed by spawned workers (slot > 0) rather than the
-          calling domain *)
-  busy : float array;
-      (** per-slot busy seconds inside sections, index 0 = caller *)
-}
-
-val stats : unit -> stats
-
-val stats_diag : unit -> Ser_util.Diag.t
-(** An [Info]-severity diagnostic summarising {!stats}. *)
+    - [par.sections]: parallel sections executed on the pool;
+    - [par.sequential_sections]: sections that ran inline (jobs = 1,
+      nested, or pool busy);
+    - [par.chunks]: chunks executed; [par.stolen_chunks]: of which
+      claimed by spawned workers (slot > 0) rather than the caller;
+    - [par.section_chunks]: histogram of chunks per section;
+    - gauges [par.busy_s.slot<i>]: busy seconds inside sections per
+      slot, slot 0 = caller, registered densely from slot 0. *)

@@ -38,3 +38,27 @@ let random_move rng lib c gates =
   let g = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
   let cands = variants_of lib c g in
   (g, cands.(Ser_rng.Rng.int rng (Array.length cands)))
+
+(* The electrical-pass settings that change the WS-table kernel's
+   arithmetic: the Eq-2 split and the sample-grid size. *)
+let splits = [ Aserta.Analysis.Normalized; Aserta.Analysis.Naive ]
+let n_samples = [ 2; 10; 40 ]
+
+let electrical =
+  QCheck.make
+    ~print:(fun (split, n) ->
+      Printf.sprintf "(%s, %d samples)"
+        (match split with
+        | Aserta.Analysis.Normalized -> "Normalized"
+        | Aserta.Analysis.Naive -> "Naive")
+        n)
+    QCheck.Gen.(pair (oneofl splits) (oneofl n_samples))
+
+(* Apply [n] random moves to [asg], so the delays are not uniform. *)
+let perturb ~seed ~n lib c asg =
+  let rng = Ser_rng.Rng.create seed in
+  let gates = non_inputs c in
+  for _ = 1 to n do
+    let g, cand = random_move rng lib c gates in
+    Ser_sta.Assignment.set asg g cand
+  done

@@ -404,6 +404,66 @@ let test_measured_rejects_pi () =
     Alcotest.fail "PI strike accepted"
   with Invalid_argument _ -> ()
 
+(* ---------------- kernels vs the reference pass ---------------- *)
+
+(* run_electrical's hoisted kernels (per-gate contexts, one Eq-1
+   bracket per gate delay, one interpolation bracket per gate, dead
+   outputs as literal zeros) against the successor-walking reference in
+   Electrical_oracle: every table entry, W_ij, U_i and the total must
+   have the same bits. *)
+let bits = Int64.bits_of_float
+
+let same_row a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let same_matrix a b = Array.length a = Array.length b && Array.for_all2 same_row a b
+
+let matches_oracle ~split ~n_samples lib asg masking =
+  let config = { quick_config with Analysis.split; n_samples } in
+  let a = Analysis.run_electrical config lib asg masking in
+  let o = Electrical_oracle.run_electrical config lib asg masking in
+  Array.length a.Analysis.tables = Array.length o.Electrical_oracle.tables
+  && Array.for_all2 same_matrix a.Analysis.tables o.Electrical_oracle.tables
+  && same_row a.Analysis.gen_width o.Electrical_oracle.gen_width
+  && same_matrix a.Analysis.expected_width o.Electrical_oracle.expected_width
+  && same_row a.Analysis.unreliability o.Electrical_oracle.unreliability
+  && bits a.Analysis.total = bits o.Electrical_oracle.total
+
+let kernels_match_oracle_prop =
+  QCheck.Test.make ~count:24
+    ~name:"run_electrical = successor-walking reference, bit for bit"
+    (QCheck.pair Circuit_gen.arb Circuit_gen.electrical)
+    (fun ((seed, n_moves, n_gates, depth), (split, n_samples)) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      let lib = L.create () in
+      let asg = A.uniform lib c in
+      Circuit_gen.perturb ~seed ~n:(4 * n_moves) lib c asg;
+      let masking = Analysis.compute_masking quick_config c in
+      matches_oracle ~split ~n_samples lib asg masking)
+
+let test_kernels_match_oracle_iscas () =
+  let lib = L.create () in
+  List.iter
+    (fun name ->
+      let c = Ser_circuits.Iscas.load name in
+      let asg = A.uniform lib c in
+      Circuit_gen.perturb ~seed:5 ~n:20 lib c asg;
+      let masking = Analysis.compute_masking quick_config c in
+      List.iter
+        (fun split ->
+          List.iter
+            (fun n_samples ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %d samples, %s" name n_samples
+                   (match split with
+                   | Analysis.Normalized -> "normalized"
+                   | Analysis.Naive -> "naive"))
+                true
+                (matches_oracle ~split ~n_samples lib asg masking))
+            Circuit_gen.n_samples)
+        Circuit_gen.splits)
+    [ "c17"; "c432" ]
+
 let () =
   Alcotest.run "aserta"
     [
@@ -429,6 +489,12 @@ let () =
           Alcotest.test_case "naive split differs" `Slow test_naive_split_differs;
           Alcotest.test_case "analytic masking backend" `Quick test_analytic_masking_backend;
           Alcotest.test_case "biased inputs" `Quick test_biased_pi_config;
+        ] );
+      ( "kernels",
+        [
+          QCheck_alcotest.to_alcotest kernels_match_oracle_prop;
+          Alcotest.test_case "c17 and c432 match the reference" `Quick
+            test_kernels_match_oracle_iscas;
         ] );
       ( "ser_rate",
         [

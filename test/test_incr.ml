@@ -48,12 +48,14 @@ let check_matches_scratch ?(what = "engine") lib masking asg (e : Incr.t) =
 
 (* 1-5 single-gate swaps applied through set_cell on a random synthetic
    circuit must leave the engine bit-identical to a from-scratch
-   analysis of the final assignment. *)
+   analysis of the final assignment, under any Eq-2 split and sample
+   grid (the ablations run the electrical pass under both). *)
 let incremental_equals_scratch_prop =
   QCheck.Test.make ~count:12
     ~name:"incremental = from-scratch after 1-5 random swaps"
-    Circuit_gen.arb
-    (fun (seed, n_swaps, n_gates, depth) ->
+    (QCheck.pair Circuit_gen.arb Circuit_gen.electrical)
+    (fun ((seed, n_swaps, n_gates, depth), (split, n_samples)) ->
+      let config = { config with Analysis.split; n_samples } in
       let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
       let lib = Library.create () in
       let asg = Assignment.uniform lib c in

@@ -186,26 +186,27 @@ let test_invalid_args () =
 (* ---------------- instrumentation ---------------- *)
 
 let test_stats () =
+  let module M = Ser_obs.Obs.Metrics in
+  let count name =
+    match M.find_counter name with
+    | Some c -> M.value c
+    | None -> Alcotest.failf "counter %s not registered" name
+  in
   Par.set_jobs 2;
-  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
+  M.reset ~prefix:"par." ();
   ignore (Par.parallel_map (fun x -> x) (Array.init 100 Fun.id));
-  let s = Par.stats () in
-  Alcotest.(check int) "jobs reported" 2 s.Par.jobs;
+  Alcotest.(check int) "jobs reported" 2 (Par.jobs ());
   Alcotest.(check bool) "a section ran" true
-    (s.Par.sections + s.Par.sequential_sections >= 1);
-  Alcotest.(check bool) "chunks counted" true (s.Par.chunks >= 1);
+    (count "par.sections" + count "par.sequential_sections" >= 1);
+  Alcotest.(check bool) "chunks counted" true (count "par.chunks" >= 1);
+  Alcotest.(check bool) "caller busy gauge registered" true
+    (M.find_gauge "par.busy_s.slot0" <> None);
   Par.set_jobs 1;
-  Ser_obs.Obs.Metrics.reset ~prefix:"par." ();
+  M.reset ~prefix:"par." ();
   ignore (Par.parallel_map (fun x -> x) (Array.init 10 Fun.id));
-  let s = Par.stats () in
-  Alcotest.(check int) "jobs=1 never uses the pool" 0 s.Par.sections;
+  Alcotest.(check int) "jobs=1 never uses the pool" 0 (count "par.sections");
   Alcotest.(check bool) "inline section recorded" true
-    (s.Par.sequential_sections >= 1);
-  match Par.stats_diag () with
-  | d ->
-    Alcotest.(check string) "diag subsystem" "par" d.Diag.subsystem;
-    Alcotest.(check bool) "diag has jobs context" true
-      (List.mem_assoc "jobs" d.Diag.context)
+    (count "par.sequential_sections" >= 1)
 
 let () =
   Alcotest.run "ser_par"
