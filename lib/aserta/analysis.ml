@@ -47,27 +47,21 @@ type masking = {
   path_probs : Probs.path_probs;
 }
 
-(* The assignment-independent part of one interior gate's WS table
-   (Section 3.2, step (iii)): its unique successors, which fix the
-   gate's dependency level, and per output j the Eq-2 blend
-   contributions (weight, successor id) with weight > 0 and P_sj > 0,
-   in successor order. *)
-type gate_ctx = {
-  g_succs : int array;
-  g_pairs : (float * int) array array;
-}
-
 type context = {
+  x_circuit : Circuit.t;
   x_samples : float array;
   x_n_pos : int;
-  x_po_pos : int array;
   x_probs : float array;
   x_zero : float array;
       (* the one all-zero row that every dead output's table row
          aliases; rows are never mutated after publication, so sharing
          it is safe and saves the bulk of the allocations *)
-  x_gates : gate_ctx option array;
-      (* [None] exactly at primary inputs and primary outputs *)
+  x_gates : (float * int) array array option array;
+      (* per interior gate, the assignment-independent part of its WS
+         table (Section 3.2, step (iii)): per output j the Eq-2 blend
+         contributions (weight, successor id) with weight > 0 and
+         P_sj > 0, in successor order; [None] exactly at primary inputs
+         and primary outputs *)
 }
 
 type t = {
@@ -117,44 +111,26 @@ let compute_masking ?prune config (c : Circuit.t) =
       in
       { probs; path_probs })
 
-(* Unique successor ids of a node (fanout lists one entry per pin). *)
-let successors (c : Circuit.t) id =
-  let nd = Circuit.node c id in
-  let seen = Hashtbl.create 4 in
-  let out = ref [] in
-  Array.iter
-    (fun r ->
-      if not (Hashtbl.mem seen r) then begin
-        Hashtbl.replace seen r ();
-        out := r :: !out
-      end)
-    nd.fanout;
-  List.rev !out
-
 let pi_weight (c : Circuit.t) masking ~gate ~succ ~po =
   let p = masking.path_probs.Probs.p in
   let denom =
-    List.fold_left
+    Array.fold_left
       (fun acc s ->
         acc
         +. Probs.sensitization_to_driver c ~probs:masking.probs ~gate:s
              ~driver:gate
            *. p.(s).(po))
-      0. (successors c gate)
+      0.
+      (Circuit.Graph.successors (Circuit.graph c) gate)
   in
   if denom <= 0. then 0.
   else
     Probs.sensitization_to_driver c ~probs:masking.probs ~gate:succ ~driver:gate
     *. p.(gate).(po) /. denom
 
-let output_positions (c : Circuit.t) =
-  let po_pos = Array.make (Circuit.node_count c) (-1) in
-  Array.iteri (fun pos id -> po_pos.(id) <- pos) c.outputs;
-  po_pos
-
-let gate_ctx config masking (c : Circuit.t) id =
+let gate_pairs config masking (c : Circuit.t) id =
   let p = masking.path_probs.Probs.p in
-  let succs = Array.of_list (successors c id) in
+  let succs = Circuit.Graph.successors (Circuit.graph c) id in
   let n_succ = Array.length succs in
   let sens =
     Array.map
@@ -162,53 +138,49 @@ let gate_ctx config masking (c : Circuit.t) id =
         Probs.sensitization_to_driver c ~probs:masking.probs ~gate:s ~driver:id)
       succs
   in
-  let pairs =
-    Array.init (Array.length c.outputs) (fun j ->
-        let pij = p.(id).(j) in
-        if not (pij > 0.) then [||]
-        else begin
-          let denom =
-            match config.split with
-            | Naive -> 1.
-            | Normalized ->
-              let acc = ref 0. in
-              for si = 0 to n_succ - 1 do
-                acc := !acc +. (sens.(si) *. p.(succs.(si)).(j))
-              done;
-              !acc
-          in
-          if not (denom > 0.) then [||]
-          else begin
-            let out = ref [] in
-            for si = n_succ - 1 downto 0 do
-              let s = succs.(si) in
-              let psj = p.(s).(j) in
-              let weight =
-                match config.split with
-                | Normalized -> sens.(si) *. pij /. denom
-                | Naive -> sens.(si) *. psj
-              in
-              if weight > 0. && psj > 0. then out := (weight, s) :: !out
+  Array.init (Array.length c.outputs) (fun j ->
+      let pij = p.(id).(j) in
+      if not (pij > 0.) then [||]
+      else begin
+        let denom =
+          match config.split with
+          | Naive -> 1.
+          | Normalized ->
+            let acc = ref 0. in
+            for si = 0 to n_succ - 1 do
+              acc := !acc +. (sens.(si) *. p.(succs.(si)).(j))
             done;
-            Array.of_list !out
-          end
-        end)
-  in
-  { g_succs = succs; g_pairs = pairs }
+            !acc
+        in
+        if not (denom > 0.) then [||]
+        else begin
+          let out = ref [] in
+          for si = n_succ - 1 downto 0 do
+            let s = succs.(si) in
+            let psj = p.(s).(j) in
+            let weight =
+              match config.split with
+              | Normalized -> sens.(si) *. pij /. denom
+              | Naive -> sens.(si) *. psj
+            in
+            if weight > 0. && psj > 0. then out := (weight, s) :: !out
+          done;
+          Array.of_list !out
+        end
+      end)
 
 (* Every gate's context; the gates are independent, so they are built
    over the lib/par pool. *)
 let context config masking (c : Circuit.t) =
   let n = Circuit.node_count c in
-  let po_pos = output_positions c in
   let gates = Array.make n None in
   Ser_par.Par.parallel_for ~n (fun id ->
-      if not (Circuit.is_input c id || po_pos.(id) >= 0) then
-        gates.(id) <- Some (gate_ctx config masking c id));
+      if not (Circuit.is_input c id || Circuit.is_output c id) then
+        gates.(id) <- Some (gate_pairs config masking c id));
   {
+    x_circuit = c;
     x_samples = sample_widths config;
     x_n_pos = Array.length c.outputs;
-    x_po_pos = po_pos;
     x_probs = masking.probs;
     x_zero = Array.make config.n_samples 0.;
     x_gates = gates;
@@ -247,9 +219,9 @@ let ws_table x ~brackets ~tables id =
   | None ->
     (* step (ii): a primary-output gate passes glitches straight to
        its own latch and, per the paper, to no other output *)
-    let po = x.x_po_pos.(id) in
+    let po = x.x_circuit.Circuit.po_pos.(id) in
     Array.init x.x_n_pos (fun j -> if j = po then Array.copy ws else x.x_zero)
-  | Some g ->
+  | Some by_output ->
     (* step (iii): blend the successors' expected widths at the
        attenuated sample widths with the Eq-2 weights *)
     Array.mapi
@@ -273,7 +245,7 @@ let ws_table x ~brackets ~tables id =
             pairs;
           row
         end)
-      g.g_pairs
+      by_output
 
 (* Steps (i)/(iv) + Eqs 3-4 for one gate, given the two generated
    glitch widths (strike with output low / high) and the gate area;
@@ -291,13 +263,13 @@ let gate_unreliability x ~tables ~w_low ~w_high ~area id =
   let br = Ser_util.Floatx.binary_search_bracket ws wi in
   let wc = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wi in
   let fr = Ser_util.Floatx.inv_lerp ws.(br) ws.(br + 1) wc in
-  let po = x.x_po_pos.(id) in
+  let po = x.x_circuit.Circuit.po_pos.(id) in
   let wij =
     Array.init x.x_n_pos (fun j ->
         if j = po then wi
         else
           match x.x_gates.(id) with
-          | Some g when Array.length g.g_pairs.(j) > 0 ->
+          | Some pairs when Array.length pairs.(j) > 0 ->
             let row = tables.(id).(j) in
             Ser_util.Floatx.lerp row.(br) row.(br + 1) fr
           | Some _ | None -> 0.)
@@ -331,15 +303,20 @@ let run_electrical config lib asg masking =
          independent and fan out over the lib/par pool; every per-gate
          computation is untouched, so the tables are bit-identical for any
          worker count. *)
+      let g = Circuit.graph c in
       let level = Array.make n (-1) in
       let max_level = ref 0 in
       for id = n - 1 downto 0 do
         if not (Circuit.is_input c id) then begin
           let l =
-            match x.x_gates.(id) with
-            | None -> 0
-            | Some g ->
-              Array.fold_left (fun acc s -> max acc (level.(s) + 1)) 0 g.g_succs
+            if Circuit.is_output c id then 0
+            else begin
+              let l = ref 0 in
+              for q = g.fo_off.(id) to g.fo_off.(id + 1) - 1 do
+                l := max !l (level.(g.fo.(q)) + 1)
+              done;
+              !l
+            end
           in
           level.(id) <- l;
           if l > !max_level then max_level := l

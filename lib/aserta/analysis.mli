@@ -72,8 +72,9 @@ type masking = {
 type context
 (** The assignment-independent part of the electrical pass, built once
     per {!run_electrical} call from the config, the masking and the
-    circuit: the sample grid, and per interior gate its unique
-    successors and Eq-2 blend weights per (output, successor). Valid for
+    circuit: the sample grid, and per interior gate its Eq-2 blend
+    weights per (output, successor), the successors read from the
+    circuit's graph ([Circuit.graph]). Valid for
     any cell assignment of the same circuit, so the incremental engine
     ([Ser_incr.Incr]) reuses it for every update. *)
 
@@ -151,10 +152,6 @@ val run_checked :
 val sample_widths : config -> float array
 (** The sample glitch-width grid used by the electrical pass
     (geometric, topped by [max_sample_width]). *)
-
-val output_positions : Ser_netlist.Circuit.t -> int array
-(** Per-node primary-output position ([-1] for non-output nodes), as
-    used by the electrical pass. *)
 
 val ws_brackets : samples:float array -> delay:float -> int array * float array
 (** The Eq-1 attenuation of the sample grid through one gate delay: per

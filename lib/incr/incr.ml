@@ -66,7 +66,6 @@ type t = {
   masking : Analysis.masking;
   circuit : Circuit.t;
   samples : float array;
-  po_pos : int array;
   context : Analysis.context;
       (* the analysis's assignment-independent WS-table contexts;
          immutable, shared by forks *)
@@ -126,7 +125,6 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
       masking = a.Analysis.masking;
       circuit = c;
       samples = a.Analysis.samples;
-      po_pos = Analysis.output_positions c;
       context = a.Analysis.context;
       tables = Array.copy a.Analysis.tables;
       gen_width = Array.copy a.Analysis.gen_width;
@@ -208,7 +206,7 @@ let update_impl t changes =
          gates' tables are constant. Cutoff: a recomputed table that is
          bit-identical does not dirty its drivers. *)
       for id = n - 1 downto 0 do
-        if (not (Circuit.is_input c id)) && t.po_pos.(id) < 0 then begin
+        if not (Circuit.is_input c id || Circuit.is_output c id) then begin
           let nd = Circuit.node c id in
           let stale = ref false in
           Array.iter

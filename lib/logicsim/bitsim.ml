@@ -1,5 +1,4 @@
 module Circuit = Ser_netlist.Circuit
-module Gate = Ser_netlist.Gate
 
 let bits_per_word = 62
 
@@ -30,58 +29,15 @@ let eval (c : Circuit.t) ~pi_words ~n_patterns =
     invalid_arg "Bitsim.eval: wrong input count";
   if n_patterns < 1 || n_patterns > bits_per_word then
     invalid_arg "Bitsim.eval: bad pattern count";
-  let values = Array.make (Circuit.node_count c) 0 in
+  let g = Circuit.graph c in
+  let n = Circuit.node_count c in
+  let values = Array.make n 0 in
   Array.iteri (fun pos id -> values.(id) <- pi_words.(pos)) c.inputs;
-  Array.iter
-    (fun (nd : Circuit.node) ->
-      if nd.kind <> Gate.Input then begin
-        (* inlined word evaluation: the hot loop of the whole library *)
-        let fi = nd.fanin in
-        let v =
-          match nd.kind with
-          | Gate.Input -> assert false
-          | Gate.Buf -> values.(fi.(0))
-          | Gate.Not -> lnot values.(fi.(0))
-          | Gate.And ->
-            let acc = ref values.(fi.(0)) in
-            for k = 1 to Array.length fi - 1 do
-              acc := !acc land values.(fi.(k))
-            done;
-            !acc
-          | Gate.Nand ->
-            let acc = ref values.(fi.(0)) in
-            for k = 1 to Array.length fi - 1 do
-              acc := !acc land values.(fi.(k))
-            done;
-            lnot !acc
-          | Gate.Or ->
-            let acc = ref values.(fi.(0)) in
-            for k = 1 to Array.length fi - 1 do
-              acc := !acc lor values.(fi.(k))
-            done;
-            !acc
-          | Gate.Nor ->
-            let acc = ref values.(fi.(0)) in
-            for k = 1 to Array.length fi - 1 do
-              acc := !acc lor values.(fi.(k))
-            done;
-            lnot !acc
-          | Gate.Xor ->
-            let acc = ref values.(fi.(0)) in
-            for k = 1 to Array.length fi - 1 do
-              acc := !acc lxor values.(fi.(k))
-            done;
-            !acc
-          | Gate.Xnor ->
-            let acc = ref values.(fi.(0)) in
-            for k = 1 to Array.length fi - 1 do
-              acc := !acc lxor values.(fi.(k))
-            done;
-            lnot !acc
-        in
-        values.(nd.id) <- v
-      end)
-    c.nodes;
+  (* ascending ids are topological; only primary inputs have no fanin *)
+  for id = 0 to n - 1 do
+    if g.fi_off.(id + 1) > g.fi_off.(id) then
+      values.(id) <- Flipsim.eval_node g values id
+  done;
   { n_patterns; values }
 
 let biased_word rng p =

@@ -1,7 +1,7 @@
-(** Compiled, event-driven flip propagation with fanout-free-region
-    (FFR) tracing: the bit-parallel fault-injection kernel behind
-    {!Probs.path_probabilities} and lib/odc's observability screen
-    and proofs.
+(** Event-driven flip propagation with fanout-free-region (FFR)
+    tracing: the bit-parallel fault-injection kernel behind
+    {!Probs.path_probabilities} and lib/odc's observability screen and
+    proofs.
 
     {b Flip.} Inverting a node's output word and propagating the
     difference only evaluates the successors of nodes whose word
@@ -19,26 +19,22 @@
     {v W(g) = sens_k(s, good) land W(s),   W(root) = observed(root) v}
 
     Simulating one flip per root and tracing [W] through its members
-    therefore gives every member's detect words exactly. *)
+    therefore gives every member's detect words exactly.
 
-type t
-(** A circuit compiled to flat arrays: kind codes, fanin/fanout
-    offsets, levels, output positions and the FFR partition.
-    Immutable; share it across domains. *)
+    The kernel runs on the circuit's {!Ser_netlist.Circuit.Graph}
+    ([Circuit.graph c]): its kind codes, CSR fanin and distinct
+    fanout, levels, output positions and FFR partition. *)
 
-val compile : Ser_netlist.Circuit.t -> t
-
-val roots : t -> int array
-(** FFR roots, ascending ids. *)
-
-val ffr_size : t -> int -> int
-(** [ffr_size t r] is 1 plus the number of members of root [r]. *)
+val eval_node : Ser_netlist.Circuit.Graph.t -> int array -> int -> int
+(** [eval_node g words s] is gate [s]'s output word given its fanins'
+    entries in [words] (one word per node id; not bounds-checked): the
+    one word-level gate evaluation, of {!flip} and of {!Bitsim.eval}. *)
 
 type scratch
-(** Per-domain working state of {!flip} and {!trace} on one compiled
-    circuit. One per worker; reusable across sites and batches. *)
+(** Per-domain working state of {!flip} and {!trace} on one circuit
+    graph. One per worker; reusable across sites and batches. *)
 
-val scratch : t -> scratch
+val scratch : Ser_netlist.Circuit.Graph.t -> scratch
 
 val flip : scratch -> good:int array -> mask:int -> int -> unit
 (** [flip ws ~good ~mask i] inverts node [i]'s word under the

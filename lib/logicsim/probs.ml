@@ -108,12 +108,12 @@ let sensitization_to_driver (c : Circuit.t) ~probs ~gate ~driver =
 
 type path_probs = {
   vectors : int;
-  po_index : int array;
   p : float array array;
   flips : int;
 }
 
-(* Bit-parallel fault simulation on the compiled kernel ({!Flipsim}):
+(* Bit-parallel fault simulation with the {!Flipsim} kernel on the
+   circuit's graph:
    per batch of patterns, flip each fanout-free-region root once, then
    trace the root and its region's members from the root's per-output
    difference words. *)
@@ -135,10 +135,10 @@ let path_probabilities ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
         invalid_arg "Probs.path_probabilities: prune length mismatch";
       fun i -> p.(i)
   in
-  let kernel = Flipsim.compile c in
+  let g = Circuit.graph c in
   let roots =
     Array.of_seq
-      (Seq.filter (fun r -> not (pruned r)) (Array.to_seq (Flipsim.roots kernel)))
+      (Seq.filter (fun r -> not (pruned r)) (Array.to_seq g.Circuit.Graph.roots))
   in
   (* A root's cost is its fanout cone plus its region, and cones are
      heavily skewed: roots near the primary inputs drag cones of
@@ -154,12 +154,29 @@ let path_probabilities ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
   let n_roots = Array.length roots in
   let chunk = max 1 ((n_roots + 63) / 64) in
   if n_roots > 1 then begin
-    let cost =
-      Array.map
-        (fun r ->
-          (Array.length (Circuit.fanout_cone c r) + Flipsim.ffr_size kernel r, r))
-        roots
+    (* Cone sizes by a walk over the distinct-fanout CSR; each root
+       stamps the nodes it reaches with its own id, so one stamp array
+       serves every root. *)
+    let stamp = Array.make n (-1) and queue = Array.make n 0 in
+    let cone_size r =
+      let len = ref 0 and head = ref 0 in
+      let visit v =
+        if stamp.(v) <> r then begin
+          stamp.(v) <- r;
+          queue.(!len) <- v;
+          incr len
+        end
+      in
+      visit r;
+      while !head < !len do
+        let v = queue.(!head) in
+        incr head;
+        for q = g.fo_off.(v) to g.fo_off.(v + 1) - 1 do visit g.fo.(q) done
+      done;
+      !len
     in
+    let region r = 1 + g.mem_off.(r + 1) - g.mem_off.(r) in
+    let cost = Array.map (fun r -> (cone_size r + region r, r)) roots in
     Array.sort
       (fun (ca, a) (cb, b) -> match compare cb ca with 0 -> compare a b | r -> r)
       cost;
@@ -176,7 +193,7 @@ let path_probabilities ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
   end;
   let detect = Array.make_matrix n n_pos 0 in
   let slots = Ser_par.Par.jobs () in
-  let scratches = Array.init slots (fun _ -> Flipsim.scratch kernel) in
+  let scratches = Array.init slots (fun _ -> Flipsim.scratch g) in
   let base = Ser_rng.Rng.split rng in
   let nbatches = batch_count vectors in
   for b = 0 to nbatches - 1 do
@@ -209,7 +226,7 @@ let path_probabilities ?pi_probs ?prune ~rng ~vectors (c : Circuit.t) =
       (fun row -> Array.map (fun d -> float_of_int d /. float_of_int vectors) row)
       detect
   in
-  { vectors; po_index = Array.init n_pos Fun.id; p; flips = n_roots * nbatches }
+  { vectors; p; flips = n_roots * nbatches }
 
 let path_probabilities_analytic ?probs (c : Circuit.t) =
   let probs =
@@ -218,31 +235,25 @@ let path_probabilities_analytic ?probs (c : Circuit.t) =
   let n = Circuit.node_count c in
   let n_pos = Array.length c.outputs in
   let p = Array.make_matrix n n_pos 0. in
-  let po_pos = Array.make n (-1) in
-  Array.iteri (fun pos id -> po_pos.(id) <- pos) c.outputs;
+  let g = Circuit.graph c in
+  let po_pos = c.po_pos in
   (* reverse topological: successors are ready before their drivers *)
   for id = n - 1 downto 0 do
     if not (Circuit.is_input c id) then begin
       if po_pos.(id) >= 0 then p.(id).(po_pos.(id)) <- 1.;
-      let nd = c.nodes.(id) in
-      (* unique successors *)
-      let seen = Hashtbl.create 4 in
-      Array.iter
-        (fun s ->
-          if not (Hashtbl.mem seen s) then begin
-            Hashtbl.replace seen s ();
-            let sens = sensitization_to_driver c ~probs ~gate:s ~driver:id in
-            if sens > 0. then
-              for j = 0 to n_pos - 1 do
-                if p.(s).(j) > 0. && po_pos.(id) <> j then
-                  p.(id).(j) <-
-                    1. -. ((1. -. p.(id).(j)) *. (1. -. (sens *. p.(s).(j))))
-              done
-          end)
-        nd.fanout
+      for q = g.fo_off.(id) to g.fo_off.(id + 1) - 1 do
+        let s = g.fo.(q) in
+        let sens = sensitization_to_driver c ~probs ~gate:s ~driver:id in
+        if sens > 0. then
+          for j = 0 to n_pos - 1 do
+            if p.(s).(j) > 0. && po_pos.(id) <> j then
+              p.(id).(j) <-
+                1. -. ((1. -. p.(id).(j)) *. (1. -. (sens *. p.(s).(j))))
+          done
+      done
     end
   done;
-  { vectors = 0; po_index = Array.init n_pos Fun.id; p; flips = 0 }
+  { vectors = 0; p; flips = 0 }
 
 let detection_counts_for_vector (c : Circuit.t) vector ~strike =
   if Circuit.is_input c strike then

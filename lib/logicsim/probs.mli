@@ -40,7 +40,6 @@ val sensitization_to_driver :
 
 type path_probs = {
   vectors : int;             (** vectors actually simulated *)
-  po_index : int array;      (** primary-output positions, = 0..n_pos-1 *)
   p : float array array;     (** [p.(id).(pos)] = P_ij *)
   flips : int;
       (** root flips simulated: unpruned FFR roots times batches
@@ -67,8 +66,9 @@ val path_probabilities :
     where simulation would count zero detections anyway; surviving
     rows are bit-identical to the unpruned run.
 
-    Each batch flips every unpruned fanout-free-region root once on
-    the compiled {!Flipsim} kernel and traces the region's members
+    Each batch flips every unpruned fanout-free-region root once with
+    the {!Flipsim} kernel on the circuit's graph
+    ([Ser_netlist.Circuit.graph]) and traces the region's members
     from the root's difference words, so the estimate equals flipping
     every gate separately, bit for bit. The roots of a batch fan out
     over the shared {!Ser_par.Par} pool. The result is bit-identical
@@ -84,7 +84,8 @@ val path_probabilities_analytic :
 
     {v P_ij = 1 - prod_s (1 - S_is * P_sj) v}
 
-    over the successors [s] of [i]. The paper notes this is how
+    over the distinct successors [s] of [i], folded in ascending id
+    order (the circuit graph's successor order). The paper notes this is how
     sensitization probabilities "can be calculated as in [8]" for
     circuits {e without} reconvergent fan-out — where it is exact —
     while the general problem is NP-complete, which is why ASERTA

@@ -6,11 +6,38 @@ type node = {
   fanout : int array;
 }
 
+module Graph = struct
+  (* Every array is annotated [int array]: an unannotated one compared
+     or indexed through a polymorphic path halves a kernel's speed. *)
+  type t = {
+    kind : int array;
+    fi_off : int array;
+    fi : int array;
+    fo_off : int array;
+    fo : int array;
+    level : int array;
+    lvl_off : int array;
+    po_pos : int array;
+    succ : int array;
+    pin_at : int array;
+    roots : int array;
+    mem_off : int array;
+    mem : int array;
+  }
+
+  let successors g id =
+    Array.sub g.fo g.fo_off.(id) (g.fo_off.(id + 1) - g.fo_off.(id))
+end
+
+type graph_cache = Graph.t option Atomic.t
+
 type t = {
   name : string;
   nodes : node array;
   inputs : int array;
   outputs : int array;
+  po_pos : int array;
+  cache : graph_cache;
 }
 
 let node_count c = Array.length c.nodes
@@ -24,7 +51,7 @@ let is_input c id = (node c id).kind = Gate.Input
 
 let is_output c id =
   let _ = node c id in
-  Array.exists (fun o -> o = id) c.outputs
+  c.po_pos.(id) >= 0
 
 let find_by_name c name =
   let n = node_count c in
@@ -36,11 +63,8 @@ let find_by_name c name =
   loop 0
 
 let output_index c id =
-  let n = Array.length c.outputs in
-  let rec loop i =
-    if i >= n then None else if c.outputs.(i) = id then Some i else loop (i + 1)
-  in
-  loop 0
+  if id < 0 || id >= node_count c || c.po_pos.(id) < 0 then None
+  else Some c.po_pos.(id)
 
 (* Ids ascend topologically by construction, so a single forward sweep
    computes longest distances from the inputs. *)
@@ -70,6 +94,103 @@ let levels_to_outputs c =
 let depth c =
   let lv = levels_from_inputs c in
   Array.fold_left (fun acc o -> max acc lv.(o)) 0 c.outputs
+
+let compile_graph c =
+  let n = node_count c in
+  let nodes = c.nodes in
+  let kind = Array.map (fun (nd : node) -> Gate.code nd.kind) nodes in
+  let csr (f : node -> int array) =
+    let off = Array.make (n + 1) 0 in
+    for id = 0 to n - 1 do
+      off.(id + 1) <- off.(id) + Array.length (f nodes.(id))
+    done;
+    let flat = Array.make off.(n) 0 in
+    Array.iteri
+      (fun id nd -> Array.blit (f nd) 0 flat off.(id) (Array.length (f nd)))
+      nodes;
+    (off, flat)
+  in
+  let fi_off, fi = csr (fun nd -> nd.fanin) in
+  let fo_off, fo =
+    csr (fun nd -> Array.of_list (List.sort_uniq compare (Array.to_list nd.fanout)))
+  in
+  let level = levels_from_inputs c in
+  let n_levels = Array.fold_left max 0 level + 1 in
+  let lvl_off = Array.make (n_levels + 1) 0 in
+  Array.iter (fun l -> lvl_off.(l + 1) <- lvl_off.(l + 1) + 1) level;
+  for l = 1 to n_levels do
+    lvl_off.(l) <- lvl_off.(l) + lvl_off.(l - 1)
+  done;
+  (* A non-input gate is a fanout-free-region member when it is not a
+     primary output and drives exactly one pin; every other gate is an
+     FFR root. Successors have larger ids, so one descending sweep
+     resolves each member's root. *)
+  let succ = Array.make n (-1) in
+  let pin_at = Array.make n (-1) in
+  let root_of = Array.make n (-1) in
+  for id = n - 1 downto 0 do
+    let nd = nodes.(id) in
+    if nd.kind <> Gate.Input then
+      if c.po_pos.(id) < 0 && Array.length nd.fanout = 1 then begin
+        let s = nd.fanout.(0) in
+        let p = ref fi_off.(s) in
+        while fi.(!p) <> id do
+          incr p
+        done;
+        succ.(id) <- s;
+        pin_at.(id) <- !p;
+        root_of.(id) <- root_of.(s)
+      end
+      else root_of.(id) <- id
+  done;
+  let mem_off = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    if succ.(id) >= 0 then
+      mem_off.(root_of.(id) + 1) <- mem_off.(root_of.(id) + 1) + 1
+  done;
+  for id = 1 to n do
+    mem_off.(id) <- mem_off.(id) + mem_off.(id - 1)
+  done;
+  let mem = Array.make mem_off.(n) 0 in
+  let fill = Array.sub mem_off 0 n in
+  for id = n - 1 downto 0 do
+    if succ.(id) >= 0 then begin
+      let r = root_of.(id) in
+      mem.(fill.(r)) <- id;
+      fill.(r) <- fill.(r) + 1
+    end
+  done;
+  let roots =
+    Array.of_list
+      (List.filter (fun id -> root_of.(id) = id) (List.init n Fun.id))
+  in
+  {
+    Graph.kind;
+    fi_off;
+    fi;
+    fo_off;
+    fo;
+    level;
+    lvl_off;
+    po_pos = c.po_pos;
+    succ;
+    pin_at;
+    roots;
+    mem_off;
+    mem;
+  }
+
+(* The graph is built on first use and published with a
+   compare-and-set rather than a [Lazy]: forcing one lazy from two
+   domains at once raises [Lazy.Undefined]. Two racing first uses may
+   both build it; the loser adopts the winner's value. *)
+let graph c =
+  match Atomic.get c.cache with
+  | Some g -> g
+  | None ->
+    let g = compile_graph c in
+    if Atomic.compare_and_set c.cache None (Some g) then g
+    else Option.get (Atomic.get c.cache)
 
 let collect_marked marked =
   let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 marked in
@@ -316,15 +437,23 @@ module Builder = struct
           })
         protos
     in
-    { name = b.bname; nodes; inputs; outputs }
+    let po_pos = Array.make n (-1) in
+    Array.iteri (fun pos id -> po_pos.(id) <- pos) outputs;
+    { name = b.bname; nodes; inputs; outputs; po_pos; cache = Atomic.make None }
 
-  let build b =
-    let protos = Array.of_list (List.rev b.protos) in
+  (* The builder's contents in id and declaration order, once it has
+     an input and an output. *)
+  let parts b =
     let inputs = Array.of_list (List.rev b.binputs) in
     let outputs = Array.of_list (List.rev b.boutputs) in
     if Array.length inputs = 0 then Error "circuit has no primary inputs"
     else if Array.length outputs = 0 then Error "circuit has no primary outputs"
-    else begin
+    else Ok (Array.of_list (List.rev b.protos), inputs, outputs)
+
+  let build b =
+    match parts b with
+    | Error _ as e -> e
+    | Ok (protos, inputs, outputs) -> (
       let c = assemble b protos inputs outputs in
       let dangling =
         Array.to_list c.nodes
@@ -337,27 +466,21 @@ module Builder = struct
       | names ->
         Error
           (Printf.sprintf "dangling nodes (no fanout, not outputs): %s"
-             (String.concat ", " names))
-    end
+             (String.concat ", " names)))
 
   let build_exn b =
     match build b with Ok c -> c | Error msg -> failwith ("Circuit.Builder.build: " ^ msg)
 
   let build_trimmed b =
-    let protos = Array.of_list (List.rev b.protos) in
-    let inputs = Array.of_list (List.rev b.binputs) in
-    let outputs = Array.of_list (List.rev b.boutputs) in
-    if Array.length inputs = 0 then Error "circuit has no primary inputs"
-    else if Array.length outputs = 0 then Error "circuit has no primary outputs"
-    else begin
-      let c0 = assemble b protos inputs outputs in
-      let n = Array.length c0.nodes in
+    match parts b with
+    | Error _ as e -> e
+    | Ok (protos, inputs, outputs) ->
+      let n = Array.length protos in
       (* keep = reaches some primary output; inputs are always kept *)
       let keep = Array.make n false in
       Array.iter (fun o -> keep.(o) <- true) outputs;
       for id = n - 1 downto 0 do
-        if keep.(id) then
-          Array.iter (fun f -> keep.(f) <- true) c0.nodes.(id).fanin
+        if keep.(id) then List.iter (fun f -> keep.(f) <- true) protos.(id).p_fanin
       done;
       Array.iter (fun i -> keep.(i) <- true) inputs;
       let remap = Array.make n (-1) in
@@ -382,5 +505,4 @@ module Builder = struct
       let inputs' = Array.map (fun i -> remap.(i)) inputs in
       let outputs' = Array.map (fun o -> remap.(o)) outputs in
       Ok (assemble b protos' inputs' outputs')
-    end
 end

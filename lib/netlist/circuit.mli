@@ -4,7 +4,11 @@
     assigned by the builder in creation order, which is also a valid
     topological order (a gate may only reference already-created
     nodes), so [0 .. n-1] ascending is always PI-to-PO topological and
-    descending is PO-to-PI reverse topological. *)
+    descending is PO-to-PI reverse topological.
+
+    Every engine reads the circuit's structure through one value: the
+    primary-output positions are computed when the circuit is built,
+    and the flat {!Graph} on first use of {!graph}. *)
 
 type node = {
   id : int;
@@ -14,11 +18,57 @@ type node = {
   fanout : int array; (** reader node ids, each listed once per pin *)
 }
 
+(** The circuit compiled to flat int arrays, for kernels that walk the
+    graph many times: fault injection ([Ser_logicsim.Flipsim]), the
+    WS-table and serpp successor sums, the analytic [P_ij] and the ODC
+    screen. Arrays indexed by node id have length {!node_count}; CSR
+    slices [off.(id) .. off.(id + 1) - 1] index the flat array beside
+    them. Immutable; shared across domains. *)
+module Graph : sig
+  type t = private {
+    kind : int array;  (** {!Gate.code} of each node's kind *)
+    fi_off : int array;  (** [node_count + 1] offsets into [fi] *)
+    fi : int array;  (** fanin ids, in pin order *)
+    fo_off : int array;  (** [node_count + 1] offsets into [fo] *)
+    fo : int array;
+        (** distinct successor ids, ascending: [List.sort_uniq] of
+            [fanout] *)
+    level : int array;  (** {!levels_from_inputs} *)
+    lvl_off : int array;
+        (** [max level + 2] offsets: the number of nodes below each
+            level, prefix-summed (a bucket layout by level) *)
+    po_pos : int array;  (** output position, or [-1] *)
+    succ : int array;
+        (** fanout-free-region member: its one successor; [-1] at
+            roots and inputs *)
+    pin_at : int array;  (** member: its position in [fi] of [succ] *)
+    roots : int array;  (** FFR roots, ascending ids *)
+    mem_off : int array;  (** [node_count + 1] offsets into [mem], by root id *)
+    mem : int array;  (** each root's members, descending ids *)
+  }
+  (** A non-input gate that is not a primary output and drives exactly
+      one pin is a fanout-free-region (FFR) {e member}; every other
+      gate (primary outputs, fanout stems, gates driving two pins of
+      one successor) is an FFR {e root}. Each member belongs to the
+      root its single-successor chain ends at, so roots and members
+      partition the gates. *)
+
+  val successors : t -> int -> int array
+  (** Distinct successor ids of a node, ascending (a fresh array). *)
+end
+
+type graph_cache
+(** Where a circuit keeps its {!Graph} once built. *)
+
 type t = private {
   name : string;
   nodes : node array;
   inputs : int array;  (** ids of primary inputs, in declaration order *)
   outputs : int array; (** ids of primary outputs, in declaration order *)
+  po_pos : int array;
+      (** per node id: its position in [outputs], or [-1]; computed
+          when the circuit is built *)
+  cache : graph_cache;
 }
 
 val node_count : t -> int
@@ -31,14 +81,22 @@ val node : t -> int -> node
 (** Raises [Invalid_argument] on an out-of-range id. *)
 
 val is_input : t -> int -> bool
+
 val is_output : t -> int -> bool
+(** O(1). Raises [Invalid_argument] on an out-of-range id. *)
 
 val find_by_name : t -> string -> int option
 (** Linear scan; intended for tests and CLI lookups. *)
 
 val output_index : t -> int -> int option
 (** [output_index c id] is the position of [id] in [c.outputs], if it is
-    a primary output. *)
+    a primary output. O(1). *)
+
+val graph : t -> Graph.t
+(** The circuit's {!Graph}, built on first use and cached in [t]: every
+    later call, from any domain, returns the physically same value.
+    A first use from several domains at once is safe; it may build
+    the graph more than once but publishes one. *)
 
 (** {1 Traversals} *)
 

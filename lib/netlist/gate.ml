@@ -40,6 +40,17 @@ let inverting = function
   | Not | Nand | Nor | Xnor -> true
   | Input | Buf | And | Or | Xor -> false
 
+let code = function
+  | Buf -> 0
+  | Not -> 1
+  | And -> 2
+  | Nand -> 3
+  | Or -> 4
+  | Nor -> 5
+  | Xor -> 6
+  | Xnor -> 7
+  | Input -> 8
+
 let check_arity kind n =
   if kind = Input then invalid_arg "Gate.eval: Input has no inputs";
   if n < min_fanin kind || n > max_fanin kind then

@@ -35,6 +35,12 @@ val max_fanin : kind -> int
 val inverting : kind -> bool
 (** Whether the gate logically inverts ([Not], [Nand], [Nor], [Xnor]). *)
 
+val code : kind -> int
+(** Small-int code for kernels that dispatch on an int instead of the
+    variant: [Buf] 0, [Not] 1, [And] 2, [Nand] 3, [Or] 4, [Nor] 5,
+    [Xor] 6, [Xnor] 7, [Input] 8. So [code k lsr 1] is the gate family
+    and [code k] is odd iff [k] inverts. *)
+
 val eval_bool : kind -> bool array -> bool
 (** Boolean evaluation. Raises [Invalid_argument] for [Input] or for an
     arity outside [min_fanin .. max_fanin]. *)

@@ -78,15 +78,16 @@ let batch_count vectors =
    batch flips only the fanout-free-region roots and traces their
    members (lib/logicsim Flipsim), which gives every site's count
    exactly. *)
-let screen ~config (c : Circuit.t) kernel =
+let screen ~config (c : Circuit.t) =
   let n = Circuit.node_count c in
-  let roots = Flipsim.roots kernel in
+  let g = Circuit.graph c in
+  let roots = g.Circuit.Graph.roots in
   let base = Rng.split (Rng.create config.seed) in
   Ser_par.Par.parallel_reduce ~n:(batch_count config.vectors)
     ~init:(Array.make n 0)
     ~map:(fun ~lo ~hi ->
       let counts = Array.make n 0 in
-      let ws = Flipsim.scratch kernel in
+      let ws = Flipsim.scratch g in
       for b = lo to hi - 1 do
         let rng_b = Rng.stream base b in
         let k =
@@ -112,36 +113,36 @@ let screen ~config (c : Circuit.t) kernel =
    (indices into [c.inputs]) in the fanin closure of its fanout cone.
    The PO-difference function of the flip is a function of exactly
    these inputs — every cone gate's recomputation reads only cone
-   values and side inputs, all inside the closure. *)
-let influence_support (c : Circuit.t) cone =
-  let n = Circuit.node_count c in
-  let seen = Array.make n false in
-  let stack = ref [] in
-  Array.iter
-    (fun t ->
-      if not seen.(t) then begin
-        seen.(t) <- true;
-        stack := t :: !stack
-      end)
-    cone;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | t :: rest ->
-      stack := rest;
-      Array.iter
-        (fun f ->
-          if not seen.(f) then begin
-            seen.(f) <- true;
-            stack := f :: !stack
-          end)
-        (Circuit.node c t).Circuit.fanin;
-      drain ()
+   values and side inputs, all inside the closure. One queue collects
+   the cone over the graph's distinct fanouts, then keeps growing
+   through the fanins of everything queued; nodes are stamped with the
+   site's id, so a worker reuses one [stamp] and [queue] for all its
+   sites. *)
+let influence_support (c : Circuit.t) ~stamp ~queue id =
+  let g = Circuit.graph c in
+  let len = ref 0 in
+  let visit v =
+    if stamp.(v) <> id then begin
+      stamp.(v) <- id;
+      queue.(!len) <- v;
+      incr len
+    end
   in
-  drain ();
-  let pos = ref [] in
-  Array.iteri (fun p id -> if seen.(id) then pos := p :: !pos) c.Circuit.inputs;
-  Array.of_list (List.rev !pos)
+  let walk off adj =
+    let head = ref 0 in
+    while !head < !len do
+      let v = queue.(!head) in
+      incr head;
+      for q = off.(v) to off.(v + 1) - 1 do visit adj.(q) done
+    done
+  in
+  visit id;
+  walk g.Circuit.Graph.fo_off g.fo;
+  walk g.fi_off g.fi;
+  let inputs = c.Circuit.inputs in
+  List.init (Array.length inputs) Fun.id
+  |> List.filter (fun p -> stamp.(inputs.(p)) = id)
+  |> Array.of_list
 
 (* Exhaustive proof over the support: enumerate all [2^|S|] support
    assignments packed [bits_per_word] per batch — support position [s]
@@ -149,11 +150,10 @@ let influence_support (c : Circuit.t) cone =
    which is sound because the difference function does not read them.
    Returns (detections, patterns). Zero detections is a proof: every
    achievable behaviour of the difference function was enumerated. *)
-let prove (c : Circuit.t) kernel ~supp id =
+let prove (c : Circuit.t) ws ~supp id =
   let k_sup = Array.length supp in
   let total = 1 lsl k_sup in
   let pi_words = Array.make (Array.length c.Circuit.inputs) 0 in
-  let ws = Flipsim.scratch kernel in
   let det = ref 0 in
   for b = 0 to batch_count total - 1 do
     let p0 = b * Bitsim.bits_per_word in
@@ -185,87 +185,102 @@ let validate config =
       ~context:[ ("pi_cap", string_of_int config.pi_cap) ]
       "pi_cap must be in 0..%d (got %d)" max_pi_cap config.pi_cap
 
+(* One site's classification from its screen count: observed when the
+   screen saw it, else settled by its influence support, exhaustively
+   when that is small enough. *)
+let classify ~config (c : Circuit.t) counts ~stamp ~queue ws id =
+  let name = (Circuit.node c id).Circuit.name in
+  let det = counts.(id) in
+  if det > 0 then
+    let obs = float_of_int det /. float_of_int config.vectors in
+    {
+      gate = name;
+      cls = Observed;
+      detected = det;
+      tested = config.vectors;
+      support = -1;
+      obs;
+      obs_ub =
+        min 1. (float_of_int (det + 3) /. float_of_int config.vectors);
+    }
+  else
+    let supp = influence_support c ~stamp ~queue id in
+    let k_sup = Array.length supp in
+    if config.mode = Exhaustive && k_sup <= config.pi_cap then begin
+      let det, total =
+        Obs.Trace.with_span "odc.prove" @@ fun () ->
+        prove c ws ~supp id
+      in
+      Obs.Metrics.observe h_proof_patterns total;
+      if det = 0 then
+        {
+          gate = name;
+          cls = Proven_masked;
+          detected = 0;
+          tested = config.vectors + total;
+          support = k_sup;
+          obs = 0.;
+          obs_ub = 0.;
+        }
+      else
+        (* exact over the support enumeration: every support
+           assignment appears exactly once *)
+        let obs = float_of_int det /. float_of_int total in
+        {
+          gate = name;
+          cls = Observed;
+          detected = det;
+          tested = total;
+          support = k_sup;
+          obs;
+          obs_ub = obs;
+        }
+    end
+    else
+      {
+        gate = name;
+        cls = Sampled_unobserved;
+        detected = 0;
+        tested = config.vectors;
+        support = k_sup;
+        obs = 0.;
+        obs_ub = rule_of_three config.vectors;
+      }
+
 let analyze ?(config = default) (c : Circuit.t) =
   validate config;
   Obs.Trace.with_span "odc.analyze" @@ fun () ->
   let n = Circuit.node_count c in
-  let kernel = Flipsim.compile c in
+  let g = Circuit.graph c in
   let counts =
-    Obs.Trace.with_span "odc.screen" @@ fun () -> screen ~config c kernel
+    Obs.Trace.with_span "odc.screen" @@ fun () -> screen ~config c
   in
   Obs.Metrics.add m_stem_flips
-    (Array.length (Flipsim.roots kernel) * batch_count config.vectors);
+    (Array.length g.Circuit.Graph.roots * batch_count config.vectors);
   (* Screen survivors get their influence support computed; in
      Exhaustive mode the small-support ones are then settled by
      enumeration. Both passes are RNG-free and element-independent, so
-     the parallel map is deterministic. *)
+     the parallel map is deterministic; each worker slot keeps one
+     walk and flip scratch for all its sites. *)
   let gate_ids =
     Array.of_list
       (List.filter (fun i -> not (Circuit.is_input c i)) (List.init n Fun.id))
   in
-  let sites =
-    Obs.Trace.with_span "odc.classify" @@ fun () ->
-    Ser_par.Par.parallel_map ~chunk:1
-      (fun id ->
-        let name = (Circuit.node c id).Circuit.name in
-        let det = counts.(id) in
-        if det > 0 then
-          let obs = float_of_int det /. float_of_int config.vectors in
-          {
-            gate = name;
-            cls = Observed;
-            detected = det;
-            tested = config.vectors;
-            support = -1;
-            obs;
-            obs_ub =
-              min 1. (float_of_int (det + 3) /. float_of_int config.vectors);
-          }
-        else
-          let supp = influence_support c (Circuit.fanout_cone c id) in
-          let k_sup = Array.length supp in
-          if config.mode = Exhaustive && k_sup <= config.pi_cap then begin
-            let det, total =
-              Obs.Trace.with_span "odc.prove" @@ fun () ->
-              prove c kernel ~supp id
-            in
-            Obs.Metrics.observe h_proof_patterns total;
-            if det = 0 then
-              {
-                gate = name;
-                cls = Proven_masked;
-                detected = 0;
-                tested = config.vectors + total;
-                support = k_sup;
-                obs = 0.;
-                obs_ub = 0.;
-              }
-            else
-              (* exact over the support enumeration: every support
-                 assignment appears exactly once *)
-              let obs = float_of_int det /. float_of_int total in
-              {
-                gate = name;
-                cls = Observed;
-                detected = det;
-                tested = total;
-                support = k_sup;
-                obs;
-                obs_ub = obs;
-              }
-          end
-          else
-            {
-              gate = name;
-              cls = Sampled_unobserved;
-              detected = 0;
-              tested = config.vectors;
-              support = k_sup;
-              obs = 0.;
-              obs_ub = rule_of_three config.vectors;
-            })
-      gate_ids
+  let slots = Ser_par.Par.jobs () in
+  let scratch =
+    Array.init slots (fun _ ->
+        (Array.make n (-1), Array.make n 0, Flipsim.scratch g))
   in
+  let sites = Array.make (Array.length gate_ids) None in
+  Obs.Trace.with_span "odc.classify" (fun () ->
+      Ser_par.Par.parallel_chunks ~chunk:1 ~n:(Array.length gate_ids)
+        (fun ~slot ~lo ~hi ->
+          let stamp, queue, ws = scratch.(min slot (slots - 1)) in
+          for i = lo to hi - 1 do
+            sites.(i) <-
+              Some (classify ~config c counts ~stamp ~queue ws gate_ids.(i))
+          done));
+  let sites = Array.map Option.get sites in
   Array.sort (fun a b -> String.compare a.gate b.gate) sites;
   Obs.Metrics.add m_tested (Array.length sites);
   Array.iter

@@ -48,26 +48,15 @@ let sample_widths config =
   if config.n_samples < 2 then invalid_arg "Serpp.sample_widths: need >= 2";
   Ser_util.Floatx.logspace 2. config.max_sample_width config.n_samples
 
-(* Unique successor ids, in successor-name order. Fanout lists one
-   entry per pin and its order follows gate declaration; names are
-   stable under re-declaration, so summing contributions name-sorted
-   keeps the profile independent of the input file's gate order. *)
+(* Unique successor ids, in successor-name order: the graph's distinct
+   successors, name-sorted. Names are stable under re-declaration, so
+   summing contributions name-sorted keeps the profile independent of
+   the input file's gate order. *)
 let successors_by_name (c : Circuit.t) id =
-  let nd = Circuit.node c id in
-  let seen = Hashtbl.create 4 in
-  let out = ref [] in
-  Array.iter
-    (fun r ->
-      if not (Hashtbl.mem seen r) then begin
-        Hashtbl.replace seen r ();
-        out := r :: !out
-      end)
-    nd.fanout;
-  List.sort
-    (fun a b ->
-      String.compare (Circuit.node c a).Circuit.name
-        (Circuit.node c b).Circuit.name)
-    !out
+  let name s = (Circuit.node c s).Circuit.name in
+  Circuit.Graph.successors (Circuit.graph c) id
+  |> Array.to_list
+  |> List.sort (fun a b -> String.compare (name a) (name b))
 
 let latch_cap config =
   match config.latch_window with

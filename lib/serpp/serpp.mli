@@ -20,7 +20,8 @@
     glitch (optionally derated by the latching window), an interior
     gate sums [S_is * profile_s(attenuate(w, delay_s))] over its
     unique successors [s]. Successor contributions are accumulated in
-    successor-{e name} order, so the estimate does not depend on gate
+    successor-{e name} order (the circuit graph's successors,
+    name-sorted), so the estimate does not depend on gate
     declaration order beyond float-rounding noise in the shared STA
     pass. Under reconvergent fan-out the sum counts a path family more
     than once (an upper-bound tendency ASERTA's normalized Eq-2 split

@@ -93,7 +93,7 @@ let run_electrical (config : Analysis.config) lib asg masking =
   let n_pos = Array.length c.Circuit.outputs in
   let timing = Timing.analyze ~env:config.Analysis.env lib asg in
   let ws = Analysis.sample_widths config in
-  let po_pos = Analysis.output_positions c in
+  let po_pos = Masking_oracle.is_po_of c in
   let tables = Array.make n [||] in
   for id = n - 1 downto 0 do
     if not (Circuit.is_input c id) then

@@ -134,3 +134,37 @@ let prove (c : Circuit.t) i =
     p0 := !p0 + k
   done;
   (!det, total)
+
+(* Vectorless P_ij by backward propagation, the per-pin reference:
+   walk each node's fanout pins, skip repeat successors with a
+   [Hashtbl], and fold [1 - (1 - P_ij) (1 - S_is P_sj)] in that
+   first-seen order. Probs.path_probabilities_analytic must reproduce
+   it bit for bit. *)
+let path_probabilities_analytic ~probs (c : Circuit.t) =
+  let n = Circuit.node_count c in
+  let n_pos = Array.length c.Circuit.outputs in
+  let p = Array.make_matrix n n_pos 0. in
+  let po_pos = is_po_of c in
+  for id = n - 1 downto 0 do
+    if not (Circuit.is_input c id) then begin
+      if po_pos.(id) >= 0 then p.(id).(po_pos.(id)) <- 1.;
+      let seen = Hashtbl.create 4 in
+      Array.iter
+        (fun s ->
+          if not (Hashtbl.mem seen s) then begin
+            Hashtbl.replace seen s ();
+            let sens =
+              Ser_logicsim.Probs.sensitization_to_driver c ~probs ~gate:s
+                ~driver:id
+            in
+            if sens > 0. then
+              for j = 0 to n_pos - 1 do
+                if p.(s).(j) > 0. && po_pos.(id) <> j then
+                  p.(id).(j) <-
+                    1. -. ((1. -. p.(id).(j)) *. (1. -. (sens *. p.(s).(j))))
+              done
+          end)
+        (Circuit.node c id).Circuit.fanout
+    end
+  done;
+  p

@@ -131,6 +131,25 @@ let test_batch_defaults () =
   Alcotest.(check bool) "optimize job" true
     (job.Request.op = Request.Optimize && job.Request.evals = 7)
 
+let of_json_total_prop =
+  let valid =
+    List.map Request.to_json
+      [
+        Request.defaults Request.Analyze c17;
+        {
+          (Request.defaults Request.Optimize (Request.Inline_bench "INPUT(a)"))
+          with
+          Request.id = Some "k";
+          eval_tier = "serpp";
+          vdds = [ 0.9; 1.1 ];
+          fault = Some (Request.Exit 3);
+        };
+        Request.defaults Request.Rate c17;
+        { (Request.defaults Request.Odc c17) with Request.odc_mode = "sampled" };
+      ]
+  in
+  Json_gen.total_prop ~name:"of_json is total" ~valid Request.of_json
+
 let () =
   Alcotest.run "cli"
     [
@@ -138,6 +157,7 @@ let () =
         [
           Alcotest.test_case "params_json golden bytes" `Quick
             test_params_golden;
+          QCheck_alcotest.to_alcotest of_json_total_prop;
         ] );
       ( "flags",
         [

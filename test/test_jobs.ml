@@ -485,6 +485,30 @@ let merge_determinism_prop =
       | None -> ());
       (not r.Merge.degraded) && String.equal expected (merged_doc r))
 
+let event_of_json_total_prop =
+  let valid =
+    List.map Journal.event_to_json
+      [
+        Journal.Batch_start { manifest = "m"; jobs = [ "a"; "b" ]; shard = None };
+        Journal.Batch_start { manifest = "m"; jobs = []; shard = Some (1, 3) };
+        Journal.Enqueued { job = "a" };
+        Journal.Started { job = "a"; attempt = 2 };
+        Journal.Attempt_failed
+          { job = "a"; attempt = 1; cls = "hang"; detail = "d"; backoff_s = 0.5 };
+        Journal.Interrupted { job = "b"; attempt = 1 };
+        Journal.Done
+          {
+            job = "a";
+            status = "ok";
+            digest = "0f";
+            payload = Json.Obj [ ("total", Json.Num 1.5) ];
+          };
+        Journal.Batch_end { ok = 1; failed = 0; degraded = 1; interrupted = 0 };
+      ]
+  in
+  Json_gen.total_prop ~name:"event_of_json is total" ~valid
+    Journal.event_of_json
+
 let () =
   Alcotest.run "ser_jobs"
     [
@@ -507,6 +531,7 @@ let () =
           Alcotest.test_case "resume skips finals" `Quick test_resume_skips;
           Alcotest.test_case "resume wrong batch" `Quick test_resume_wrong_batch;
           QCheck_alcotest.to_alcotest truncation_resume_prop;
+          QCheck_alcotest.to_alcotest event_of_json_total_prop;
         ] );
       ( "shard",
         [

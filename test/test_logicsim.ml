@@ -391,6 +391,30 @@ let check_against_oracle what ?pi_probs ?prune ~vectors c =
           screen.(id) e)
     expected
 
+(* The analytic P_ij against the per-pin reference, under fair and
+   biased signal probabilities. *)
+let check_analytic what c =
+  List.iter
+    (fun probs ->
+      bits_equal what
+        (Probs.path_probabilities_analytic ~probs c).Probs.p
+        (Oracle.path_probabilities_analytic ~probs c))
+    [
+      Probs.signal_probabilities c;
+      Probs.signal_probabilities
+        ~pi_probs:
+          (Array.mapi
+             (fun pos _ -> 0.05 +. (0.1 *. float_of_int (pos mod 10)))
+             c.Circuit.inputs)
+        c;
+    ]
+
+let analytic_oracle_prop =
+  QCheck.Test.make ~name:"analytic P_ij = per-pin reference, bit for bit"
+    ~count:50 Circuit_gen.arb (fun (seed, _, n_gates, depth) ->
+      check_analytic "random" (Circuit_gen.circuit ~seed ~n_gates ~depth);
+      true)
+
 let oracle_prop =
   QCheck.Test.make ~name:"kernel = per-gate oracle on random circuits" ~count:25
     Circuit_gen.arb (fun (seed, _, n_gates, depth) ->
@@ -453,6 +477,7 @@ let test_oracle_fixed () =
   in
   List.iter
     (fun (what, c) ->
+      check_analytic what c;
       check_against_oracle what ~vectors:131 c;
       check_against_oracle what
         ~pi_probs:(Array.map (fun _ -> 0.8) c.Circuit.inputs)
@@ -545,6 +570,7 @@ let () =
           QCheck_alcotest.to_alcotest pij_brute_force_prop;
           QCheck_alcotest.to_alcotest analytic_exact_on_trees_prop;
           Alcotest.test_case "analytic close on c17" `Quick test_analytic_close_on_c17;
+          QCheck_alcotest.to_alcotest analytic_oracle_prop;
           Alcotest.test_case "biased inputs" `Quick test_biased_inputs;
           Alcotest.test_case "parallel = sequential" `Quick test_parallel_identical;
           Alcotest.test_case "PI strike rejected" `Quick test_detection_counts_requires_gate;

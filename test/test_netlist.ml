@@ -185,6 +185,143 @@ let test_levels_and_cones () =
   Alcotest.(check (list int)) "reachable outputs" [ 0 ]
     (Array.to_list (Circuit.reachable_outputs c g1))
 
+(* The circuit graph against its definitions, on one circuit. *)
+let check_graph c =
+  let g = Circuit.graph c in
+  let n = Circuit.node_count c in
+  let slice off flat id = Array.sub flat off.(id) (off.(id + 1) - off.(id)) in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let lv = Circuit.levels_from_inputs c in
+  Array.iter
+    (fun (nd : Circuit.node) ->
+      let id = nd.Circuit.id in
+      if g.Circuit.Graph.kind.(id) <> Gate.code nd.Circuit.kind then
+        fail "kind code of %d" id;
+      if slice g.fi_off g.fi id <> nd.Circuit.fanin then fail "fanin of %d" id;
+      if
+        Array.to_list (slice g.fo_off g.fo id)
+        <> List.sort_uniq compare (Array.to_list nd.Circuit.fanout)
+      then fail "distinct fanout of %d" id;
+      if Circuit.Graph.successors g id <> slice g.fo_off g.fo id then
+        fail "successors of %d" id;
+      if g.level.(id) <> lv.(id) then fail "level of %d" id;
+      (* outputs, by a linear scan *)
+      let scan = ref None in
+      Array.iteri (fun pos o -> if o = id then scan := Some pos) c.Circuit.outputs;
+      if Circuit.output_index c id <> !scan then fail "output_index of %d" id;
+      if Circuit.is_output c id <> (!scan <> None) then fail "is_output of %d" id;
+      if g.po_pos.(id) <> Option.value ~default:(-1) !scan then
+        fail "po_pos of %d" id)
+    c.Circuit.nodes;
+  (* level buckets: lvl_off counts the nodes below each level *)
+  Array.iteri
+    (fun l off ->
+      let below = Array.fold_left (fun a x -> if x < l then a + 1 else a) 0 lv in
+      if off <> below then fail "lvl_off.(%d)" l)
+    g.lvl_off;
+  (* FFR partition: every gate is a root or a member of exactly one
+     root, members hang off their one successor's pin *)
+  let owner = Array.make n (-1) in
+  Array.iter
+    (fun r ->
+      if owner.(r) >= 0 || g.succ.(r) >= 0 then fail "root %d" r;
+      owner.(r) <- r;
+      let ms = slice g.mem_off g.mem r in
+      if Array.to_list ms <> List.sort (fun a b -> compare b a) (Array.to_list ms)
+      then fail "members of %d not descending" r;
+      Array.iter
+        (fun m ->
+          if owner.(m) >= 0 then fail "member %d twice" m;
+          owner.(m) <- r;
+          let nd = Circuit.node c m in
+          if
+            Circuit.is_output c m
+            || Array.length nd.Circuit.fanout <> 1
+            || g.succ.(m) <> nd.Circuit.fanout.(0)
+            || g.pin_at.(m) < g.fi_off.(g.succ.(m))
+            || g.pin_at.(m) >= g.fi_off.(g.succ.(m) + 1)
+            || g.fi.(g.pin_at.(m)) <> m
+          then fail "member %d" m;
+          let rec root_of v = if g.succ.(v) < 0 then v else root_of g.succ.(v) in
+          if root_of m <> r then fail "member %d under %d" m r)
+        ms)
+    g.roots;
+  Array.iter
+    (fun (nd : Circuit.node) ->
+      let gate = nd.Circuit.kind <> Gate.Input in
+      if gate <> (owner.(nd.Circuit.id) >= 0) then fail "gate %d" nd.Circuit.id;
+      let member =
+        gate && (not (Circuit.is_output c nd.Circuit.id))
+        && Array.length nd.Circuit.fanout = 1
+      in
+      if gate && member = Array.mem nd.Circuit.id g.roots then
+        fail "root/member status of %d" nd.Circuit.id)
+    c.Circuit.nodes;
+  if
+    Array.fold_left
+      (fun a r -> a + 1 + g.mem_off.(r + 1) - g.mem_off.(r))
+      0 g.roots
+    <> Circuit.gate_count c
+  then fail "FFR sizes do not sum to the gate count";
+  if Circuit.graph c != g then fail "second call built a new graph"
+
+(* [c]'s nodes replayed through a builder, plus [extra] dangling gates
+   that [build_trimmed] must delete. Without extras the replay goes
+   through [build], which rejects dead primary inputs: those become
+   outputs too. *)
+let rebuild ?(extra = 0) c =
+  let b = Circuit.Builder.create ~name:c.Circuit.name () in
+  Array.iter
+    (fun (nd : Circuit.node) ->
+      if nd.Circuit.kind = Gate.Input then
+        ignore (Circuit.Builder.add_input b nd.Circuit.name)
+      else
+        ignore
+          (Circuit.Builder.add_gate b ~name:nd.Circuit.name nd.Circuit.kind
+             (Array.to_list nd.Circuit.fanin)))
+    c.Circuit.nodes;
+  for k = 1 to extra do
+    let n = Circuit.Builder.node_count b in
+    ignore (Circuit.Builder.add_gate b Gate.Nand [ k mod n; (7 * k) mod n ])
+  done;
+  Array.iter (Circuit.Builder.set_output b) c.Circuit.outputs;
+  if extra > 0 then Circuit.Builder.build_trimmed b
+  else begin
+    Array.iter
+      (fun i ->
+        if Array.length (Circuit.node c i).Circuit.fanout = 0 then
+          Circuit.Builder.set_output b i)
+      c.Circuit.inputs;
+    Circuit.Builder.build b
+  end
+
+let graph_prop =
+  QCheck.Test.make ~name:"circuit graph matches its definitions" ~count:40
+    (QCheck.set_shrink QCheck.Shrink.nil Circuit_gen.arb) (fun (seed, extra, n_gates, depth) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      check_graph c;
+      List.iter
+        (fun extra ->
+          match rebuild ~extra c with
+          | Ok c' ->
+            if Circuit.gate_count c' <> Circuit.gate_count c then
+              QCheck.Test.fail_reportf "rebuild kept %d gates"
+                (Circuit.gate_count c');
+            check_graph c'
+          | Error e -> QCheck.Test.fail_reportf "rebuild: %s" e)
+        [ 0; extra ];
+      (* a first use from two domains at once *)
+      match rebuild c with
+      | Error e -> QCheck.Test.fail_reportf "rebuild: %s" e
+      | Ok fresh ->
+        let d = Domain.spawn (fun () -> Circuit.graph fresh) in
+        let mine = Circuit.graph fresh in
+        let theirs = Domain.join d in
+        if mine != theirs || Circuit.graph fresh != mine then
+          QCheck.Test.fail_reportf "two first uses yielded different graphs";
+        check_graph fresh;
+        true)
+
 let test_stats () =
   let c, _, _, _, _ = small_circuit () in
   let s = Circuit.stats c in
@@ -497,6 +634,7 @@ let () =
           Alcotest.test_case "build failures" `Quick test_build_failures;
           Alcotest.test_case "build_trimmed" `Quick test_build_trimmed;
           Alcotest.test_case "levels and cones" `Quick test_levels_and_cones;
+          QCheck_alcotest.to_alcotest graph_prop;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
       ( "bench format",

@@ -301,6 +301,19 @@ let test_request_validation () =
     Alcotest.(check string) "default mode" "exhaustive" r.Request.odc_mode;
     Alcotest.(check int) "default vectors" 4000 r.Request.vectors
 
+let of_json_total_prop =
+  let valid =
+    List.map
+      (fun (mode, c) ->
+        Odc.to_json
+          (Odc.analyze ~config:{ Odc.default with Odc.mode; vectors = 200 } c))
+      [
+        (Odc.Exhaustive, Ser_circuits.Iscas.c17 ());
+        (Odc.Sampled, Ser_harden.Transforms.tmr (Ser_circuits.Iscas.c17 ()));
+      ]
+  in
+  Json_gen.total_prop ~name:"of_json is total" ~valid Odc.of_json
+
 let () =
   Alcotest.run "odc"
     [
@@ -321,6 +334,7 @@ let () =
           Alcotest.test_case "sampled, -j 1 vs -j 2" `Quick
             test_sampled_deterministic_across_jobs;
           Alcotest.test_case "json round trip" `Quick test_json_round_trip;
+          QCheck_alcotest.to_alcotest of_json_total_prop;
         ] );
       ( "edges",
         [

@@ -399,6 +399,19 @@ let test_daemon_smoke () =
           | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
           | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
 
+let response_of_json_total_prop =
+  let valid =
+    [
+      Wire.ok ~id:None ~elapsed_s:0.25 (Json.Obj [ ("total", Json.Num 2.) ]);
+      Wire.ok ~cache_hit:true ~warm:true ~replayed:true ~id:(Some "r1")
+        ~elapsed_s:1. Json.Null;
+      Wire.error ~id:(Some "r2") Wire.Overloaded
+        (Diag.make ~subsystem:"serve" "queue full");
+    ]
+  in
+  Json_gen.total_prop ~name:"response_of_json is total" ~valid
+    Wire.response_of_json
+
 let () =
   Alcotest.run "serve"
     [
@@ -423,6 +436,7 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
           Alcotest.test_case "request validation" `Quick test_request_rejects;
           Alcotest.test_case "wire envelopes" `Quick test_wire_roundtrip;
+          QCheck_alcotest.to_alcotest response_of_json_total_prop;
         ] );
       ( "daemon",
         [ Alcotest.test_case "end-to-end smoke" `Quick test_daemon_smoke ] );
