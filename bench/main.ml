@@ -6,7 +6,7 @@
      dune exec bench/main.exe                      -- everything, quick profile
      dune exec bench/main.exe -- fig1              -- one experiment
      dune exec bench/main.exe -- table1-full       -- paper-scale budgets
-     dune exec bench/main.exe -- -j 2 sertopt-smoke -- engine checks, CI size *)
+     dune exec bench/main.exe -- -j 2 sertopt-smoke -- serpp tier check, CI size *)
 
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
@@ -65,47 +65,16 @@ let ablations () =
   print_string (Ser_repro.Ablation.glitch_model ())
 
 (* ------------------------------------------------------------------ *)
-(* SERTOPT: full-recompute vs incremental (lib/incr) evaluation        *)
+(* SERTOPT: greedy-menu tiering (serpp prefilter) against exact menus  *)
 (* ------------------------------------------------------------------ *)
 
-(* Check-only: the two evaluation modes must agree bit for bit, and the
-   serpp prefilter must save exact evaluations without moving the final
-   cost. A failed check prints FATAL and exits 1. Timings live in
-   perfbench/. *)
+(* Check-only: the serpp prefilter must save exact evaluations without
+   moving the final cost. A failed check prints FATAL and exits 1.
+   Timings live in perfbench/. *)
 let sertopt_check ?(smoke = false) () =
-  section "SERTOPT evaluation engine: full recompute vs incremental";
   let module Opt = Sertopt.Optimizer in
   let module Cost = Sertopt.Cost in
   let module Analysis = Aserta.Analysis in
-  let module Assignment = Ser_sta.Assignment in
-  let module Circuit = Ser_netlist.Circuit in
-  let module Cell_params = Ser_device.Cell_params in
-  (* [setup] loads a case and returns its circuit and a runner over
-     [eval_mode] and [tier]; masking is assignment-independent, so it is
-     computed once per case and shared by every run that is compared *)
-  let setup (name, vectors, max_evals, greedy_gates) =
-    let c = Ser_circuits.Iscas.load name in
-    let lib = Ser_cell.Library.create () in
-    let baseline = Assignment.uniform lib c in
-    let aserta = { Analysis.default_config with Analysis.vectors } in
-    let masking = Analysis.compute_masking aserta c in
-    let run eval_mode tier =
-      let config =
-        {
-          Opt.default_config with
-          Opt.aserta;
-          eval_mode;
-          tier;
-          max_evals;
-          greedy_gates;
-          greedy_passes = 1;
-          annealing_steps = 0;
-        }
-      in
-      Opt.optimize ~config ~masking lib baseline
-    in
-    (c, run)
-  in
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -113,62 +82,36 @@ let sertopt_check ?(smoke = false) () =
         exit 1)
       fmt
   in
-  let bits = Int64.bits_of_float in
-  (* (name, vectors, max_evals, greedy_gates); identical seeds and
-     configs for both modes, only [eval_mode] differs *)
-  let cases =
-    if smoke then [ ("c432", 300, 4, 4) ]
-    else [ ("c880", 400, 8, 10); ("c1355", 400, 8, 10); ("c2670", 400, 8, 24) ]
-  in
-  List.iter
-    (fun ((name, _, _, _) as case) ->
-      let c, run = setup case in
-      let rf = run Opt.Full_recompute Opt.Exact in
-      let ri = run Opt.Incremental Opt.Exact in
-      (* same final assignment, same metrics, same improving-cost trace,
-         same evaluation count *)
-      if rf.Opt.evals <> ri.Opt.evals then
-        fail "%s: eval counts differ (%d vs %d)" name rf.Opt.evals ri.Opt.evals;
-      if
-        List.length rf.Opt.cost_trace <> List.length ri.Opt.cost_trace
-        || not
-             (List.for_all2
-                (fun a b -> bits a = bits b)
-                rf.Opt.cost_trace ri.Opt.cost_trace)
-      then fail "%s: cost traces differ" name;
-      let mf = rf.Opt.optimized_metrics and mi = ri.Opt.optimized_metrics in
-      if
-        bits mf.Cost.unreliability <> bits mi.Cost.unreliability
-        || bits mf.Cost.delay <> bits mi.Cost.delay
-        || bits mf.Cost.energy <> bits mi.Cost.energy
-        || bits mf.Cost.area <> bits mi.Cost.area
-      then fail "%s: optimized metrics differ" name;
-      for id = 0 to Circuit.node_count c - 1 do
-        if not (Circuit.is_input c id) then
-          if
-            not
-              (Cell_params.equal
-                 (Assignment.get rf.Opt.optimized id)
-                 (Assignment.get ri.Opt.optimized id))
-          then fail "%s: optimized assignments differ at gate %d" name id
-      done;
-      Printf.printf
-        "  %-8s evals %d, reduction %.1f%%: full and incremental \
-         bit-identical\n%!"
-        name rf.Opt.evals
-        (100. *. Opt.unreliability_reduction rf))
-    cases;
   (* tiered greedy-menu evaluation: serpp prefilter (top-6 of every
      menu measured exactly) against exact menus, same seed and config
-     otherwise. The prefilter must cut exact evaluations at least 2x
-     on the big case while landing within 5% of the non-tiered final
-     cost — the documented tolerance for --eval-tier serpp. *)
+     otherwise; masking is assignment-independent, so it is computed
+     once and shared by both runs. The prefilter must cut exact
+     evaluations at least 2x on the big case while landing within 5% of
+     the non-tiered final cost — the documented tolerance for
+     --eval-tier serpp. *)
   section "SERTOPT greedy-menu tiering: exact menus vs serpp prefilter";
-  let ((name, _, _, _) as case) =
+  let name, vectors, max_evals, greedy_gates =
     if smoke then ("c432", 300, 4, 4) else ("c2670", 400, 8, 24)
   in
-  let _, run = setup case in
-  let run = run Opt.Incremental in
+  let c = Ser_circuits.Iscas.load name in
+  let lib = Ser_cell.Library.create () in
+  let baseline = Ser_sta.Assignment.uniform lib c in
+  let aserta = { Analysis.default_config with Analysis.vectors } in
+  let masking = Analysis.compute_masking aserta c in
+  let run tier =
+    let config =
+      {
+        Opt.default_config with
+        Opt.aserta;
+        tier;
+        max_evals;
+        greedy_gates;
+        greedy_passes = 1;
+        annealing_steps = 0;
+      }
+    in
+    Opt.optimize ~config ~masking lib baseline
+  in
   let saved_counter () =
     match Ser_obs.Obs.Metrics.find_counter "sertopt.exact_evals_saved" with
     | Some ctr -> Ser_obs.Obs.Metrics.value ctr

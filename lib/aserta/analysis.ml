@@ -48,10 +48,11 @@ type masking = {
 }
 
 type context = {
+  x_config : config;
+  x_masking : masking;
   x_circuit : Circuit.t;
   x_samples : float array;
   x_n_pos : int;
-  x_probs : float array;
   x_zero : float array;
       (* the one all-zero row that every dead output's table row
          aliases; rows are never mutated after publication, so sharing
@@ -178,10 +179,11 @@ let context config masking (c : Circuit.t) =
       if not (Circuit.is_input c id || Circuit.is_output c id) then
         gates.(id) <- Some (gate_pairs config masking c id));
   {
+    x_config = config;
+    x_masking = masking;
     x_circuit = c;
     x_samples = sample_widths config;
     x_n_pos = Array.length c.outputs;
-    x_probs = masking.probs;
     x_zero = Array.make config.n_samples 0.;
     x_gates = gates;
   }
@@ -249,14 +251,14 @@ let ws_table x ~brackets ~tables id =
 
 (* Steps (i)/(iv) + Eqs 3-4 for one gate, given the two generated
    glitch widths (strike with output low / high) and the gate area;
-   the electrical LUT lookups stay with the caller so the incremental
-   engine can put a memo table in front of them. The interpolation
+   the glitch-model queries stay with the caller, which holds the
+   gate's glitch kernel. The interpolation
    bracket of [w_i] is found once for all outputs, and an output with
    no WS contributions (its table row is provably all zeros, where the
    interpolation is exactly [+0.]) returns the literal without reading
    the table. Returns (w_i, W_ij row, U_i). *)
 let gate_unreliability x ~tables ~w_low ~w_high ~area id =
-  let p1 = x.x_probs.(id) in
+  let p1 = x.x_masking.probs.(id) in
   let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
   let ws = x.x_samples in
   let n_samples = Array.length ws in
@@ -276,8 +278,11 @@ let gate_unreliability x ~tables ~w_low ~w_high ~area id =
   in
   (wi, wij, area *. Ser_util.Floatx.sum wij)
 
-let run_electrical config lib asg masking =
+let run_context x lib asg =
   let c = Assignment.circuit asg in
+  if c != x.x_circuit then
+    invalid_arg "Analysis.run_context: assignment is for a different circuit";
+  let config = x.x_config in
   let n = Circuit.node_count c in
   Obs.Metrics.incr m_analyses;
   let timing =
@@ -286,9 +291,7 @@ let run_electrical config lib asg masking =
   in
   (* expected output width tables per gate: WS.(id).(po).(k) *)
   let table = Array.make n [||] in
-  let x =
-    Obs.Trace.with_span "aserta.ws_tables" @@ fun () ->
-      let x = context config masking c in
+  Obs.Trace.with_span "aserta.ws_tables" (fun () ->
       let brackets =
         Array.init n (fun id ->
             if Circuit.is_input c id then ([||], [||])
@@ -331,9 +334,7 @@ let run_electrical config lib asg masking =
           let ids = Array.of_list ids in
           Ser_par.Par.parallel_for ~n:(Array.length ids) (fun k ->
               table.(ids.(k)) <- ws_table x ~brackets ~tables:table ids.(k)))
-        by_level;
-      x
-  in
+        by_level);
   (* generated widths, step (iv) interpolation, and Eqs 3-4; the
      per-gate pass is embarrassingly parallel, the total is summed
      sequentially in gate order afterwards *)
@@ -352,13 +353,12 @@ let run_electrical config lib asg masking =
     else begin
       let cell = Assignment.get asg id in
       let node_cap = timing.Timing.loads.(id) +. Library.output_cap lib cell in
+      let k = Library.glitch_kernel lib cell in
       let w_low =
-        Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
-          ~output_low:true
+        Library.glitch_width k ~node_cap ~charge:config.charge ~output_low:true
       in
       let w_high =
-        Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
-          ~output_low:false
+        Library.glitch_width k ~node_cap ~charge:config.charge ~output_low:false
       in
       let wi, wij, u =
         gate_unreliability x ~tables:table ~w_low ~w_high
@@ -374,7 +374,7 @@ let run_electrical config lib asg masking =
   {
     config;
     circuit = c;
-    masking;
+    masking = x.x_masking;
     timing;
     gen_width;
     expected_width;
@@ -384,6 +384,9 @@ let run_electrical config lib asg masking =
     tables = table;
     context = x;
   }
+
+let run_electrical config lib asg masking =
+  run_context (context config masking (Assignment.circuit asg)) lib asg
 
 let run ?(config = default_config) ?prune lib asg =
   let masking = compute_masking ?prune config (Assignment.circuit asg) in
@@ -433,11 +436,12 @@ let run_checked ?(config = default_config) ?prune lib asg =
 let successor_weight t ~gate ~succ ~po =
   pi_weight t.circuit t.masking ~gate ~succ ~po
 
+let width_at ~samples ~own_po ~rows ~po width =
+  if po = own_po then Float.max 0. width
+  else Lut.interpolate_1d ~xs:samples ~ys:rows.(po) width
+
 let expected_width_at t ~gate ~po ~width =
   if Circuit.is_input t.circuit gate then 0.
-  else if Circuit.output_index t.circuit gate = Some po then Float.max 0. width
-  else begin
-    let rows = t.tables.(gate) in
-    if Array.length rows = 0 then 0.
-    else Lut.interpolate_1d ~xs:t.samples ~ys:rows.(po) width
-  end
+  else
+    width_at ~samples:t.samples ~own_po:t.circuit.Circuit.po_pos.(gate)
+      ~rows:t.tables.(gate) ~po width

@@ -70,13 +70,13 @@ type masking = {
     once and re-runs only the electrical pass in its loop. *)
 
 type context
-(** The assignment-independent part of the electrical pass, built once
-    per {!run_electrical} call from the config, the masking and the
-    circuit: the sample grid, and per interior gate its Eq-2 blend
-    weights per (output, successor), the successors read from the
-    circuit's graph ([Circuit.graph]). Valid for
-    any cell assignment of the same circuit, so the incremental engine
-    ([Ser_incr.Incr]) reuses it for every update. *)
+(** The assignment-independent part of the electrical pass, built by
+    {!context} from the config, the masking and the circuit: the sample
+    grid, and per interior gate its Eq-2 blend weights per (output,
+    successor), the successors read from the circuit's graph
+    ([Circuit.graph]). Valid for any cell assignment of the same
+    circuit, so the incremental engine ([Ser_incr.Incr]) reuses it for
+    every update and every wholesale rebuild. *)
 
 type t = {
   config : config;
@@ -122,13 +122,20 @@ val compute_masking :
     genuinely masked site, so pruning there would change (not merely
     accelerate) the estimate, and the mask is deliberately ignored. *)
 
+val context : config -> masking -> Ser_netlist.Circuit.t -> context
+(** Build the {!context} (in parallel over the gates). *)
+
+val run_context : context -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> t
+(** Electrical + latching pass for a given cell assignment on a built
+    context: fills every WS table and every [U_i] through {!ws_table}
+    and {!gate_unreliability}; bit-identical at any pool width.
+    O((V + E) * samples * outputs). Raises [Invalid_argument] if the
+    assignment is for a different circuit. *)
+
 val run_electrical :
   config -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> masking -> t
 (** Electrical + latching pass for a given cell assignment, reusing
-    precomputed masking. Builds its {!context} once (in parallel over
-    the gates) and fills every WS table and every [U_i] through
-    {!ws_table} and {!gate_unreliability}; bit-identical at any pool
-    width. O((V + E) * samples * outputs). *)
+    precomputed masking: {!context} followed by {!run_context}. *)
 
 val run :
   ?config:config -> ?prune:bool array ->
@@ -200,8 +207,9 @@ val gate_unreliability :
     [area]. Returns [(w_i, W_ij row, U_i)]. The interpolation bracket of
     [w_i] is found once for all outputs, and an output the gate cannot
     reach is the literal [+0.] (exactly what interpolating its all-zero
-    row gives). The electrical LUT lookups that produce [w_low]/[w_high]
-    stay with the caller so the incremental engine can memoise them. *)
+    row gives). The glitch-model queries that produce [w_low]/[w_high]
+    stay with the caller, which holds the gate's
+    {!Ser_cell.Library.glitch} kernel. *)
 
 val successor_weight :
   t -> gate:int -> succ:int -> po:int -> float
@@ -215,4 +223,17 @@ val expected_width_at : t -> gate:int -> po:int -> width:float -> float
     query that makes charge-spectrum analyses ({!Ser_rate}) possible
     without re-running the electrical pass: the width response to a
     strike of any energy is already tabulated. For a primary-output
-    gate at its own position this is the identity. *)
+    gate at its own position this is the identity. [0.] at a primary
+    input; otherwise {!width_at} on the gate's rows. *)
+
+val width_at :
+  samples:float array ->
+  own_po:int ->
+  rows:float array array ->
+  po:int ->
+  float ->
+  float
+(** The expected width at output [po] of a glitch of the given width
+    born at a non-input gate whose WS rows are [rows] (over the sample
+    grid [samples]) and whose own output position is [own_po] ([-1] if
+    none). *)

@@ -17,8 +17,8 @@
 
     evaluated by numerically integrating over the charge spectrum,
     reusing the expected-width tables of a completed
-    {!Analysis.t} via {!Analysis.expected_width_at} — no additional
-    electrical passes. Reported in FIT (failures per 10^9 device
+    {!Analysis.t} ({!Analysis.width_at}) — no additional electrical
+    passes. Reported in FIT (failures per 10^9 device
     hours) under a documented, synthetic flux normalisation. *)
 
 type spectrum = {
@@ -46,11 +46,39 @@ val run :
   Ser_sta.Assignment.t ->
   Analysis.t ->
   t
-(** Integrate the spectrum against a completed analysis. The default
+(** Integrate the spectrum against a completed analysis: {!gate_rate}
+    for every gate, summed with {!Ser_util.Floatx.sum}. The default
     clock period is 1.2x the analysed critical delay. Generated glitch
     widths at each quadrature charge come from the cell library
     (closed-form or tables, per the library backend); their propagation
-    to the outputs reuses the analysis' expected-width tables. *)
+    to the outputs reuses the analysis' expected-width tables. Raises
+    [Invalid_argument] on fewer than 2 points or a bad charge range. *)
+
+type quadrature
+(** A spectrum's quadrature charges and densities together with the
+    latching clock period, prepared once and shared by every
+    {!gate_rate} call. *)
+
+val quadrature : ?spectrum:spectrum -> clock_period:float -> unit -> quadrature
+(** Validates the spectrum like {!run}. *)
+
+val gate_rate :
+  quadrature ->
+  Ser_cell.Library.glitch ->
+  node_cap:float ->
+  p1:float ->
+  area:float ->
+  samples:float array ->
+  po:int ->
+  rows:float array array ->
+  float
+(** The FIT of one non-input gate, the one per-gate kernel of {!run}
+    and of the incremental engine's spectrum objective
+    ([Ser_incr.Incr]): the gate's glitch model at its total node
+    capacitance, its one-probability [p1] and area, its WS rows
+    ([Analysis.t.tables.(id)], over the sample grid [samples]) and its
+    own output position [po] ([-1] if none), read through
+    {!Analysis.width_at}. *)
 
 val latch_probability : clock_period:float -> float -> float
 (** [min(1, w / T_clk)], exposed for tests. *)

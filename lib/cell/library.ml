@@ -269,12 +269,23 @@ let glitch_tables t p =
         t.glitch_cache <- Pmap.add p tb t.glitch_cache;
         tb)
 
-let generated_glitch_width t p ~node_cap ~charge ~output_low =
+type glitch = Glitch_model of Gate_model.glitch | Glitch_tables of Lut.t * Lut.t
+
+let glitch_kernel t p =
   match t.backend with
-  | Analytic -> Gate_model.generated_glitch_width p ~node_cap ~charge ~output_low
+  | Analytic -> Glitch_model (Gate_model.compile_glitch p)
   | Transient ->
     let low_tbl, high_tbl = glitch_tables t p in
+    Glitch_tables (low_tbl, high_tbl)
+
+let glitch_width k ~node_cap ~charge ~output_low =
+  match k with
+  | Glitch_model m -> Gate_model.glitch_width m ~node_cap ~charge ~output_low
+  | Glitch_tables (low_tbl, high_tbl) ->
     Lut.eval2 (if output_low then low_tbl else high_tbl) node_cap charge
+
+let generated_glitch_width t p ~node_cap ~charge ~output_low =
+  glitch_width (glitch_kernel t p) ~node_cap ~charge ~output_low
 
 let warm_cache_size t =
   with_lock t (fun () ->

@@ -12,6 +12,12 @@
       "SPICE look-up tables" flow. Slower to warm up, cached per
       variant thereafter.
 
+    Hot loops hold compiled per-variant kernels instead of querying
+    the library: {!kernel} for timing and {!glitch_kernel} for the
+    generated glitch width; the per-query functions ({!delay},
+    {!output_ramp}, {!generated_glitch_width}) are thin wrappers over
+    them, so each formula exists once.
+
     Geometry-derived quantities (pin capacitance, area, leakage,
     switching energy) are closed-form in both backends. *)
 
@@ -81,6 +87,22 @@ val kernel_timing : kernel -> input_ramp:float -> cload:float -> float * float
 (** [(delay, output_ramp)], bit-identical to {!delay} and
     {!output_ramp}. *)
 
+type glitch
+(** One variant's glitch model, ready to evaluate: the compiled closed
+    form ({!Ser_device.Gate_model.compile_glitch}) on the analytic
+    backend, the variant's two glitch look-up tables (characterised on
+    first use, fetched once under the library lock) on the transient
+    backend. Kept apart from {!kernel} so that timing-only users never
+    characterise glitch tables. Immutable; hold one per gate. *)
+
+val glitch_kernel : t -> Ser_device.Cell_params.t -> glitch
+
+val glitch_width :
+  glitch -> node_cap:float -> charge:float -> output_low:bool -> float
+(** Width of the strike-generated glitch; [node_cap] is the {e total}
+    capacitance at the struck node (junctions + fan-out pins + wire),
+    of which the variant's own output capacitance is a part. *)
+
 val generated_glitch_width :
   t ->
   Ser_device.Cell_params.t ->
@@ -88,9 +110,7 @@ val generated_glitch_width :
   charge:float ->
   output_low:bool ->
   float
-(** Width of the strike-generated glitch; [node_cap] is the {e total}
-    capacitance at the struck node (junctions + fan-out pins + wire),
-    of which the variant's own output capacitance is a part. *)
+(** {!glitch_width} of the variant's {!glitch_kernel}. *)
 
 val warm_cache_size : t -> int
 (** Number of memoised characterisation tables (for tests/diagnostics). *)

@@ -181,31 +181,44 @@ let output_ramp p ~input_ramp ~cload = snd (timing p ~input_ramp ~cload)
 
 let collected_charge_tau = (2., 15.)
 
-let restore_drive p ~output_low =
-  (* a low output is held low by the on pull-down; a high output by the
-     on pull-up *)
-  drive_current p (if output_low then Pull_down else Pull_up)
+(* Everything the glitch formula reads from the cell, evaluated once:
+   the restoring network's drive for each output state (a low output is
+   held low by the on pull-down, a high output by the on pull-up). *)
+type glitch = { g_vdd : float; i_low : float; i_high : float }
 
-let critical_charge (p : Cell_params.t) ~node_cap ~output_low =
+let compile_glitch (p : Cell_params.t) =
+  {
+    g_vdd = p.vdd;
+    i_low = drive_current p Pull_down;
+    i_high = drive_current p Pull_up;
+  }
+
+let glitch_critical_charge k ~node_cap ~output_low =
   let _, tau_f = collected_charge_tau in
-  let i = restore_drive p ~output_low in
-  (node_cap *. p.vdd /. 2.) +. (i *. tau_f)
+  let i = if output_low then k.i_low else k.i_high in
+  (node_cap *. k.g_vdd /. 2.) +. (i *. tau_f)
 
 (* Heuristic closed form: charge up to [qc] is absorbed before the node
    crosses VDD/2; the excess keeps the node beyond VDD/2 for a time set
    by the injection tail and the recovery slope. Smooth and monotone in
    the charge; the transient engine is the accurate reference. *)
-let generated_glitch_width (p : Cell_params.t) ~node_cap ~charge ~output_low =
+let glitch_width k ~node_cap ~charge ~output_low =
   let _, tau_f = collected_charge_tau in
-  let i = restore_drive p ~output_low in
+  let i = if output_low then k.i_low else k.i_high in
   if i <= 0. then Float.max_float
   else begin
-    let qc = critical_charge p ~node_cap ~output_low in
+    let qc = glitch_critical_charge k ~node_cap ~output_low in
     let excess = charge -. qc in
     if excess <= 0. then 0.
     else begin
       let it = i *. tau_f in
-      let recovery = node_cap *. p.vdd /. 2. /. i in
+      let recovery = node_cap *. k.g_vdd /. 2. /. i in
       (excess /. (excess +. it) *. recovery) +. (tau_f *. log (1. +. (excess /. it)))
     end
   end
+
+let critical_charge p ~node_cap ~output_low =
+  glitch_critical_charge (compile_glitch p) ~node_cap ~output_low
+
+let generated_glitch_width p ~node_cap ~charge ~output_low =
+  glitch_width (compile_glitch p) ~node_cap ~charge ~output_low

@@ -10,7 +10,12 @@
 
     Internally a gate is reduced to one or two CMOS stages (AND = NAND +
     inverter, XOR counts as two heavier stages) whose pull networks are
-    equivalent inverters obeying the alpha-power law. *)
+    equivalent inverters obeying the alpha-power law.
+
+    The timing model and the glitch model can each be compiled once per
+    variant ({!compile}, {!compile_glitch}) and then only evaluated; the
+    per-call functions compile and evaluate, so each formula exists
+    once. *)
 
 type stage = {
   n_stack : int; (** series depth of the NMOS network *)
@@ -82,15 +87,27 @@ val collected_charge_tau : float * float
 (** [(tau_rise, tau_fall)] of the double-exponential strike current
     pulse, ps. Shared with {!Ser_spice}. *)
 
-val generated_glitch_width :
-  Cell_params.t -> node_cap:float -> charge:float -> output_low:bool -> float
+type glitch
+(** A variant's glitch model with the cell-dependent terms evaluated:
+    the supply and the restoring drive for each output state. Immutable;
+    safe to share across domains. *)
+
+val compile_glitch : Cell_params.t -> glitch
+
+val glitch_width :
+  glitch -> node_cap:float -> charge:float -> output_low:bool -> float
 (** Closed-form width (ps, measured at VDD/2) of the glitch a strike of
-    [charge] fC produces on this gate's output when the total node
+    [charge] fC produces on the gate's output when the total node
     capacitance is [node_cap] fF. [output_low] selects the restoring
     network: a low output is held by the NMOS pull-down (strike injects
     charge, positive glitch), a high output by the PMOS pull-up (strike
     removes charge, negative glitch). Returns 0 when the glitch never
     reaches VDD/2. *)
+
+val generated_glitch_width :
+  Cell_params.t -> node_cap:float -> charge:float -> output_low:bool -> float
+(** {!glitch_width} of the variant's {!compile_glitch} (compiles per
+    call). *)
 
 val critical_charge :
   Cell_params.t -> node_cap:float -> output_low:bool -> float

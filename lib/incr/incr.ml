@@ -3,7 +3,7 @@ module Assignment = Ser_sta.Assignment
 module Sta = Ser_sta.Incr_sta
 module Analysis = Aserta.Analysis
 module Obs = Ser_obs.Obs
-module Memo = Sta.Memo
+module Ser_rate = Aserta.Ser_rate
 
 let same_matrix a b =
   a == b
@@ -27,7 +27,6 @@ type stats = {
   mutable tables_recomputed : int;
   mutable tables_cutoff : int;
   mutable gates_recomputed : int;
-  mutable drift_snaps : int;
   mutable full_rebuilds : int;
 }
 
@@ -40,7 +39,6 @@ let fresh_stats () =
     tables_recomputed = 0;
     tables_cutoff = 0;
     gates_recomputed = 0;
-    drift_snaps = 0;
     full_rebuilds = 0;
   }
 
@@ -56,7 +54,6 @@ let m_tbl = Obs.Metrics.counter "incr.tables_recomputed"
 let m_tbl_cut = Obs.Metrics.counter "incr.tables_cutoff"
 let m_gates = Obs.Metrics.counter "incr.gates_recomputed"
 let m_rebuilds = Obs.Metrics.counter "incr.full_rebuilds"
-let m_drift = Obs.Metrics.counter "incr.drift_snaps"
 let m_cone = Obs.Metrics.histogram "incr.cone_gates"
 
 type t = {
@@ -77,10 +74,12 @@ type t = {
      gate's current delay (read by every driver's table recompute),
      refreshed only when the delay changes *)
   brackets : (int array * float array) array;
-  (* compensated running total of [unreliability]; the authoritative
-     total is always the exact sequential re-fold (see [total]) *)
-  mutable kahan_sum : float;
-  mutable kahan_c : float;
+  rate : Ser_rate.quadrature option;
+      (* the charge spectrum of a spectrum handle, with its frozen
+         latching clock *)
+  fit : float array;
+      (* per-gate FIT under [rate], maintained like [unreliability];
+         empty without a spectrum *)
   stats : stats;
 }
 
@@ -91,15 +90,9 @@ type metrics = Sta.metrics = {
   m_area : float;
 }
 
-let kahan_add t x =
-  let y = x -. t.kahan_c in
-  let s = t.kahan_sum +. y in
-  t.kahan_c <- (s -. t.kahan_sum) -. y;
-  t.kahan_sum <- s
-
 (* Exactly Analysis.run_electrical's total: a plain sequential sum over
    the per-gate array in id order. *)
-let refold t =
+let total t =
   let tot = ref 0. in
   Array.iter (fun u -> tot := !tot +. u) t.unreliability;
   !tot
@@ -108,15 +101,48 @@ let refresh_brackets t id =
   t.brackets.(id) <-
     Analysis.ws_brackets ~samples:t.samples ~delay:t.sta.Sta.delays.(id)
 
-let of_analysis ?memo lib asg (a : Analysis.t) =
+(* Ser_rate.run's per-gate term, from the handle's state. *)
+let refresh_fit t q id =
+  match (t.sta.Sta.cells.(id), t.sta.Sta.glitch.(id)) with
+  | Some cell, Some glitch ->
+    t.fit.(id) <-
+      Ser_rate.gate_rate q glitch
+        ~node_cap:
+          (t.sta.Sta.loads.(id) +. Ser_cell.Library.output_cap t.sta.Sta.lib cell)
+        ~p1:t.masking.Analysis.probs.(id) ~area:t.sta.Sta.cell_area.(id)
+        ~samples:t.samples ~po:t.circuit.Circuit.po_pos.(id)
+        ~rows:t.tables.(id)
+  | _ -> invalid_arg "Incr: primary input has no cell"
+
+(* Every gate's brackets and FIT, after a from-scratch pass. *)
+let refresh_all t =
+  for id = 0 to Array.length t.tables - 1 do
+    if not (Circuit.is_input t.circuit id) then begin
+      refresh_brackets t id;
+      Option.iter (fun q -> refresh_fit t q id) t.rate
+    end
+  done
+
+let of_analysis ?spectrum ?clock_period lib asg (a : Analysis.t) =
   let c = Assignment.circuit asg in
   if a.Analysis.circuit != c then
     invalid_arg "Incr.of_analysis: analysis is for a different circuit";
   let n = Circuit.node_count c in
   let config = a.Analysis.config in
   let sta =
-    Sta.create ?memo ~env:config.Analysis.env ~charge:config.Analysis.charge
-      lib asg a.Analysis.timing
+    Sta.create ~env:config.Analysis.env ~charge:config.Analysis.charge lib asg
+      a.Analysis.timing
+  in
+  let rate =
+    Option.map
+      (fun spectrum ->
+        let clock_period =
+          match clock_period with
+          | Some p -> p
+          | None -> 1.2 *. a.Analysis.timing.Ser_sta.Timing.critical_delay
+        in
+        Ser_rate.quadrature ~spectrum ~clock_period ())
+      spectrum
   in
   let t =
     {
@@ -131,19 +157,17 @@ let of_analysis ?memo lib asg (a : Analysis.t) =
       expected_width = Array.copy a.Analysis.expected_width;
       unreliability = Array.copy a.Analysis.unreliability;
       brackets = Array.make n ([||], [||]);
-      kahan_sum = 0.;
-      kahan_c = 0.;
+      rate;
+      fit = (if Option.is_none rate then [||] else Array.make n 0.);
       stats = fresh_stats ();
     }
   in
-  for id = 0 to n - 1 do
-    if not (Circuit.is_input c id) then refresh_brackets t id
-  done;
-  t.kahan_sum <- refold t;
+  refresh_all t;
   t
 
-let create ?memo ~config lib asg masking =
-  of_analysis ?memo lib asg (Analysis.run_electrical config lib asg masking)
+let create ?spectrum ?clock_period ~config lib asg masking =
+  of_analysis ?spectrum ?clock_period lib asg
+    (Analysis.run_electrical config lib asg masking)
 
 let fork t =
   {
@@ -156,30 +180,25 @@ let fork t =
     expected_width = Array.copy t.expected_width;
     unreliability = Array.copy t.unreliability;
     brackets = Array.copy t.brackets;
+    fit = Array.copy t.fit;
     stats = fresh_stats ();
   }
 
 (* The wholesale path for a change set above [Sta.wants_rebuild]'s
-   threshold; yields the same bit-identical state as cone propagation. *)
+   threshold: a from-scratch pass on the handle's own context; yields
+   the same bit-identical state as cone propagation. *)
 let rebuild t changes =
   t.stats.full_rebuilds <- t.stats.full_rebuilds + 1;
   t.stats.cells_changed <- t.stats.cells_changed + List.length changes;
   Sta.set_cells t.sta changes;
-  let a =
-    Analysis.run_electrical t.config t.sta.Sta.lib (Sta.assignment t.sta)
-      t.masking
-  in
+  let a = Analysis.run_context t.context t.sta.Sta.lib (Sta.assignment t.sta) in
   Sta.adopt t.sta a.Analysis.timing;
   let n = Array.length t.tables in
   Array.blit a.Analysis.tables 0 t.tables 0 n;
   Array.blit a.Analysis.gen_width 0 t.gen_width 0 n;
   Array.blit a.Analysis.expected_width 0 t.expected_width 0 n;
   Array.blit a.Analysis.unreliability 0 t.unreliability 0 n;
-  for id = 0 to n - 1 do
-    if not (Circuit.is_input t.circuit id) then refresh_brackets t id
-  done;
-  t.kahan_sum <- refold t;
-  t.kahan_c <- 0.
+  refresh_all t
 
 let update_impl t changes =
   let changes = Sta.changes ~who:"Incr.update" t.sta changes in
@@ -228,9 +247,9 @@ let update_impl t changes =
           end
         end
       done;
-      (* 5. per-gate unreliability wherever the cell, the node load, or
-         the WS table actually changed; a table-only change reuses the
-         cached generated glitch widths *)
+      (* 5. per-gate unreliability (and FIT) wherever the cell, the
+         node load, or the WS table actually changed; a table-only
+         change reuses the cached generated glitch widths *)
       for id = 0 to n - 1 do
         if d.Sta.touched.(id) || table_changed.(id) then begin
           t.stats.gates_recomputed <- t.stats.gates_recomputed + 1;
@@ -242,11 +261,8 @@ let update_impl t changes =
           in
           t.gen_width.(id) <- wi;
           t.expected_width.(id) <- wij;
-          let old_u = t.unreliability.(id) in
-          if not (Sta.same_bits u old_u) then begin
-            kahan_add t (u -. old_u);
-            t.unreliability.(id) <- u
-          end
+          t.unreliability.(id) <- u;
+          Option.iter (fun q -> refresh_fit t q id) t.rate
         end
       done
     end
@@ -293,21 +309,16 @@ let cell t id =
 let unreliability t id = t.unreliability.(id)
 let critical_delay t = t.sta.Sta.critical_delay
 
-let total t =
-  let r = refold t in
-  (* drift diagnostic: the compensated running total normally agrees
-     with the exact sequential fold to ~1 ulp; a larger gap means
-     cancellation damage, so snap the running value back *)
-  if Float.abs (t.kahan_sum -. r) > 1e-9 *. (Float.abs r +. 1.) then begin
-    t.stats.drift_snaps <- t.stats.drift_snaps + 1;
-    Obs.Metrics.incr m_drift;
-    t.kahan_sum <- r;
-    t.kahan_c <- 0.
-  end;
-  r
+let fit t id = if Option.is_none t.rate then 0. else t.fit.(id)
 
-let running_total t = t.kahan_sum
-let metrics t = Sta.metrics t.sta ~unreliability:(total t)
+let metrics t =
+  let u =
+    match t.rate with
+    | None -> total t
+    | Some _ -> Ser_util.Floatx.sum t.fit
+  in
+  Sta.metrics t.sta ~unreliability:u
+
 let assignment t = Sta.assignment t.sta
 let timing t = Sta.timing t.sta
 
@@ -327,5 +338,3 @@ let snapshot t =
   }
 
 let stats t = t.stats
-let memo_stats t = Memo.stats t.sta.Sta.memo
-let memo t = t.sta.Sta.memo

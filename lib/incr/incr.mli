@@ -13,33 +13,29 @@
       unchanged does not dirty its readers;
     - {e WS tables}: the fan-in cone of the gates whose {e delay}
       changed, in reverse-topological order, again with bitwise cutoff;
-    - {e per-gate unreliability / switching energy}: only where the
-      cell, the node load, or the WS table actually changed.
+    - {e per-gate unreliability / switching energy} (and, on a
+      spectrum handle, per-gate FIT): only where the cell, the node
+      load, or the WS table actually changed.
 
     Every recomputation calls the kernel the from-scratch pass uses
-    ({!Ser_sta.Timing.analyze}'s per-gate body, and
+    ({!Ser_sta.Timing.analyze}'s per-gate body,
     {!Aserta.Analysis.ws_table} and {!Aserta.Analysis.gate_unreliability}
-    through the analysis's own {!Aserta.Analysis.context}) with
-    bit-identical inputs, and the aggregate metrics are exact
-    sequential re-folds in the same order as the from-scratch code, so
-    the results are {e bit-identical} to a full re-analysis — not
-    approximately equal. A compensated (Kahan) running total of the
-    unreliability is maintained across updates as a drift diagnostic
-    and snapped back to the authoritative re-fold when it disagrees.
+    through the analysis's own {!Aserta.Analysis.context}, and
+    {!Aserta.Ser_rate.gate_rate}) with bit-identical inputs, and the
+    aggregate metrics are exact re-folds in the same order as the
+    from-scratch code, so the results are {e bit-identical} to a full
+    re-analysis — not approximately equal.
+
+    A handle evaluates one of SERTOPT's two objectives: the paper's
+    fixed-charge unreliability [U], or (built with [~spectrum]) the
+    charge-spectrum FIT of {!Aserta.Ser_rate.run} under a latching
+    clock frozen at creation.
 
     Handles are cheap to {!fork} (copy-on-write: array spines are
-    copied, the immutable per-gate rows are shared), which is how the
-    optimizer's parallel candidate menus probe one-gate moves without
-    re-analysing the circuit. A fork may be mutated on a worker domain;
-    the only shared mutable state is the {!Memo} cache, which is
-    mutex-guarded. *)
-
-module Memo = Ser_sta.Incr_sta.Memo
-(** Memo table in front of the generated-glitch-width
-    characterisation, shared by an engine and all its forks (and
-    shareable across engines over the same library, including the serpp
-    handle). Timing is evaluated on per-gate compiled kernels and needs
-    no memo. *)
+    copied, the immutable per-gate rows and compiled models are
+    shared), which is how the optimizer's parallel candidate menus
+    probe one-gate moves without re-analysing the circuit. A fork may
+    be mutated on a worker domain; handles share no mutable state. *)
 
 type t
 (** One incremental evaluation state. Mutable; not itself thread-safe —
@@ -54,31 +50,35 @@ type stats = {
   mutable tables_recomputed : int;
   mutable tables_cutoff : int;
   mutable gates_recomputed : int;  (** per-gate unreliability re-evaluations *)
-  mutable drift_snaps : int;  (** compensated total snapped to the re-fold *)
   mutable full_rebuilds : int;
       (** updates whose change set was so large that a from-scratch
           re-analysis was cheaper than cone propagation *)
 }
 
 type metrics = Ser_sta.Incr_sta.metrics = {
-  m_unreliability : float;  (** U, the exact sequential re-fold *)
+  m_unreliability : float;
+      (** U, the exact sequential re-fold; on a spectrum handle the FIT
+          total, [Floatx.sum] of the per-gate FIT as in
+          {!Aserta.Ser_rate.run} *)
   m_delay : float;  (** critical delay *)
   m_energy : float;  (** as [Timing.total_energy] with default clock *)
   m_area : float;
 }
 
 val create :
-  ?memo:Memo.t ->
+  ?spectrum:Aserta.Ser_rate.spectrum ->
+  ?clock_period:float ->
   config:Aserta.Analysis.config ->
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
   Aserta.Analysis.masking ->
   t
 (** Full from-scratch evaluation ({!Aserta.Analysis.run_electrical})
-    adopted into an incremental handle. *)
+    adopted into an incremental handle; see {!of_analysis}. *)
 
 val of_analysis :
-  ?memo:Memo.t ->
+  ?spectrum:Aserta.Ser_rate.spectrum ->
+  ?clock_period:float ->
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
   Aserta.Analysis.t ->
@@ -86,10 +86,14 @@ val of_analysis :
 (** Adopt an analysis already in hand (the optimizer's baseline) without
     re-running it. [asg] must be the assignment the analysis was run on.
     The per-gate arrays are copied; the immutable parts (WS-table rows,
-    the masking and the {!Aserta.Analysis.context}) are shared. *)
+    the masking and the {!Aserta.Analysis.context}) are shared. With
+    [spectrum] the handle also maintains the per-gate FIT of
+    {!Aserta.Ser_rate.run} at [clock_period] (default 1.2x the
+    analysis's critical delay, frozen for the handle's lifetime) and
+    {!metrics} reports its total. *)
 
 val fork : t -> t
-(** O(nodes) copy-on-write clone; see module doc. The memo is shared. *)
+(** O(nodes) copy-on-write clone; see module doc. *)
 
 val update : t -> (int * Ser_device.Cell_params.t) list -> unit
 (** Apply a batch of gate -> variant changes and propagate once over the
@@ -106,21 +110,23 @@ val sync : t -> Ser_sta.Assignment.t -> unit
 
 val cell : t -> int -> Ser_device.Cell_params.t
 val unreliability : t -> int -> float
+(** The fixed-charge [U_i] of a gate, under either objective. *)
+
+val fit : t -> int -> float
+(** The FIT of a gate on a spectrum handle; [0.] otherwise. *)
+
 val critical_delay : t -> float
 
 val total : t -> float
 (** Exact sequential re-fold of the per-gate unreliability, bit-equal to
-    [Analysis.run_electrical]'s total; also cross-checks the
-    compensated running total and snaps it on drift. *)
-
-val running_total : t -> float
-(** The compensated (Kahan) running total maintained across updates. *)
+    [Analysis.run_electrical]'s total. *)
 
 val metrics : t -> metrics
 (** The four cost metrics, each an exact re-fold matching the
     corresponding from-scratch computation bit for bit
-    ([Analysis] total, critical delay, [Timing.total_energy] with its
-    defaults, [Assignment.total_area]). *)
+    ([Analysis] total or [Ser_rate] total, critical delay,
+    [Timing.total_energy] with its defaults,
+    [Assignment.total_area]). *)
 
 val assignment : t -> Ser_sta.Assignment.t
 (** A fresh assignment holding the handle's current cells. *)
@@ -134,5 +140,3 @@ val snapshot : t -> Aserta.Analysis.t
     [Analysis.run_electrical config lib (assignment t) masking]. *)
 
 val stats : t -> stats
-val memo_stats : t -> Memo.stats
-val memo : t -> Memo.t

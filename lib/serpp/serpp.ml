@@ -191,13 +191,12 @@ let run_context ctx lib asg =
       incr gate_evals;
       let cell = Assignment.get asg id in
       let node_cap = timing.Timing.loads.(id) +. Library.output_cap lib cell in
+      let k = Library.glitch_kernel lib cell in
       let w_low =
-        Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
-          ~output_low:true
+        Library.glitch_width k ~node_cap ~charge:config.charge ~output_low:true
       in
       let w_high =
-        Library.generated_glitch_width lib cell ~node_cap ~charge:config.charge
-          ~output_low:false
+        Library.glitch_width k ~node_cap ~charge:config.charge ~output_low:false
       in
       areas.(id) <- Library.area lib cell;
       let wi, prop, u =

@@ -52,7 +52,7 @@ let adopt_run t (r : Serpp.t) =
       refresh_brackets t id
   done
 
-let of_run ?memo lib asg (r : Serpp.t) =
+let of_run lib asg (r : Serpp.t) =
   let c = Assignment.circuit asg in
   if r.Serpp.circuit != c then
     invalid_arg "Serpp_incr.of_run: run is for a different circuit";
@@ -61,7 +61,7 @@ let of_run ?memo lib asg (r : Serpp.t) =
   let t =
     {
       sta =
-        Sta.create ?memo ~env:config.Serpp.env ~charge:config.Serpp.charge lib
+        Sta.create ~env:config.Serpp.env ~charge:config.Serpp.charge lib
           asg r.Serpp.timing;
       ctx = Serpp.context ~probs:r.Serpp.probs config c;
       brackets = Array.make n ([||], [||]);

@@ -20,8 +20,8 @@
 
     The optimizer's tiered menus keep one handle on the incumbent and
     score each candidate on a {!fork}. Forks are independent and may be
-    mutated on worker domains; the only shared mutable state is the
-    mutex-guarded memo. *)
+    mutated on worker domains: they share only immutable state (the
+    context, rows replaced wholesale on recompute, compiled models). *)
 
 type t
 
@@ -34,7 +34,6 @@ type stats = {
 }
 
 val of_run :
-  ?memo:Ser_sta.Incr_sta.Memo.t ->
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
   Serpp.t ->
@@ -42,7 +41,7 @@ val of_run :
 (** Adopt a {!Serpp.run} of [asg] (arrays are copied). *)
 
 val fork : t -> t
-(** O(nodes) copy-on-write clone; the memo is shared. *)
+(** O(nodes) copy-on-write clone. *)
 
 val update : t -> (int * Ser_device.Cell_params.t) list -> unit
 (** Apply a batch of gate -> variant changes and propagate once over the

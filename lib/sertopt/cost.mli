@@ -39,11 +39,14 @@ val measure :
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
   metrics * Aserta.Analysis.t
-(** Full metric set for an assignment (one ASERTA electrical pass, one
-    STA, closed-form energy/area). With [Charge_spectrum] the
-    unreliability field carries {!Aserta.Ser_rate.t}[.total];
-    [clock_period] then fixes the latching window so that candidates
-    with different delays are compared under the same clock. *)
+(** Full metric set for an assignment from scratch (one ASERTA
+    electrical pass, one STA, closed-form energy/area): the reference
+    the optimizer measures its baseline and its result with, and which
+    its incremental engine reproduces bit for bit for every candidate.
+    With [Charge_spectrum] the unreliability field carries
+    {!Aserta.Ser_rate.t}[.total]; [clock_period] then fixes the latching
+    window so that candidates with different delays are compared under
+    the same clock. *)
 
 val eval :
   ?weights:weights ->

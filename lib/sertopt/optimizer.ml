@@ -21,11 +21,9 @@ let m_odc_moves = Obs.Metrics.counter "sertopt.odc_moves"
 let m_odc_accepts = Obs.Metrics.counter "sertopt.odc_accepts"
 let m_sizing_trials = Obs.Metrics.counter "sta.sizing_trials"
 
-type eval_mode = Full_recompute | Incremental
-
 (* How the greedy menus spend the exact evaluator. [Exact] measures
-   every candidate with the engine ([Incr] cone re-analysis or a full
-   recompute). [Serpp_prefilter k] (k >= 1) first ranks the whole menu
+   every candidate with the engine ([Incr] cone re-analysis).
+   [Serpp_prefilter k] (k >= 1) first ranks the whole menu
    with the cheap propagation-probability estimate (lib/serpp: a
    cone-limited re-estimate on a fork of a handle that follows the
    incumbent, no vectors) and hands only the top [k] candidates
@@ -39,7 +37,6 @@ type tier = Exact | Serpp_prefilter of int
 type config = {
   aserta : Analysis.config;
   objective : Cost.objective;
-  eval_mode : eval_mode;
   tier : tier;
   weights : Cost.weights;
   delay_slack : float;
@@ -62,7 +59,6 @@ let default_config =
   {
     aserta = Analysis.default_config;
     objective = Cost.Fixed_charge;
-    eval_mode = Incremental;
     tier = Exact;
     weights = Cost.default_weights;
     delay_slack = 0.05;
@@ -309,37 +305,72 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   let clock_period =
     1.2 *. baseline_analysis.Analysis.timing.Timing.critical_delay
   in
+  let evals = ref 0 in
   let measure asg =
     Cost.measure ~config:config.aserta ~masking ~objective:config.objective
       ~clock_period lib asg
   in
-  (* Incremental evaluation (lib/incr): one engine is kept in sync with
-     the candidate stream by diffing, so each evaluation re-analyses
-     only the cones the cell changes reach, with results bit-identical
-     to [measure]. The charge-spectrum objective folds the WS tables
-     with Ser_rate per evaluation and is not incrementalised, so it
-     keeps the full recompute path. *)
+  (* The one evaluator (lib/incr): an engine kept in sync with the
+     candidate stream by diffing, so each evaluation re-analyses only
+     the cones the cell changes reach, with results bit-identical to
+     [measure]. Under the charge-spectrum objective it also maintains
+     the per-gate FIT at the frozen clock. *)
   let engine =
-    match (config.eval_mode, config.objective) with
-    | Incremental, Cost.Fixed_charge ->
-      Some (Ser_incr.Incr.of_analysis lib baseline baseline_analysis)
-    | Incremental, Cost.Charge_spectrum _ | Full_recompute, _ -> None
+    match config.objective with
+    | Cost.Fixed_charge -> Ser_incr.Incr.of_analysis lib baseline baseline_analysis
+    | Cost.Charge_spectrum spectrum ->
+      Ser_incr.Incr.of_analysis ~spectrum ~clock_period lib baseline
+        baseline_analysis
   in
-  let metrics_of_incr (m : Ser_incr.Incr.metrics) =
-    {
-      Cost.unreliability = m.Ser_incr.Incr.m_unreliability;
-      delay = m.Ser_incr.Incr.m_delay;
-      energy = m.Ser_incr.Incr.m_energy;
-      area = m.Ser_incr.Incr.m_area;
-    }
+  let cost_against ~baseline (m : Incr_sta.metrics) =
+    Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack ~baseline
+      {
+        Cost.unreliability = m.Incr_sta.m_unreliability;
+        delay = m.Incr_sta.m_delay;
+        energy = m.Incr_sta.m_energy;
+        area = m.Incr_sta.m_area;
+      }
   in
-  (* metrics of a candidate assignment, through the engine if present *)
-  let eval_metrics asg =
-    match engine with
-    | Some e ->
-      Ser_incr.Incr.sync e asg;
-      metrics_of_incr (Ser_incr.Incr.metrics e)
-    | None -> fst (measure asg)
+  let cost_of = cost_against ~baseline:baseline_metrics in
+  (* cost of a candidate assignment *)
+  let eval_cost asg =
+    Ser_incr.Incr.sync engine asg;
+    cost_of (Ser_incr.Incr.metrics engine)
+  in
+  (* Score a menu of cells for gate [g]: every entry is measured on a
+     copy-on-write fork of the incumbent engine with only gate [g]
+     changed, so the entries are independent and fan out over the
+     lib/par pool ([~chunk:1]: one evaluation per claimable chunk).
+     Returns the earliest strict minimiser, which reproduces the
+     sequential accept-if-better scan exactly; under a budget the pool
+     stops claiming entries once it expires and the incumbent so far
+     is kept (graceful degradation). *)
+  let best_of_menu g cands =
+    let try_cand cand =
+      budget_tick ();
+      let probe = Ser_incr.Incr.fork engine in
+      Ser_incr.Incr.set_cell probe g cand;
+      cost_of (Ser_incr.Incr.metrics probe)
+    in
+    let measured =
+      match budget with
+      | None ->
+        Array.map Option.some (Ser_par.Par.parallel_map ~chunk:1 try_cand cands)
+      | Some b -> Ser_par.Par.parallel_map_budgeted ~budget:b ~chunk:1 try_cand cands
+    in
+    let best = ref None in
+    Array.iteri
+      (fun i r ->
+        match r with
+        | None -> ()
+        | Some cost -> (
+          incr evals;
+          Obs.Metrics.incr m_evals;
+          match !best with
+          | Some (_, bc) when bc <= cost -> ()
+          | _ -> best := Some (i, cost)))
+      measured;
+    !best
   in
   (* Tiered menu evaluation: the cheap ranking compares candidate
      serpp costs against a serpp-measured baseline (the delay, energy
@@ -361,10 +392,9 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
         }
       in
       let base = Ser_serpp.Serpp.run ~config:scfg lib baseline in
-      let memo = Option.map Ser_incr.Incr.memo engine in
       Some
         ( k,
-          Ser_serpp.Serpp_incr.of_run ?memo lib baseline base,
+          Ser_serpp.Serpp_incr.of_run lib baseline base,
           {
             baseline_metrics with
             Cost.unreliability =
@@ -394,18 +424,12 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     in
     Matching.match_delays matching ~targets
   in
-  let evals = ref 0 in
   let best_cost = ref Float.max_float in
   let best_delta = ref (Array.make n 0.) in
   let objective delta =
     incr evals;
     Obs.Metrics.incr m_evals;
-    let asg = assignment_of delta in
-    let m = eval_metrics asg in
-    let cost =
-      Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
-        ~baseline:baseline_metrics m
-    in
+    let cost = eval_cost (assignment_of delta) in
     if cost < !best_cost then begin
       best_cost := cost;
       best_delta := Array.copy delta;
@@ -421,12 +445,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
       budget_tick ();
       incr evals;
       Obs.Metrics.incr m_evals;
-      let m = eval_metrics inc in
-      let cost =
-        Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
-          ~baseline:baseline_metrics m
-      in
-      Some (Assignment.copy inc, cost)
+      Some (Assignment.copy inc, eval_cost inc)
     | _ -> None
   in
   (* search directions: slow down the softest gates (projected), plus a
@@ -518,36 +537,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
       let asg = Assignment.copy optimized in
       let greedy_sp = Obs.Trace.start "sertopt.greedy" in
       budget_tick ();
-      (* the incumbent's per-gate unreliability, for the visit order:
-         from the engine when incremental, else from the last full
-         analysis in hand *)
-      let cur_analysis = ref None in
-      let metrics =
-        match engine with
-        | Some e ->
-          Ser_incr.Incr.sync e asg;
-          metrics_of_incr (Ser_incr.Incr.metrics e)
-        | None ->
-          let m, a = measure asg in
-          cur_analysis := Some a;
-          m
-      in
-      let unrel id =
-        match engine with
-        | Some e -> Ser_incr.Incr.unreliability e id
-        | None -> (
-          match !cur_analysis with
-          | Some a -> a.Analysis.unreliability.(id)
-          | None -> assert false)
-      in
+      let cur_cost = ref (eval_cost asg) in
       (match tier_ctx with
       | Some (_, h, _) -> Ser_serpp.Serpp_incr.sync h asg
       | None -> ());
-      let cur_cost =
-        ref
-          (Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
-             ~baseline:baseline_metrics metrics)
-      in
       if !cur_cost < !best_cost then best_cost := !cur_cost;
       for _pass = 1 to config.greedy_passes do
         let order =
@@ -555,7 +548,14 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
             Array.to_list (Array.init n Fun.id)
             |> List.filter (fun id -> not (Circuit.is_input c id))
           in
-          List.sort (fun a b -> compare (unrel b) (unrel a)) idx
+          (* softest first by the incumbent's fixed-charge U_i, under
+             either objective *)
+          List.sort
+            (fun a b ->
+              compare
+                (Ser_incr.Incr.unreliability engine b)
+                (Ser_incr.Incr.unreliability engine a))
+            idx
           |> List.filteri (fun i _ -> i < config.greedy_gates)
         in
         List.iter
@@ -568,20 +568,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
                   && not (Cell_params.equal p current))
             in
             (* cap the menu deterministically to bound the eval budget *)
-            let cands = sample_menu ~cap:24 cands in
-            (* Every menu entry is measured on its own view of the
-               incumbent with only gate [g] changed, so the entries are
-               independent and fan out over the lib/par pool
-               ([~chunk:1]: one evaluation per claimable chunk). In
-               incremental mode the view is a copy-on-write fork of the
-               incumbent engine (cone re-analysis only) instead of an
-               [Assignment.copy] plus full analysis; both produce
-               bit-identical costs. Accepting the earliest strict
-               minimiser reproduces the sequential accept-if-better
-               scan exactly; under a budget the pool stops claiming
-               entries once it expires and the incumbent so far is kept
-               (graceful degradation). *)
-            let cands = Array.of_list cands in
+            let cands = Array.of_list (sample_menu ~cap:24 cands) in
             (* tier prefilter: rank the whole menu with the cheap serpp
                estimate, keep only the top-k (score-ascending, original
                menu order restored for the accept tie-break) for the
@@ -596,9 +583,8 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
                     (fun cand ->
                       let probe = Ser_serpp.Serpp_incr.fork h in
                       Ser_serpp.Serpp_incr.set_cell probe g cand;
-                      Cost.eval ~weights:config.weights
-                        ~delay_slack:config.delay_slack ~baseline:sbase
-                        (metrics_of_incr (Ser_serpp.Serpp_incr.metrics probe)))
+                      cost_against ~baseline:sbase
+                        (Ser_serpp.Serpp_incr.metrics probe))
                     cands
                 in
                 Obs.Trace.finish rank_sp;
@@ -618,62 +604,14 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
             Obs.Metrics.incr m_menus;
             Obs.Metrics.add m_menu_evals (Array.length cands);
             let menu_sp = Obs.Trace.start "sertopt.menu" in
-            let try_cand cand =
-              budget_tick ();
-              match engine with
-              | Some e ->
-                let probe = Ser_incr.Incr.fork e in
-                Ser_incr.Incr.set_cell probe g cand;
-                let m = metrics_of_incr (Ser_incr.Incr.metrics probe) in
-                let cost =
-                  Cost.eval ~weights:config.weights
-                    ~delay_slack:config.delay_slack ~baseline:baseline_metrics
-                    m
-                in
-                (cost, None)
-              | None ->
-                let trial = Assignment.copy asg in
-                Assignment.set trial g cand;
-                let m, a = measure trial in
-                let cost =
-                  Cost.eval ~weights:config.weights
-                    ~delay_slack:config.delay_slack ~baseline:baseline_metrics
-                    m
-                in
-                (cost, Some a)
-            in
-            let measured =
-              match budget with
-              | None ->
-                Array.map Option.some
-                  (Ser_par.Par.parallel_map ~chunk:1 try_cand cands)
-              | Some b ->
-                Ser_par.Par.parallel_map_budgeted ~budget:b ~chunk:1 try_cand cands
-            in
+            let best = best_of_menu g cands in
             Obs.Trace.finish menu_sp;
-            let best = ref None in
-            Array.iteri
-              (fun i r ->
-                match r with
-                | None -> ()
-                | Some (cost, _) -> (
-                  incr evals;
-                  Obs.Metrics.incr m_evals;
-                  match !best with
-                  | Some (_, bc) when bc <= cost -> ()
-                  | _ -> best := Some (i, cost)))
-              measured;
-            match !best with
+            match best with
             | Some (i, cost) when cost < !cur_cost ->
               cur_cost := cost;
               Obs.Metrics.incr m_accepts;
-              (match measured.(i) with
-              | Some (_, Some a) -> cur_analysis := Some a
-              | _ -> ());
               Assignment.set asg g cands.(i);
-              (match engine with
-              | Some e -> Ser_incr.Incr.set_cell e g cands.(i)
-              | None -> ());
+              Ser_incr.Incr.set_cell engine g cands.(i);
               (match tier_ctx with
               | Some (_, h, _) -> Ser_serpp.Serpp_incr.set_cell h g cands.(i)
               | None -> ())
@@ -698,19 +636,9 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     | Some _ when budget_spent () -> optimized
     | Some obs ->
       let asg = Assignment.copy optimized in
-      (match engine with Some e -> Ser_incr.Incr.sync e asg | None -> ());
       let odc_sp = Obs.Trace.start "sertopt.odc" in
       budget_tick ();
-      let metrics =
-        match engine with
-        | Some e -> metrics_of_incr (Ser_incr.Incr.metrics e)
-        | None -> fst (measure asg)
-      in
-      let cur_cost =
-        ref
-          (Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
-             ~baseline:baseline_metrics metrics)
-      in
+      let cur_cost = ref (eval_cost asg) in
       if !cur_cost < !best_cost then best_cost := !cur_cost;
       let order =
         Array.to_list (Array.init n Fun.id)
@@ -732,51 +660,12 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
           let cands = Array.of_list (sample_menu ~cap:12 cands) in
           if Array.length cands > 0 then begin
             Obs.Metrics.add m_odc_moves (Array.length cands);
-            let try_cand cand =
-              budget_tick ();
-              match engine with
-              | Some e ->
-                let probe = Ser_incr.Incr.fork e in
-                Ser_incr.Incr.set_cell probe g cand;
-                let m = metrics_of_incr (Ser_incr.Incr.metrics probe) in
-                Cost.eval ~weights:config.weights
-                  ~delay_slack:config.delay_slack ~baseline:baseline_metrics m
-              | None ->
-                let trial = Assignment.copy asg in
-                Assignment.set trial g cand;
-                let m, _ = measure trial in
-                Cost.eval ~weights:config.weights
-                  ~delay_slack:config.delay_slack ~baseline:baseline_metrics m
-            in
-            let measured =
-              match budget with
-              | None ->
-                Array.map Option.some
-                  (Ser_par.Par.parallel_map ~chunk:1 try_cand cands)
-              | Some b ->
-                Ser_par.Par.parallel_map_budgeted ~budget:b ~chunk:1 try_cand
-                  cands
-            in
-            let best = ref None in
-            Array.iteri
-              (fun i r ->
-                match r with
-                | None -> ()
-                | Some cost -> (
-                  incr evals;
-                  Obs.Metrics.incr m_evals;
-                  match !best with
-                  | Some (_, bc) when bc <= cost -> ()
-                  | _ -> best := Some (i, cost)))
-              measured;
-            match !best with
+            match best_of_menu g cands with
             | Some (i, cost) when cost < !cur_cost ->
               cur_cost := cost;
               Obs.Metrics.incr m_odc_accepts;
               Assignment.set asg g cands.(i);
-              (match engine with
-              | Some e -> Ser_incr.Incr.set_cell e g cands.(i)
-              | None -> ())
+              Ser_incr.Incr.set_cell engine g cands.(i)
             | _ -> ()
           end)
         order;

@@ -9,22 +9,15 @@
     [null(T)]; the projection is computed with the small [K x K]
     system of {!Ser_linalg.Matrix.project_onto_nullspace}, never an
     explicit basis. The logical-masking data of ASERTA is computed
-    once and reused by every cost evaluation. *)
+    once and reused by every cost evaluation.
 
-type eval_mode =
-  | Full_recompute
-      (** every candidate is measured with a from-scratch
-          [Timing.analyze] + electrical pass (the pre-incremental
-          behaviour; kept for cross-checks and benchmarking) *)
-  | Incremental
-      (** candidates are evaluated through a {!Ser_incr.Incr} engine:
-          only the fanout/fanin cones a cell change reaches are
-          re-analysed, and each parallel menu entry probes a
-          copy-on-write fork of the incumbent instead of a full
-          assignment copy + analysis. Bit-identical results to
-          [Full_recompute] — same final assignment, metrics, cost trace
-          and eval count. Falls back to full recompute under the
-          charge-spectrum objective, which is not incrementalised. *)
+    Every candidate is evaluated on one {!Ser_incr.Incr} engine, under
+    either objective: it is kept in sync with the candidate stream by
+    diffing, so an evaluation re-analyses only the cones the changed
+    cells reach, and each parallel menu entry probes a copy-on-write
+    fork of the incumbent. Results are bit-identical to measuring every
+    candidate from scratch ({!Cost.measure}, which still measures the
+    baseline and the returned result). *)
 
 type tier =
   | Exact
@@ -46,8 +39,9 @@ type config = {
       (** what the U term of Eq. 5 measures: fixed-charge unreliability
           (the paper) or a charge-spectrum FIT (extension). With the
           spectrum objective the latching clock is frozen at 1.2x the
-          baseline critical delay for all candidates. *)
-  eval_mode : eval_mode;  (** default {!Incremental} *)
+          baseline critical delay for all candidates. The greedy stage
+          visits gates by their fixed-charge [U_i] under either
+          objective. *)
   tier : tier;  (** greedy-menu evaluation economy, default {!Exact} *)
   weights : Cost.weights;
   delay_slack : float;   (** tolerated fractional delay increase *)

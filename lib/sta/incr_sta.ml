@@ -27,46 +27,6 @@ let same_row a b =
   done;
   !ok
 
-module Memo = struct
-  type stats = { hits : int; misses : int }
-
-  type t = {
-    glitch : (Cell_params.t * float * float, float * float) Hashtbl.t;
-    mu : Mutex.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create () =
-    { glitch = Hashtbl.create 512; mu = Mutex.create (); hits = 0; misses = 0 }
-
-  let stats m =
-    Mutex.lock m.mu;
-    let s = { hits = m.hits; misses = m.misses } in
-    Mutex.unlock m.mu;
-    s
-
-  (* The mutex is released around [compute]: a miss may itself take the
-     library's characterisation lock (Transient backend), and two
-     workers racing on the same key merely compute the same pure value
-     twice. *)
-  let lookup m key compute =
-    Mutex.lock m.mu;
-    match Hashtbl.find_opt m.glitch key with
-    | Some v ->
-      m.hits <- m.hits + 1;
-      Mutex.unlock m.mu;
-      v
-    | None ->
-      m.misses <- m.misses + 1;
-      Mutex.unlock m.mu;
-      let v = compute () in
-      Mutex.lock m.mu;
-      Hashtbl.replace m.glitch key v;
-      Mutex.unlock m.mu;
-      v
-end
-
 type metrics = {
   m_unreliability : float;
   m_delay : float;
@@ -81,6 +41,7 @@ type t = {
   circuit : Circuit.t;
   cells : Cell_params.t option array;
   kernels : Library.kernel option array;
+  glitch : Library.glitch option array;
   loads : float array;
   input_ramp : float array;
   delays : float array;
@@ -92,7 +53,6 @@ type t = {
   cell_area : float array;
   glitch_low : float array;
   glitch_high : float array;
-  memo : Memo.t;
 }
 
 type dirty = {
@@ -114,23 +74,21 @@ let kernel_exn t id =
 
 let put_cell t g cell =
   t.cells.(g) <- Some cell;
-  t.kernels.(g) <- Some (Library.kernel t.lib cell)
-
-let memo_glitch t cell ~node_cap ~charge =
-  Memo.lookup t.memo (cell, node_cap, charge) (fun () ->
-      ( Library.generated_glitch_width t.lib cell ~node_cap ~charge
-          ~output_low:true,
-        Library.generated_glitch_width t.lib cell ~node_cap ~charge
-          ~output_low:false ))
+  t.kernels.(g) <- Some (Library.kernel t.lib cell);
+  if Option.is_some t.charge then
+    t.glitch.(g) <- Some (Library.glitch_kernel t.lib cell)
 
 (* The terms that move with a gate's cell or its node load: switching
    energy and the two generated glitch widths. *)
 let refresh_electrical t id cell ~charge =
   t.dyn_energy.(id) <- Library.switching_energy t.lib cell ~cload:t.loads.(id);
   let node_cap = t.loads.(id) +. Library.output_cap t.lib cell in
-  let wl, wh = memo_glitch t cell ~node_cap ~charge in
-  t.glitch_low.(id) <- wl;
-  t.glitch_high.(id) <- wh
+  match t.glitch.(id) with
+  | None -> invalid_arg "Incr_sta: primary input has no cell"
+  | Some k ->
+    t.glitch_low.(id) <- Library.glitch_width k ~node_cap ~charge ~output_low:true;
+    t.glitch_high.(id) <-
+      Library.glitch_width k ~node_cap ~charge ~output_low:false
 
 (* The terms that move with the cell alone. *)
 let refresh_static t id cell =
@@ -157,7 +115,7 @@ let adopt t (timing : Timing.t) =
           refresh_electrical t id p ~charge)
       t.cells
 
-let create ?memo ?charge ~env lib asg timing =
+let create ?charge ~env lib asg timing =
   let c = Assignment.circuit asg in
   let n = Circuit.node_count c in
   let z () = Array.make n 0. in
@@ -173,6 +131,10 @@ let create ?memo ?charge ~env lib asg timing =
       circuit = c;
       cells;
       kernels = Array.map (Option.map (Library.kernel lib)) cells;
+      glitch =
+        (match charge with
+        | None -> Array.make n None
+        | Some _ -> Array.map (Option.map (Library.glitch_kernel lib)) cells);
       loads = z ();
       input_ramp = z ();
       delays = z ();
@@ -184,7 +146,6 @@ let create ?memo ?charge ~env lib asg timing =
       cell_area = z ();
       glitch_low = z ();
       glitch_high = z ();
-      memo = (match memo with Some m -> m | None -> Memo.create ());
     }
   in
   adopt t timing;
@@ -195,6 +156,7 @@ let fork t =
     t with
     cells = Array.copy t.cells;
     kernels = Array.copy t.kernels;
+    glitch = Array.copy t.glitch;
     loads = Array.copy t.loads;
     input_ramp = Array.copy t.input_ramp;
     delays = Array.copy t.delays;

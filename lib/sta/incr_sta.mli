@@ -7,7 +7,8 @@
     slews, delays, arrivals, critical delay, and each gate's compiled
     timing kernel) plus the per-gate terms that move only with a gate's
     cell or its node load: switching energy, leakage power, area and
-    the two generated glitch widths.
+    the two generated glitch widths, evaluated on each gate's compiled
+    glitch kernel.
     {!propagate} applies a batch of cell changes and recomputes only
     what they can reach:
 
@@ -35,22 +36,6 @@ val same_bits : float -> float -> bool
 val same_row : float array -> float array -> bool
 (** {!same_bits} over a whole row (physical equality short-circuits). *)
 
-module Memo : sig
-  type t
-  (** Memo table in front of the generated-glitch-width
-      characterisation, keyed by (cell variant, node capacitance,
-      charge). Thread-safe; shared by a core and all its forks (and
-      shareable across cores over the same library). Timing needs no
-      memo: each gate holds its variant's compiled
-      {!Ser_cell.Library.kernel}, whose evaluation is cheaper than a
-      memo hit. *)
-
-  type stats = { hits : int; misses : int }
-
-  val create : unit -> t
-  val stats : t -> stats
-end
-
 type metrics = {
   m_unreliability : float;  (** the owning handle's unreliability total *)
   m_delay : float;  (** critical delay *)
@@ -69,6 +54,9 @@ type t = private {
   kernels : Ser_cell.Library.kernel option array;
       (** each gate's compiled timing model, refreshed only when its
           cell changes *)
+  glitch : Ser_cell.Library.glitch option array;
+      (** each gate's glitch model, refreshed only when its cell
+          changes; [None] throughout a timing-only core *)
   loads : float array;
   input_ramp : float array;
   delays : float array;
@@ -82,7 +70,6 @@ type t = private {
   cell_area : float array;
   glitch_low : float array;  (** generated width, strike with output low *)
   glitch_high : float array;  (** ... with output high *)
-  memo : Memo.t;
 }
 (** Read-only outside this module: the arrays are the live state. *)
 
@@ -96,7 +83,6 @@ type dirty = {
 }
 
 val create :
-  ?memo:Memo.t ->
   ?charge:float ->
   env:Timing.env ->
   Ser_cell.Library.t ->
@@ -106,11 +92,11 @@ val create :
 (** Adopt a from-scratch timing pass of [asg] (arrays are copied).
     Without [charge] the core is timing-only: it maintains loads,
     slews, delays and arrivals but no electrical terms, so it never
-    queries (or, on the transient backend, characterises) glitch
-    widths. *)
+    builds (or, on the transient backend, characterises) a glitch
+    model. *)
 
 val fork : t -> t
-(** O(nodes) copy; the memo is shared. *)
+(** O(nodes) copy; the compiled models are shared. *)
 
 val changes :
   who:string ->

@@ -181,6 +181,27 @@ let reference_timing (p : P.t) ~input_ramp ~cload =
   in
   loop 0. input_ramp 0 stage_list
 
+(* The uncompiled glitch closed form the compiled glitch kernel
+   replaced: the restore drive is re-derived on every query (twice:
+   once for the width, once inside the critical charge). *)
+let reference_glitch (p : P.t) ~node_cap ~charge ~output_low =
+  let _, tau_f = GM.collected_charge_tau in
+  let restore () =
+    GM.drive_current p (if output_low then GM.Pull_down else GM.Pull_up)
+  in
+  let i = restore () in
+  if i <= 0. then Float.max_float
+  else begin
+    let qc = (node_cap *. p.P.vdd /. 2.) +. (restore () *. tau_f) in
+    let excess = charge -. qc in
+    if excess <= 0. then 0.
+    else begin
+      let it = i *. tau_f in
+      let recovery = node_cap *. p.P.vdd /. 2. /. i in
+      (excess /. (excess +. it) *. recovery) +. (tau_f *. log (1. +. (excess /. it)))
+    end
+  end
+
 let bits = Int64.bits_of_float
 
 let all_default_variants =
@@ -208,13 +229,28 @@ let load_gen =
         (1, return 1e12);
       ])
 
+(* node capacitances from a bare junction to heavy fan-out, and
+   charges from well below any variant's critical charge to far above
+   it *)
+let strike_gen =
+  QCheck.Gen.(
+    pair (float_range 0.1 60.)
+      (frequency
+         [ (1, return 0.); (3, float_range 0. 5.); (6, float_range 0. 150.) ]))
+
 let prop_kernel_matches_walk =
   QCheck.Test.make ~name:"kernel = per-call model walk" ~count:100
     QCheck.(
-      make ~print:(fun (r, c) -> Printf.sprintf "ramp=%h cload=%h" r c)
-        Gen.(pair (frequency [ (1, return 0.); (5, float_range 0. 400.) ]) load_gen))
-    (fun (input_ramp, cload) ->
+      make
+        ~print:(fun ((r, c), (nc, q)) ->
+          Printf.sprintf "ramp=%h cload=%h node_cap=%h charge=%h" r c nc q)
+        Gen.(
+          pair
+            (pair (frequency [ (1, return 0.); (5, float_range 0. 400.) ]) load_gen)
+            strike_gen))
+    (fun ((input_ramp, cload), (node_cap, charge)) ->
       let lib = L.create () in
+      let same a b = Int64.equal (bits a) (bits b) in
       Array.for_all
         (fun p ->
           let d_ref, r_ref = reference_timing p ~input_ramp ~cload in
@@ -222,9 +258,19 @@ let prop_kernel_matches_walk =
           let d, r = L.kernel_timing k ~input_ramp ~cload in
           let d_lib = L.delay lib p ~input_ramp ~cload in
           let r_lib = L.output_ramp lib p ~input_ramp ~cload in
-          let same a b = Int64.equal (bits a) (bits b) in
+          let g = L.glitch_kernel lib p in
+          let glitch_ok output_low =
+            let w_ref = reference_glitch p ~node_cap ~charge ~output_low in
+            same (L.glitch_width g ~node_cap ~charge ~output_low) w_ref
+            && same
+                 (L.generated_glitch_width lib p ~node_cap ~charge ~output_low)
+                 w_ref
+            && same
+                 (GM.generated_glitch_width p ~node_cap ~charge ~output_low)
+                 w_ref
+          in
           same d d_ref && same r r_ref && same d_lib d_ref
-          && same r_lib r_ref)
+          && same r_lib r_ref && glitch_ok true && glitch_ok false)
         (Lazy.force all_default_variants))
 
 let test_transient_kernel () =
@@ -248,7 +294,23 @@ let test_transient_kernel () =
                 true
                 (same d (L.delay lib p ~input_ramp ~cload)
                 && same r (L.output_ramp lib p ~input_ramp ~cload)))
-            [ (2., 0.3); (20., 2.); (45., 7.5); (160., 30.); (500., 100.) ])
+            [ (2., 0.3); (20., 2.); (45., 7.5); (160., 30.); (500., 100.) ];
+          let g = L.glitch_kernel lib p in
+          List.iter
+            (fun (node_cap, charge) ->
+              List.iter
+                (fun output_low ->
+                  let same a b = Int64.equal (bits a) (bits b) in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s node_cap=%g charge=%g low=%b"
+                       (P.to_string p) node_cap charge output_low)
+                    true
+                    (same
+                       (L.glitch_width g ~node_cap ~charge ~output_low)
+                       (L.generated_glitch_width lib p ~node_cap ~charge
+                          ~output_low)))
+                [ true; false ])
+            [ (0.3, 2.); (1.5, 5.); (4., 16.); (12., 40.); (50., 100.) ])
         (L.variants lib kind fanin))
     [ (Gate.Not, 1); (Gate.Nand, 2) ]
 
