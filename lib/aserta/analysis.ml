@@ -439,9 +439,3 @@ let successor_weight t ~gate ~succ ~po =
 let width_at ~samples ~own_po ~rows ~po width =
   if po = own_po then Float.max 0. width
   else Lut.interpolate_1d ~xs:samples ~ys:rows.(po) width
-
-let expected_width_at t ~gate ~po ~width =
-  if Circuit.is_input t.circuit gate then 0.
-  else
-    width_at ~samples:t.samples ~own_po:t.circuit.Circuit.po_pos.(gate)
-      ~rows:t.tables.(gate) ~po width

@@ -96,7 +96,7 @@ type t = {
       (** [tables.(i).(j)] maps the sample widths to expected widths at
           output [j] for a glitch born at gate [i] (the WS tables of
           Section 3.2); empty at primary inputs. Kept for
-          {!expected_width_at} and the incremental engine. Rows are
+          {!width_at} and the incremental engine. Rows are
           shared (every row a gate cannot reach aliases one all-zero
           row) and must not be mutated. *)
   context : context;  (** the context this pass built *)
@@ -217,15 +217,6 @@ val successor_weight :
     tests of the normalisation property
     [sum_s pi_isj * P_sj = P_ij]). *)
 
-val expected_width_at : t -> gate:int -> po:int -> width:float -> float
-(** Interpolate the gate's expected-output-width table at an arbitrary
-    generated glitch width (clamped to the sample grid). This is the
-    query that makes charge-spectrum analyses ({!Ser_rate}) possible
-    without re-running the electrical pass: the width response to a
-    strike of any energy is already tabulated. For a primary-output
-    gate at its own position this is the identity. [0.] at a primary
-    input; otherwise {!width_at} on the gate's rows. *)
-
 val width_at :
   samples:float array ->
   own_po:int ->
@@ -235,5 +226,8 @@ val width_at :
   float
 (** The expected width at output [po] of a glitch of the given width
     born at a non-input gate whose WS rows are [rows] (over the sample
-    grid [samples]) and whose own output position is [own_po] ([-1] if
-    none). *)
+    grid [samples], clamped to it) and whose own output position is
+    [own_po] ([-1] if none); the identity at the gate's own output
+    position. This is the query that makes charge-spectrum analyses
+    ({!Ser_rate}) possible without re-running the electrical pass: the
+    width response to a strike of any energy is already tabulated. *)

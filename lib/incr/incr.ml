@@ -123,7 +123,7 @@ let refresh_all t =
     end
   done
 
-let of_analysis ?spectrum ?clock_period lib asg (a : Analysis.t) =
+let of_analysis ?rate lib asg (a : Analysis.t) =
   let c = Assignment.circuit asg in
   if a.Analysis.circuit != c then
     invalid_arg "Incr.of_analysis: analysis is for a different circuit";
@@ -132,17 +132,6 @@ let of_analysis ?spectrum ?clock_period lib asg (a : Analysis.t) =
   let sta =
     Sta.create ~env:config.Analysis.env ~charge:config.Analysis.charge lib asg
       a.Analysis.timing
-  in
-  let rate =
-    Option.map
-      (fun spectrum ->
-        let clock_period =
-          match clock_period with
-          | Some p -> p
-          | None -> 1.2 *. a.Analysis.timing.Ser_sta.Timing.critical_delay
-        in
-        Ser_rate.quadrature ~spectrum ~clock_period ())
-      spectrum
   in
   let t =
     {
@@ -165,8 +154,8 @@ let of_analysis ?spectrum ?clock_period lib asg (a : Analysis.t) =
   refresh_all t;
   t
 
-let create ?spectrum ?clock_period ~config lib asg masking =
-  of_analysis ?spectrum ?clock_period lib asg
+let create ?rate ~config lib asg masking =
+  of_analysis ?rate lib asg
     (Analysis.run_electrical config lib asg masking)
 
 let fork t =

@@ -27,9 +27,9 @@
     re-analysis — not approximately equal.
 
     A handle evaluates one of SERTOPT's two objectives: the paper's
-    fixed-charge unreliability [U], or (built with [~spectrum]) the
-    charge-spectrum FIT of {!Aserta.Ser_rate.run} under a latching
-    clock frozen at creation.
+    fixed-charge unreliability [U], or (built with [~rate]) the
+    charge-spectrum FIT of {!Aserta.Ser_rate.run} under the latching
+    clock fixed in that {!Aserta.Ser_rate.quadrature}.
 
     Handles are cheap to {!fork} (copy-on-write: array spines are
     copied, the immutable per-gate rows and compiled models are
@@ -66,8 +66,7 @@ type metrics = Ser_sta.Incr_sta.metrics = {
 }
 
 val create :
-  ?spectrum:Aserta.Ser_rate.spectrum ->
-  ?clock_period:float ->
+  ?rate:Aserta.Ser_rate.quadrature ->
   config:Aserta.Analysis.config ->
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
@@ -77,8 +76,7 @@ val create :
     adopted into an incremental handle; see {!of_analysis}. *)
 
 val of_analysis :
-  ?spectrum:Aserta.Ser_rate.spectrum ->
-  ?clock_period:float ->
+  ?rate:Aserta.Ser_rate.quadrature ->
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
   Aserta.Analysis.t ->
@@ -87,10 +85,9 @@ val of_analysis :
     re-running it. [asg] must be the assignment the analysis was run on.
     The per-gate arrays are copied; the immutable parts (WS-table rows,
     the masking and the {!Aserta.Analysis.context}) are shared. With
-    [spectrum] the handle also maintains the per-gate FIT of
-    {!Aserta.Ser_rate.run} at [clock_period] (default 1.2x the
-    analysis's critical delay, frozen for the handle's lifetime) and
-    {!metrics} reports its total. *)
+    [rate] (a spectrum with its clock period, fixed for the handle's
+    lifetime) the handle also maintains the per-gate FIT of
+    {!Aserta.Ser_rate.run} and {!metrics} reports its total. *)
 
 val fork : t -> t
 (** O(nodes) copy-on-write clone; see module doc. *)

@@ -316,11 +316,13 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
      [measure]. Under the charge-spectrum objective it also maintains
      the per-gate FIT at the frozen clock. *)
   let engine =
-    match config.objective with
-    | Cost.Fixed_charge -> Ser_incr.Incr.of_analysis lib baseline baseline_analysis
-    | Cost.Charge_spectrum spectrum ->
-      Ser_incr.Incr.of_analysis ~spectrum ~clock_period lib baseline
-        baseline_analysis
+    let rate =
+      match config.objective with
+      | Cost.Fixed_charge -> None
+      | Cost.Charge_spectrum spectrum ->
+        Some (Aserta.Ser_rate.quadrature ~spectrum ~clock_period ())
+    in
+    Ser_incr.Incr.of_analysis ?rate lib baseline baseline_analysis
   in
   let cost_against ~baseline (m : Incr_sta.metrics) =
     Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack ~baseline

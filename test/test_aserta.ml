@@ -373,10 +373,13 @@ let test_ser_rate_validation () =
 let test_expected_width_at () =
   let c, lib, asg = c17_setup () in
   let r = Analysis.run ~config:quick_config lib asg in
+  let width_at id =
+    Analysis.width_at ~samples:r.Analysis.samples
+      ~own_po:c.Circuit.po_pos.(id) ~rows:r.Analysis.tables.(id)
+  in
   (* identity at a PO gate's own position *)
   let po = c.Circuit.outputs.(0) in
-  Alcotest.(check (float 1e-9)) "PO identity" 123.
-    (Analysis.expected_width_at r ~gate:po ~po:0 ~width:123.);
+  Alcotest.(check (float 1e-9)) "PO identity" 123. (width_at po ~po:0 123.);
   (* consistency with the stored W_ij at the analysed generated width *)
   Array.iteri
     (fun id row ->
@@ -386,13 +389,9 @@ let test_expected_width_at () =
             Alcotest.(check (float 1e-6))
               (Printf.sprintf "gate %d po %d" id j)
               wij
-              (Analysis.expected_width_at r ~gate:id ~po:j
-                 ~width:r.Analysis.gen_width.(id)))
+              (width_at id ~po:j r.Analysis.gen_width.(id)))
           row)
-    r.Analysis.expected_width;
-  (* inputs give zero *)
-  Alcotest.(check (float 0.)) "PI zero" 0.
-    (Analysis.expected_width_at r ~gate:0 ~po:0 ~width:50.)
+    r.Analysis.expected_width
 
 let test_measured_rejects_pi () =
   let _, lib, asg = c17_setup () in

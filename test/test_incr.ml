@@ -69,7 +69,12 @@ let incremental_equals_scratch_prop =
       let spectrum =
         if spectrum then Some Aserta.Ser_rate.default_spectrum else None
       in
-      let e = Incr.create ?spectrum ~clock_period ~config lib asg masking in
+      let rate =
+        Option.map
+          (fun spectrum -> Aserta.Ser_rate.quadrature ~spectrum ~clock_period ())
+          spectrum
+      in
+      let e = Incr.create ?rate ~config lib asg masking in
       let rng = Ser_rng.Rng.create (seed + 17) in
       let gates = non_inputs c in
       for _ = 1 to n_swaps do
@@ -129,10 +134,14 @@ let test_full_rebuild_path () =
   let asg = Assignment.uniform lib c in
   let e = Incr.create ~config lib asg masking in
   (* a spectrum handle takes the same batch: its rebuild must refresh
-     every gate's FIT at the clock frozen at creation *)
+     every gate's FIT at the handle's clock *)
   let spectrum = Aserta.Ser_rate.default_spectrum in
   let clock_period = 1.2 *. Incr.critical_delay e in
-  let es = Incr.create ~spectrum ~config lib asg masking in
+  let es =
+    Incr.create
+      ~rate:(Aserta.Ser_rate.quadrature ~spectrum ~clock_period ())
+      ~config lib asg masking
+  in
   let rng = Ser_rng.Rng.create 11 in
   let gates = non_inputs c in
   (* change over an eighth of the gates in one batch: must take the
