@@ -112,6 +112,20 @@ let read_json what path =
   | Error (Ser_util.Json.Syntax msg) ->
     failwith (Printf.sprintf "unreadable %s %s: %s" what path msg)
 
+let write_json path doc =
+  match Ser_util.Json.to_file path doc with
+  | Ok () -> Printf.printf "wrote %s\n" path
+  | Error msg -> failwith msg
+
+(* Readers of an op's document (lib/cli/handlers.ml): the text prints
+   the numbers --json writes, never a second derivation of them. *)
+let field conv doc k = Option.get (Option.bind (Ser_util.Json.member k doc) conv)
+let member doc k = field Option.some doc k
+let num doc k = field Ser_util.Json.to_float_opt doc k
+let count doc k = field Ser_util.Json.to_int_opt doc k
+let str doc k = field Ser_util.Json.to_str_opt doc k
+let rows doc k = field Ser_util.Json.to_list_opt doc k
+
 (* The canonical request/handler pair (lib/cli) is the single place
    that loads netlists, builds libraries and executes the three core
    operations; one-shot commands, the batch worker and the serve daemon
@@ -174,30 +188,24 @@ let load_odc_report path =
 let analyze_cmd run spec override odc json dot =
   one_shot "analyze" run @@ fun () ->
   let req = request Request.Analyze (Request.Spec spec) override in
-  let { Request.vectors; charge; top; _ } = req in
   let odc_report = Option.map load_odc_report odc in
   let t0 = Unix.gettimeofday () in
-  let ({ Handlers.assignment = asg; result } as analyzed) =
-    or_diag (Handlers.analyze ?odc_report req)
-  in
+  let analyzed = or_diag (Handlers.analyze ?odc_report req) in
   let dt = Unix.gettimeofday () -. t0 in
-  let c, values, gen_width, critical_delay, total =
-    Handlers.backend_view result
-  in
+  let doc = Handlers.analyze_payload req analyzed in
   Printf.printf "circuit %s: %d gates, critical delay %.1f ps\n"
-    c.Ser_netlist.Circuit.name
-    (Ser_netlist.Circuit.gate_count c)
-    critical_delay;
-  (match result with
-  | Handlers.Aserta _ ->
-    Printf.printf
-      "total unreliability U = %.1f  (%d vectors, %.1f fC, %.2f s)\n\n" total
-      vectors charge dt
-  | Handlers.Serpp _ ->
+    (str doc "circuit") (count doc "gates") (num doc "critical_delay_ps");
+  let total = num doc "total_unreliability" and charge = num doc "charge" in
+  (match str doc "backend" with
+  | "serpp" ->
     Printf.printf
       "total unreliability U = %.1f  (serpp single-pass estimate, %.1f fC, \
        %.2f s)\n\n"
-      total charge dt);
+      total charge dt
+  | _ ->
+    Printf.printf
+      "total unreliability U = %.1f  (%d vectors, %.1f fC, %.2f s)\n\n" total
+      (count doc "vectors") charge dt);
   (match odc with
   | Some path ->
     let pruned =
@@ -208,37 +216,29 @@ let analyze_cmd run spec override odc json dot =
     Printf.printf "odc: pruned %d provably-masked fault sites (report %s)\n"
       pruned path
   | None -> ());
-  Printf.printf "top %d softest gates:\n" top;
+  Printf.printf "top %d softest gates:\n" req.Request.top;
   let tbl =
     Ser_util.Ascii_table.create
       ~aligns:[ Ser_util.Ascii_table.Left; Ser_util.Ascii_table.Left ]
       [ "gate"; "cell"; "U_i"; "w_gen (ps)"; "share" ]
   in
   List.iter
-    (fun id ->
+    (fun g ->
       Ser_util.Ascii_table.add_row tbl
         [
-          (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name;
-          Ser_device.Cell_params.to_string (Ser_sta.Assignment.get asg id);
-          Printf.sprintf "%.1f" values.(id);
-          Printf.sprintf "%.1f" gen_width.(id);
-          Printf.sprintf "%.1f%%" (100. *. values.(id) /. total);
+          str g "gate";
+          str g "cell";
+          Printf.sprintf "%.1f" (num g "u");
+          Printf.sprintf "%.1f" (num g "w_gen_ps");
+          Printf.sprintf "%.1f%%" (100. *. num g "share");
         ])
-    (Handlers.top_indices values top);
+    (rows doc "top");
   Ser_util.Ascii_table.print tbl;
-  (match json with
-  | Some path ->
-    (match result with
-    | Handlers.Aserta r ->
-      Ser_repro.Report.write path (Ser_repro.Report.analysis_to_json asg r)
-    | Handlers.Serpp _ ->
-      (* the serpp report is the canonical analyze payload — the same
-         document a serve client would receive for this request *)
-      Ser_repro.Report.write path (Handlers.analyze_payload req analyzed));
-    Printf.printf "wrote %s\n" path
-  | None -> ());
+  Option.iter (fun path -> write_json path doc) json;
   (match dot with
   | Some path ->
+    (* the heat map colours every gate, not just the document's top *)
+    let c, values, _, _, _, _ = Handlers.backend_view analyzed.Handlers.result in
     let u_max = Array.fold_left Float.max 1e-12 values in
     let annotation =
       {
@@ -265,13 +265,9 @@ let odc_cmd run spec override output =
     (Array.length r.Ser_odc.Odc.sites)
     (Ser_odc.Odc.n_proven r) (Ser_odc.Odc.n_observed r)
     (Ser_odc.Odc.n_sampled r) dt;
-  (match output with
-  | Some path ->
-    (* the bare report document, not the payload wrapper: this is the
-       file analyze/optimize --odc consume *)
-    Ser_repro.Report.write path (Ser_odc.Odc.to_json r);
-    Printf.printf "wrote %s\n" path
-  | None -> ())
+  (* the bare report document, not the payload wrapper: this is the
+     file analyze/optimize --odc consume *)
+  Option.iter (fun path -> write_json path (Ser_odc.Odc.to_json r)) output
 
 let optimize_cmd run spec override timeout checkpoint odc output json =
   one_shot "optimize" run @@ fun () ->
@@ -322,16 +318,15 @@ let optimize_cmd run spec override timeout checkpoint odc output json =
     print_endline
       "interrupted (SIGINT/SIGTERM): returning the best-so-far incumbent; \
        partial summary and checkpoint follow";
-  let b = r.Sertopt.Optimizer.baseline_metrics in
-  let o = r.Sertopt.Optimizer.optimized_metrics in
-  let rat = Sertopt.Cost.ratios ~baseline:b o in
+  let doc = Handlers.optimize_payload req r in
   Printf.printf "unreliability: %.1f -> %.1f  (decrease %.1f%%)\n"
-    b.Sertopt.Cost.unreliability o.Sertopt.Cost.unreliability
-    (100. *. Sertopt.Optimizer.unreliability_reduction r);
+    (num (member doc "baseline") "unreliability")
+    (num (member doc "optimized") "unreliability")
+    (100. *. num doc "unreliability_reduction");
   Printf.printf "area %.2fX  energy %.2fX  delay %.2fX  (%d cost evals, %.1f s)\n"
-    rat.Sertopt.Cost.area rat.Sertopt.Cost.energy rat.Sertopt.Cost.delay
-    r.Sertopt.Optimizer.evals dt;
-  if r.Sertopt.Optimizer.degraded then
+    (num doc "area_ratio") (num doc "energy_ratio") (num doc "delay_ratio")
+    (count doc "evals") dt;
+  if Ser_util.Json.member "degraded" doc = Some (Ser_util.Json.Bool true) then
     print_endline
       "budget exhausted: result is the best incumbent found so far (degraded)";
   (match odc with
@@ -350,7 +345,9 @@ let optimize_cmd run spec override timeout checkpoint odc output json =
     let cost =
       let dcfg = Sertopt.Optimizer.default_config in
       Sertopt.Cost.eval ~weights:dcfg.Sertopt.Optimizer.weights
-        ~delay_slack:dcfg.Sertopt.Optimizer.delay_slack ~baseline:b o
+        ~delay_slack:dcfg.Sertopt.Optimizer.delay_slack
+        ~baseline:r.Sertopt.Optimizer.baseline_metrics
+        r.Sertopt.Optimizer.optimized_metrics
     in
     or_diag
       (Sertopt.Checkpoint.save path ~cost ~evals:r.Sertopt.Optimizer.evals
@@ -373,32 +370,23 @@ let optimize_cmd run spec override timeout checkpoint odc output json =
           (Ser_device.Cell_params.to_string cell));
     close_out oc;
     Printf.printf "wrote %s\n" path);
-  (match json with
-  | Some path ->
-    Ser_repro.Report.write path (Ser_repro.Report.optimization_to_json r);
-    Printf.printf "wrote %s\n" path
-  | None -> ())
+  Option.iter (fun path -> write_json path doc) json
 
 let rate_cmd run spec override =
   one_shot "rate" run @@ fun () ->
   let req = request Request.Rate (Request.Spec spec) override in
-  let { Request.q_slope; top; _ } = req in
-  let { Handlers.r_analysis; r_rate = r; _ } = or_diag (Handlers.rate req) in
-  let c = r_analysis.Aserta.Analysis.circuit in
+  let doc = Handlers.rate_payload req (or_diag (Handlers.rate req)) in
   Printf.printf
     "%s: SER = %.2f FIT (synthetic flux normalisation)\n\
      clock %.0f ps, exponential charge spectrum with Qs = %.1f fC\n\n"
-    c.Ser_netlist.Circuit.name r.Aserta.Ser_rate.total
-    r.Aserta.Ser_rate.clock_period q_slope;
-  let per_gate = r.Aserta.Ser_rate.per_gate in
-  Printf.printf "top %d contributors:\n" top;
+    (str doc "circuit") (num doc "total_fit") (num doc "clock_ps")
+    (num doc "q_slope_fc");
+  Printf.printf "top %d contributors:\n" req.Request.top;
   List.iter
-    (fun id ->
-      Printf.printf "  %-12s %8.3f FIT (%.1f%%)\n"
-        (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name
-        per_gate.(id)
-        (100. *. per_gate.(id) /. r.Aserta.Ser_rate.total))
-    (Handlers.top_indices per_gate top)
+    (fun g ->
+      Printf.printf "  %-12s %8.3f FIT (%.1f%%)\n" (str g "gate") (num g "fit")
+        (100. *. num g "share"))
+    (rows doc "top")
 
 let xval_cmd run spec corpus vectors charge top json =
   one_shot "xval" run @@ fun () ->
@@ -406,11 +394,7 @@ let xval_cmd run spec corpus vectors charge top json =
   | None ->
     let r = Ser_repro.Xval.run ~circuit:spec ~vectors ~charge ~top_n:top () in
     print_string (Ser_repro.Xval.render r);
-    (match json with
-    | Some path ->
-      Ser_repro.Report.write path (Ser_repro.Xval.to_json r);
-      Printf.printf "wrote %s\n" path
-    | None -> ())
+    Option.iter (fun path -> write_json path (Ser_repro.Xval.to_json r)) json
   | Some dir ->
     (* every .bench in the directory, name order — deterministic both
        in which circuits run and in the row order of the table *)
@@ -433,11 +417,9 @@ let xval_cmd run spec corpus vectors charge top json =
         benches
     in
     print_string (Ser_repro.Xval.render_corpus results);
-    (match json with
-    | Some path ->
-      Ser_repro.Report.write path (Ser_repro.Xval.corpus_to_json results);
-      Printf.printf "wrote %s\n" path
-    | None -> ())
+    Option.iter
+      (fun path -> write_json path (Ser_repro.Xval.corpus_to_json results))
+      json
 
 let harden_cmd jobs spec method_ fraction output =
   wrap @@ fun () ->
@@ -1086,11 +1068,7 @@ let batch_cmd manifest job_request journal_path resume shard parallel
         Ser_util.Json.Obj (fields @ obs_results_field obs_dir entries)
       | other -> other
     in
-    let oc = open_out path in
-    output_string oc (Ser_util.Json.to_string doc);
-    output_string oc "\n";
-    close_out oc;
-    Printf.printf "wrote %s\n" path);
+    write_json path doc);
   `Ok exit_ok
 
 (* Fold N shard journals back into the single-host results document.
@@ -1145,12 +1123,7 @@ let batch_merge_cmd journals manifest shards results retry_path trace_ins
       report.Merge.foreign;
     let doc = Merge.results_json report in
     (match results with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Ser_util.Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+    | Some path -> write_json path doc
     | None -> print_endline (Ser_util.Json.to_string ~indent:true doc));
     (* a degraded merge emits the exact manifest lines to re-run *)
     (match (retry_path, manifest_entries) with
@@ -1361,7 +1334,8 @@ let generate_t =
 let analyze_t =
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Export the full report as JSON.")
+           ~doc:"Write the analyze document (the --top softest gates) as \
+                 JSON: the payload serve and batch answer for this request.")
   in
   let dot =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
@@ -1402,7 +1376,8 @@ let optimize_t =
   in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Export the optimization report as JSON.")
+           ~doc:"Write the optimize document as JSON: the payload serve \
+                 and batch answer for this request.")
   in
   let timeout =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"

@@ -207,39 +207,58 @@ let top_indices values top =
     idx;
   List.rev !picked
 
+let share v total = if total > 0. then v /. total else 0.
+
 (* both backends expose the same observable surface: per-gate
-   unreliability, generated widths and the shared STA pass *)
+   unreliability, generated widths, signal probabilities and the
+   shared STA pass *)
 let backend_view = function
   | Aserta r ->
     ( r.Aserta.Analysis.circuit,
       r.Aserta.Analysis.unreliability,
       r.Aserta.Analysis.gen_width,
-      r.Aserta.Analysis.timing.Ser_sta.Timing.critical_delay,
+      r.Aserta.Analysis.masking.Aserta.Analysis.probs,
+      r.Aserta.Analysis.timing,
       r.Aserta.Analysis.total )
   | Serpp s ->
     ( s.Ser_serpp.Serpp.circuit,
       s.Ser_serpp.Serpp.estimate,
       s.Ser_serpp.Serpp.gen_width,
-      s.Ser_serpp.Serpp.timing.Ser_sta.Timing.critical_delay,
+      s.Ser_serpp.Serpp.probs,
+      s.Ser_serpp.Serpp.timing,
       s.Ser_serpp.Serpp.total )
 
 let analyze_payload (req : Request.t) { assignment; result } =
-  let c, values, gen_width, critical_delay, total = backend_view result in
-  let top =
-    top_indices values req.Request.top
-    |> List.map (fun id ->
-           Json.Obj
-             [
-               ("gate", Json.Str (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name);
-               ( "cell",
-                 Json.Str
-                   (Ser_device.Cell_params.to_string
-                      (Ser_sta.Assignment.get assignment id)) );
-               ("u", Json.Num values.(id));
-               ("w_gen_ps", Json.Num gen_width.(id));
-               ( "share",
-                 Json.Num (if total > 0. then values.(id) /. total else 0.) );
-             ])
+  let c, values, gen_width, probs, timing, total = backend_view result in
+  (* serpp has no P_ij, so only ASERTA rows carry the masking bound *)
+  let masking id =
+    match result with
+    | Aserta r ->
+      let p = r.Aserta.Analysis.masking.Aserta.Analysis.path_probs in
+      [
+        ( "max_path_probability",
+          Json.Num (Array.fold_left Float.max 0. p.Ser_logicsim.Probs.p.(id)) );
+      ]
+    | Serpp _ -> []
+  in
+  let row id =
+    let nd = Ser_netlist.Circuit.node c id in
+    Json.Obj
+      ([
+         ("gate", Json.Str nd.Ser_netlist.Circuit.name);
+         ("kind", Json.Str (Ser_netlist.Gate.to_string nd.Ser_netlist.Circuit.kind));
+         ( "cell",
+           Json.Str
+             (Ser_device.Cell_params.to_string
+                (Ser_sta.Assignment.get assignment id)) );
+         ("u", Json.Num values.(id));
+         ("w_gen_ps", Json.Num gen_width.(id));
+         ("share", Json.Num (share values.(id) total));
+         ("delay_ps", Json.Num timing.Ser_sta.Timing.delays.(id));
+         ("slack_ps", Json.Num timing.Ser_sta.Timing.slack.(id));
+         ("signal_probability", Json.Num probs.(id));
+       ]
+      @ masking id)
   in
   Json.Obj
     [
@@ -247,11 +266,13 @@ let analyze_payload (req : Request.t) { assignment; result } =
       ("backend", Json.Str req.Request.backend);
       ("circuit", Json.Str c.Ser_netlist.Circuit.name);
       ("gates", Json.int (Ser_netlist.Circuit.gate_count c));
-      ("critical_delay_ps", Json.Num critical_delay);
+      ("inputs", Json.int (Array.length c.Ser_netlist.Circuit.inputs));
+      ("outputs", Json.int (Array.length c.Ser_netlist.Circuit.outputs));
+      ("critical_delay_ps", Json.Num timing.Ser_sta.Timing.critical_delay);
       ("total_unreliability", Json.Num total);
       ("vectors", Json.int req.Request.vectors);
       ("charge", Json.Num req.Request.charge);
-      ("top", Json.List top);
+      ("top", Json.List (List.map row (top_indices values req.Request.top)));
     ]
 
 let optimize_payload (req : Request.t) (r : Sertopt.Optimizer.result) =
@@ -260,20 +281,47 @@ let optimize_payload (req : Request.t) (r : Sertopt.Optimizer.result) =
   let o = r.Sertopt.Optimizer.optimized_metrics in
   let rat = Sertopt.Cost.ratios ~baseline:b o in
   let k = Sertopt.Optimizer.knob_summary r in
+  let nums l = Json.List (List.map (fun x -> Json.Num x) l) in
+  let metrics (m : Sertopt.Cost.metrics) =
+    Json.Obj
+      [
+        ("unreliability", Json.Num m.Sertopt.Cost.unreliability);
+        ("delay_ps", Json.Num m.Sertopt.Cost.delay);
+        ("energy_fj", Json.Num m.Sertopt.Cost.energy);
+        ("area", Json.Num m.Sertopt.Cost.area);
+      ]
+  in
   Json.Obj
     [
       ("cmd", Json.Str "optimize");
       ("circuit", Json.Str c.Ser_netlist.Circuit.name);
       ("gates", Json.int (Ser_netlist.Circuit.gate_count c));
-      ("u_before", Json.Num b.Sertopt.Cost.unreliability);
-      ("u_after", Json.Num o.Sertopt.Cost.unreliability);
-      ("evals", Json.int r.Sertopt.Optimizer.evals);
+      ("vectors", Json.int req.Request.vectors);
+      ("baseline", metrics b);
+      ("optimized", metrics o);
       ("area_ratio", Json.Num rat.Sertopt.Cost.area);
       ("energy_ratio", Json.Num rat.Sertopt.Cost.energy);
       ("delay_ratio", Json.Num rat.Sertopt.Cost.delay);
-      ("changed_gates", Json.int k.Sertopt.Optimizer.changed_gates);
-      ("vectors", Json.int req.Request.vectors);
+      ( "unreliability_reduction",
+        Json.Num (Sertopt.Optimizer.unreliability_reduction r) );
+      ("evals", Json.int r.Sertopt.Optimizer.evals);
       ("degraded", Json.Bool r.Sertopt.Optimizer.degraded);
+      ("cost_trace", nums r.Sertopt.Optimizer.cost_trace);
+      ( "knobs",
+        Json.Obj
+          [
+            ("changed_gates", Json.int k.Sertopt.Optimizer.changed_gates);
+            ("upsized", Json.int k.Sertopt.Optimizer.upsized);
+            ("downsized", Json.int k.Sertopt.Optimizer.downsized);
+            ("longer_channel", Json.int k.Sertopt.Optimizer.longer_channel);
+            ("shorter_channel", Json.int k.Sertopt.Optimizer.shorter_channel);
+            ("vdd_raised", Json.int k.Sertopt.Optimizer.vdd_raised);
+            ("vdd_lowered", Json.int k.Sertopt.Optimizer.vdd_lowered);
+            ("vth_raised", Json.int k.Sertopt.Optimizer.vth_raised);
+            ("vth_lowered", Json.int k.Sertopt.Optimizer.vth_lowered);
+            ("vdds_used", nums k.Sertopt.Optimizer.vdds_used);
+            ("vths_used", nums k.Sertopt.Optimizer.vths_used);
+          ] );
     ]
 
 let rate_payload (req : Request.t) { r_analysis; r_rate = r; _ } =
@@ -286,10 +334,7 @@ let rate_payload (req : Request.t) { r_analysis; r_rate = r; _ } =
              [
                ("gate", Json.Str (Ser_netlist.Circuit.node c id).Ser_netlist.Circuit.name);
                ("fit", Json.Num r.Aserta.Ser_rate.per_gate.(id));
-               ( "share",
-                 Json.Num
-                   (if total > 0. then r.Aserta.Ser_rate.per_gate.(id) /. total
-                    else 0.) );
+               ("share", Json.Num (share r.Aserta.Ser_rate.per_gate.(id) total));
              ])
   in
   Json.Obj

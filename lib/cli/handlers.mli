@@ -1,10 +1,11 @@
 (** Execution of canonical {!Request} records — the shared back half of
     the one-shot CLI commands, the batch worker and the serve daemon.
 
-    Each operation returns its full result records (for front ends that
-    pretty-print tables or export reports) and has a [_payload]
-    rendering producing the compact, deterministic JSON document that
-    the worker protocol and the serve response carry. Payloads contain
+    Each operation returns its full result records and has a
+    [_payload] rendering: the op's one output document. [sertool
+    analyze --json] and [optimize --json] write it, the CLI text for
+    analyze, optimize and rate prints its numbers from it, and the
+    worker protocol and the serve response carry it. Payloads contain
     no timestamps or elapsed times, so an identical request on an
     identical build renders bit-identically — the property the serve
     result cache and journal resume rely on. *)
@@ -49,10 +50,10 @@ val analyze :
   ?odc_report:Ser_odc.Odc.t -> Request.t -> (analyzed, Ser_util.Diag.t) result
 (** Size-for-speed baseline assignment + checked SER analysis with the
     requested backend (ASERTA by default, serpp when
-    [req.backend = "serpp"]). The analyze payload has the same shape
-    for both backends — per-gate [u] means the serpp estimate under
-    the serpp backend — plus a ["backend"] field naming which
-    estimator produced it.
+    [req.backend = "serpp"]). The analyze payload has the same keys
+    for both backends but [max_path_probability] — per-gate [u] means
+    the serpp estimate under the serpp backend — plus a ["backend"]
+    field naming which estimator produced it.
 
     [odc_report] (ASERTA backend only; rejected for serpp) skips the
     provably-masked fault sites of the report during the Monte-Carlo
@@ -80,18 +81,33 @@ val odc : Request.t -> (Ser_odc.Odc.t, Ser_util.Diag.t) result
     library is built and the VDD/Vth axes are ignored. *)
 
 val backend_view :
-  backend_result -> Ser_netlist.Circuit.t * float array * float array * float * float
-(** The surface both backends share: [(circuit, per-gate unreliability,
-    generated glitch widths, critical delay, total)]. Under serpp the
-    per-gate values are its estimate. *)
-
-val top_indices : float array -> int -> int list
-(** The ids of the [top] largest positive values, value-descending with
-    ties in ascending id order — the canonical ranking of every top-N
-    list (payloads and CLI tables). *)
+  backend_result ->
+  Ser_netlist.Circuit.t
+  * float array
+  * float array
+  * float array
+  * Ser_sta.Timing.t
+  * float
+(** The surface both backends share: [(circuit, per-gate
+    unreliability, generated glitch widths, signal probabilities, STA
+    pass, total)]. Under serpp the per-gate values are its estimate. *)
 
 val analyze_payload : Request.t -> analyzed -> Ser_util.Json.t
+(** [cmd], [backend], [circuit], [gates], [inputs], [outputs],
+    [critical_delay_ps], [total_unreliability], [vectors], [charge] and
+    [top]: the request's [top] gates with the largest positive [U_i],
+    value-descending with ties in ascending id order. Each row holds
+    [gate], [kind], [cell], [u], [w_gen_ps], [share], [delay_ps],
+    [slack_ps], [signal_probability], plus [max_path_probability] under
+    ASERTA (serpp has no [P_ij]). *)
+
 val optimize_payload : Request.t -> Sertopt.Optimizer.result -> Ser_util.Json.t
+(** [cmd], [circuit], [gates], [vectors], the [baseline] and
+    [optimized] metrics ([unreliability], [delay_ps], [energy_fj],
+    [area]), the three cost ratios, [unreliability_reduction],
+    [evals], [degraded], the improving [cost_trace] and the
+    {!Sertopt.Optimizer.knob_summary} fields under [knobs]. *)
+
 val rate_payload : Request.t -> rated -> Ser_util.Json.t
 
 val odc_payload : Request.t -> Ser_odc.Odc.t -> Ser_util.Json.t

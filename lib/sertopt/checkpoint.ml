@@ -37,13 +37,9 @@ let to_json ?cost ?(evals = 0) asg =
     @ [ ("evals", Json.int evals); ("gates", Json.List gates) ])
 
 let save path ?cost ?evals asg =
-  Diag.guard ~subsystem (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Json.to_string (to_json ?cost ?evals asg));
-          output_char oc '\n'))
+  Json.to_file path (to_json ?cost ?evals asg)
+  |> Result.map_error (fun msg ->
+         Diag.make ~subsystem ~context:[ ("kind", "io") ] msg)
 
 let fail fmt = Diag.fail ~subsystem fmt
 

@@ -12,10 +12,13 @@ let subsystem = "serve"
    sites and the persisted key format byte-identical. *)
 let circuit_digest (c : Circuit.t) = Circuit.digest c
 
+(* The leading version names the payload schema: bump it whenever a
+   payload's shape changes, so a persisted --cache-dir written by an
+   older build misses instead of serving the old shape. *)
 let key ~circuit ~library ~params =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "v1|%s|%s|%s" circuit library (Json.to_string params)))
+       (Printf.sprintf "v2|%s|%s|%s" circuit library (Json.to_string params)))
 
 (* ------------------------------- LRU ------------------------------- *)
 

@@ -24,7 +24,9 @@ val circuit_digest : Ser_netlist.Circuit.t -> string
 val key :
   circuit:string -> library:string -> params:Ser_util.Json.t -> string
 (** Combine a {!circuit_digest}, a {!Ser_cli.Handlers.library_id} and a
-    canonical {!Ser_cli.Request.params_json} into one digest. *)
+    canonical {!Ser_cli.Request.params_json} into one digest. The
+    digest also covers a payload-schema version, so entries persisted
+    by a build with another payload shape miss. *)
 
 type stats = {
   hits : int;

@@ -14,6 +14,9 @@ let keys =
     "attempt"; "detail"; "backoff_s"; "status"; "payload"; "ok"; "failed";
     "degraded"; "interrupted"; "op"; "id"; "spec"; "bench"; "backend";
     "error"; "diag"; "message"; "cache_hit"; "elapsed_s"; "replayed";
+    "cost"; "evals"; "gates"; "name"; "kind"; "fanin"; "size"; "length";
+    "vdd"; "vth"; "traceEvents"; "otherData"; "dropped"; "ph"; "ts";
+    "dur"; "pid"; "tid"; "args";
   ]
 
 let words =
@@ -21,7 +24,8 @@ let words =
     ""; "odc-report-v1"; "exhaustive"; "sampled"; "proven-masked";
     "observed"; "batch_start"; "done"; "started"; "attempt_failed";
     "batch_end"; "analyze"; "optimize"; "odc"; "rate"; "c17"; "serpp";
-    "aserta"; "exact"; "sleep:-1"; "exit:x"; "overloaded";
+    "aserta"; "exact"; "sleep:-1"; "exit:x"; "overloaded"; "NAND"; "10";
+    "B"; "E"; "X"; "M";
   ]
 
 let num =

@@ -39,19 +39,110 @@ let test_json_compound () =
   Alcotest.(check (list (pair string (of_pp (fun _ _ -> ())))))
     "field_opt none" [] (J.field_opt "x" None)
 
-let test_analysis_json () =
-  let c = Ser_circuits.Iscas.c17 () in
-  let lib = Ser_cell.Library.create () in
-  let asg = Ser_sta.Assignment.uniform lib c in
-  let cfg = { Aserta.Analysis.default_config with Aserta.Analysis.vectors = 500 } in
-  let a = Aserta.Analysis.run ~config:cfg lib asg in
-  let json = Ser_repro.Report.analysis_to_json asg a in
-  let s = J.to_string json in
-  Alcotest.(check bool) "has total" true (contains ~sub:"total_unreliability" s);
-  Alcotest.(check int) "six gates exported" 6 (count_substring ~sub:"\"kind\"" s);
-  (* top filter *)
-  let s2 = J.to_string (Ser_repro.Report.analysis_to_json ~top:2 asg a) in
-  Alcotest.(check int) "top 2" 2 (count_substring ~sub:"\"kind\"" s2)
+(* the renderer calls the float-format primitive directly; Printf is
+   the reference for its bytes *)
+let num_render_prop =
+  QCheck.Test.make ~count:2000 ~name:"numbers render as Printf does"
+    QCheck.(
+      oneof
+        [ float; map float_of_int int; map (fun x -> x /. 7.) (float_range (-1e6) 1e6) ])
+    (fun x ->
+      let expected =
+        if not (Float.is_finite x) then "null"
+        else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+        else Printf.sprintf "%.6g" x
+      in
+      J.to_string (J.Num x) = expected)
+
+(* ---------------- op documents ---------------- *)
+
+module Request = Ser_cli.Request
+module Handlers = Ser_cli.Handlers
+
+let run_doc req =
+  match Handlers.run req with
+  | Ok doc -> doc
+  | Error d -> Alcotest.failf "run: %s" (Ser_util.Diag.to_string d)
+
+let keys = function
+  | J.Obj fields -> List.map fst fields
+  | _ -> Alcotest.fail "not an object"
+
+let items k doc =
+  match Option.bind (J.member k doc) J.to_list_opt with
+  | Some l -> l
+  | None -> Alcotest.failf "no list %S" k
+
+let analyze_req backend top =
+  {
+    (Request.defaults Request.Analyze (Request.Spec "c17")) with
+    Request.backend;
+    vectors = 500;
+    top;
+  }
+
+let test_analyze_document () =
+  let positive backend =
+    match Handlers.analyze (analyze_req backend 0) with
+    | Ok a ->
+      let _, u, _, _, _, _ = Handlers.backend_view a.Handlers.result in
+      Array.fold_left (fun n v -> if v > 0. then n + 1 else n) 0 u
+    | Error d -> Alcotest.failf "analyze: %s" (Ser_util.Diag.to_string d)
+  in
+  let docs =
+    List.map
+      (fun backend ->
+        let n = positive backend in
+        List.iter
+          (fun top ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s top %d rows" backend top)
+              (min top n)
+              (List.length (items "top" (run_doc (analyze_req backend top)))))
+          [ 0; 2; 10 ];
+        run_doc (analyze_req backend 10))
+      [ "aserta"; "serpp" ]
+  in
+  match docs with
+  | [ aserta; serpp ] ->
+    Alcotest.(check (list string)) "one top-level schema" (keys aserta)
+      (keys serpp);
+    Alcotest.(check (list string)) "rows differ only by P_ij"
+      (keys (List.hd (items "top" aserta)))
+      (keys (List.hd (items "top" serpp)) @ [ "max_path_probability" ])
+  | _ -> assert false
+
+let test_optimize_document () =
+  let req =
+    {
+      (Request.defaults Request.Optimize (Request.Spec "c17")) with
+      Request.vectors = 200;
+      evals = 4;
+      greedy = 1;
+    }
+  in
+  let doc = run_doc req in
+  let expected =
+    [
+      "cmd"; "circuit"; "gates"; "vectors"; "baseline"; "optimized";
+      "area_ratio"; "energy_ratio"; "delay_ratio"; "unreliability_reduction";
+      "evals"; "degraded"; "cost_trace"; "knobs";
+    ]
+  in
+  (* each quantity once: the metrics live in baseline/optimized, the
+     knob counts under knobs, and no alias survives at the top *)
+  Alcotest.(check (list string)) "top-level keys" expected (keys doc);
+  let metrics = [ "unreliability"; "delay_ps"; "energy_fj"; "area" ] in
+  List.iter
+    (fun k ->
+      Alcotest.(check (list string)) k metrics
+        (keys (Option.get (J.member k doc))))
+    [ "baseline"; "optimized" ];
+  let knobs = keys (Option.get (J.member "knobs" doc)) in
+  Alcotest.(check bool) "changed_gates under knobs" true
+    (List.mem "changed_gates" knobs);
+  Alcotest.(check int) "knob keys distinct" (List.length knobs)
+    (List.length (List.sort_uniq compare knobs))
 
 (* ---------------- dot ---------------- *)
 
@@ -149,7 +240,9 @@ let () =
           Alcotest.test_case "scalars" `Quick test_json_scalars;
           Alcotest.test_case "escaping" `Quick test_json_escaping;
           Alcotest.test_case "compound" `Quick test_json_compound;
-          Alcotest.test_case "analysis report" `Quick test_analysis_json;
+          QCheck_alcotest.to_alcotest num_render_prop;
+          Alcotest.test_case "analyze document" `Quick test_analyze_document;
+          Alcotest.test_case "optimize document" `Quick test_optimize_document;
         ] );
       ( "dot",
         [

@@ -387,6 +387,45 @@ let test_install_from_env () =
       Alcotest.(check bool) "blank env var ignored" true
         (Obs.metrics_file () = saved_m))
 
+(* ---------------- totality of the trace-document readers ---------- *)
+
+let trace_doc =
+  let ev ph name ts extra =
+    Json.Obj
+      ([
+         ("name", Json.Str name);
+         ("ph", Json.Str ph);
+         ("ts", Json.int ts);
+         ("pid", Json.int 1);
+         ("tid", Json.int 0);
+       ]
+      @ extra)
+  in
+  Json.Obj
+    [
+      ( "traceEvents",
+        Json.List
+          [
+            ev "M" "thread_name" 0 [ ("args", Json.Obj [ ("name", Json.Str "d0") ]) ];
+            ev "B" "outer" 0 [];
+            ev "B" "inner" 2 [];
+            ev "E" "inner" 5 [];
+            ev "E" "outer" 9 [];
+            ev "X" "flat" 10 [ ("dur", Json.int 3) ];
+          ] );
+      ("displayTimeUnit", Json.Str "ms");
+      ("otherData", Json.Obj [ ("tool", Json.Str "sertool"); ("dropped", Json.int 0) ]);
+    ]
+
+let tabulate_total_prop =
+  Json_gen.total_prop ~name:"tabulate is total" ~valid:[ trace_doc ] (fun j ->
+      Ok (Obs.Trace.tabulate j))
+
+let merge_total_prop =
+  Json_gen.total_prop ~name:"merge_documents is total" ~valid:[ trace_doc ]
+    (fun j ->
+      Ok (Obs.Trace.tabulate (Obs.Trace.merge_documents [ (0, trace_doc); (1, j) ])))
+
 let () =
   Alcotest.run "obs"
     [
@@ -413,6 +452,8 @@ let () =
           Alcotest.test_case "span sampling" `Quick test_trace_sampling;
           Alcotest.test_case "overflow counted" `Quick
             test_overflow_drops_and_counts;
+          QCheck_alcotest.to_alcotest tabulate_total_prop;
+          QCheck_alcotest.to_alcotest merge_total_prop;
         ] );
       ( "export",
         [

@@ -520,6 +520,21 @@ let test_checkpoint_rejects_garbage () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
+(* restore reads through a file, so each document takes the real path *)
+let checkpoint_restore_total_prop =
+  let c = Ser_circuits.Iscas.c17 () in
+  let base = A.uniform (lib_small ()) c in
+  Json_gen.total_prop ~name:"restore is total"
+    ~valid:[ Sertopt.Checkpoint.to_json ~cost:1.5 ~evals:3 base ]
+    (fun j ->
+      let path = Filename.temp_file "ser_ckpt" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          match Ser_util.Json.to_file path j with
+          | Error msg -> Alcotest.failf "write: %s" msg
+          | Ok () -> Sertopt.Checkpoint.restore path ~base))
+
 let test_optimize_resume_from_checkpoint () =
   (* a checkpointed incumbent seeds the search: the resumed run must do
      at least as well as the incumbent *)
@@ -690,6 +705,7 @@ let () =
           Alcotest.test_case "checkpoint round trip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "checkpoint rejects garbage" `Quick
             test_checkpoint_rejects_garbage;
+          QCheck_alcotest.to_alcotest checkpoint_restore_total_prop;
           Alcotest.test_case "resume from checkpoint" `Quick
             test_optimize_resume_from_checkpoint;
           Alcotest.test_case "handler resume sizes once" `Quick

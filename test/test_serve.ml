@@ -399,6 +399,52 @@ let test_daemon_smoke () =
           | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
           | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
 
+(* A warm pool entry answers through Incr.snapshot; its document must
+   be the one a from-scratch Handlers.run renders for the same request,
+   byte for byte (the per-gate slack comes from the snapshot's rebuilt
+   backward sweep). *)
+let test_warm_pool_equals_run () =
+  let dir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let socket = Filename.concat dir "w.sock" in
+      let addr = Server.Unix_sock socket in
+      let pid =
+        fork_server { (Server.default ~socket) with Server.spool_dir = Some dir }
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          Alcotest.(check bool) "daemon up" true
+            (Client.wait_ready ~opts:client_opts addr);
+          let req op top =
+            {
+              (Request.defaults op (Request.Spec "c17")) with
+              Request.vectors = 200;
+              top;
+            }
+          in
+          let cold = call_ok addr (Request.to_json (req Request.Analyze 3)) in
+          Alcotest.(check bool) "first builds the entry" false cold.Wire.r_warm;
+          (* another top misses the result cache but not the pool *)
+          List.iter
+            (fun (what, req) ->
+              let r = call_ok addr (Request.to_json req) in
+              Alcotest.(check bool) (what ^ " is warm") true r.Wire.r_warm;
+              match (r.Wire.r_status, Ser_cli.Handlers.run req) with
+              | Wire.Ok_payload p, Ok expected ->
+                Alcotest.(check string) (what ^ " document")
+                  (Json.to_string expected) (Json.to_string p)
+              | _, Error d -> Alcotest.failf "run: %s" (Diag.to_string d)
+              | Wire.Rejected _, _ -> Alcotest.fail "rejected")
+            [
+              ("analyze", req Request.Analyze 10);
+              ("rate", req Request.Rate 10);
+            ]))
+
 let response_of_json_total_prop =
   let valid =
     [
@@ -439,5 +485,9 @@ let () =
           QCheck_alcotest.to_alcotest response_of_json_total_prop;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "end-to-end smoke" `Quick test_daemon_smoke ] );
+        [
+          Alcotest.test_case "end-to-end smoke" `Quick test_daemon_smoke;
+          Alcotest.test_case "warm pool equals a cold run" `Quick
+            test_warm_pool_equals_run;
+        ] );
     ]
