@@ -27,8 +27,8 @@ let escape s =
   Buffer.contents buf
 
 (* The primitive behind Printf's %f/%g conversions, called directly:
-   the same bytes without Printf's format interpretation, which was
-   half the cost of rendering a number. *)
+   the same bytes without Printf's format interpretation, which cost
+   nearly as much as the conversion itself. *)
 external format_float : string -> float -> string = "caml_format_float"
 
 let render_num x =
