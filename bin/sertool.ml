@@ -1692,17 +1692,14 @@ let batch_t =
                  becomes MANIFEST.shard-I-of-N.journal; fold the shard \
                  journals back together with 'sertool batch merge'.")
   in
-  let run_term =
-    Term.(ret (const batch_cmd $ manifest $ Request.Flags.batch $ journal
-               $ resume $ shard $ parallel $ job_timeout $ grace $ retries
-               $ backoff $ results $ obs_args $ obs_dir_arg))
-  in
   let run_t =
     Cmd.v
       (Cmd.info "run"
          ~doc:"Run a manifest (or one shard of it) with crash-contained \
                worker processes and a resumable write-ahead journal")
-      run_term
+      Term.(ret (const batch_cmd $ manifest $ Request.Flags.batch $ journal
+                 $ resume $ shard $ parallel $ job_timeout $ grace $ retries
+                 $ backoff $ results $ obs_args $ obs_dir_arg))
   in
   let merge_t =
     let journals =
@@ -1768,7 +1765,7 @@ let batch_t =
                still running (torn tails are tolerated and flagged)")
       Term.(ret (const batch_status_cmd $ journals))
   in
-  Cmd.group ~default:run_term
+  Cmd.group
     (Cmd.info "batch"
        ~doc:"Run ASERTA/SERTOPT over a manifest of circuits with \
              crash-contained worker processes, a watchdog, retry/backoff, \
@@ -1840,17 +1837,4 @@ let main =
    so their observability lands in per-job files without extra flags. *)
 let () = Obs.install_from_env ()
 
-(* "sertool batch MANIFEST" predates the run/merge split; keep it
-   working as shorthand for "sertool batch run MANIFEST". *)
-let argv =
-  let a = Sys.argv in
-  if
-    Array.length a >= 3
-    && a.(1) = "batch"
-    && (match a.(2) with
-       | "run" | "merge" | "status" -> false
-       | s -> s = "" || s.[0] <> '-')
-  then Array.concat [ [| a.(0); "batch"; "run" |]; Array.sub a 2 (Array.length a - 2) ]
-  else a
-
-let () = exit (Cmd.eval' ~argv main)
+let () = exit (Cmd.eval' main)

@@ -145,8 +145,6 @@ let profile_row ctx ~brackets ~profiles id =
     row
   end
 
-let brackets ctx ~delay = Analysis.ws_brackets ~samples:ctx.c_samples ~delay
-
 let gate_estimate ctx ~w_low ~w_high ~area ~profile id =
   let p1 = ctx.c_probs.(id) in
   let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
@@ -173,7 +171,7 @@ let run_context ctx lib asg =
   let brs =
     Array.init n (fun id ->
         if Circuit.is_input c id then ([||], [||])
-        else brackets ctx ~delay:delays.(id))
+        else Analysis.ws_brackets ~samples:ctx.c_samples ~delay:delays.(id))
   in
   for id = n - 1 downto 0 do
     if not (Circuit.is_input c id) then

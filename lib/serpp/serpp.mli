@@ -96,10 +96,6 @@ type context = private {
 val context : ?probs:float array -> config -> Ser_netlist.Circuit.t -> context
 (** [probs] reuses signal probabilities already computed for [config]. *)
 
-val brackets : context -> delay:float -> int array * float array
-(** The Eq-1 attenuation brackets of the context's sample grid through
-    one gate delay ({!Aserta.Analysis.ws_brackets}). *)
-
 val profile_row :
   context ->
   brackets:(int array * float array) array ->

@@ -13,12 +13,12 @@ let subsystem = "serve"
 let circuit_digest (c : Circuit.t) = Circuit.digest c
 
 (* The leading version names the payload schema: bump it whenever a
-   payload's shape changes, so a persisted --cache-dir written by an
-   older build misses instead of serving the old shape. *)
+   payload's shape or values change, so a persisted --cache-dir written
+   by an older build misses instead of serving the old payload. *)
 let key ~circuit ~library ~params =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "v2|%s|%s|%s" circuit library (Json.to_string params)))
+       (Printf.sprintf "v3|%s|%s|%s" circuit library (Json.to_string params)))
 
 (* ------------------------------- LRU ------------------------------- *)
 

@@ -345,22 +345,10 @@ let metrics t ~unreliability =
   }
 
 let timing t =
-  let c = t.circuit in
-  let n = Circuit.node_count c in
-  (* required/slack are not maintained incrementally (no consumer in
-     the optimizer's inner loop); rebuild them with Timing.analyze's
-     backward sweep from the maintained delays/arrivals *)
-  let required = Array.make n Float.max_float in
-  Array.iter (fun po -> required.(po) <- t.critical_delay) c.Circuit.outputs;
-  for id = n - 1 downto 0 do
-    let nd = c.Circuit.nodes.(id) in
-    Array.iter
-      (fun reader ->
-        let r = required.(reader) -. t.delays.(reader) in
-        if r < required.(id) then required.(id) <- r)
-      nd.Circuit.fanout
-  done;
-  let slack = Array.init n (fun id -> required.(id) -. t.arrival.(id)) in
+  let required, slack =
+    Timing.backward t.circuit ~delays:t.delays ~arrival:t.arrival
+      ~critical_delay:t.critical_delay
+  in
   {
     Timing.loads = Array.copy t.loads;
     input_ramp = Array.copy t.input_ramp;

@@ -1,7 +1,7 @@
-(** The incremental STA core shared by the cone-limited re-analysis
-    handles ([Ser_incr.Incr] for ASERTA, [Ser_serpp.Serpp_incr] for the
-    propagation-probability estimate) and, timing-only, by the
-    optimizer's critical-path upsizing.
+(** The incremental STA core of the cone engine ([Ser_incr.Cone], whose
+    two instances are [Ser_incr.Incr] for ASERTA and
+    [Ser_serpp.Serpp_incr] for the propagation-probability estimate)
+    and, timing-only, of the optimizer's critical-path upsizing.
 
     A value holds one cell assignment's complete timing state (loads,
     slews, delays, arrivals, critical delay, and each gate's compiled
@@ -21,12 +21,12 @@
       changed.
 
     It reports which gates' delays changed and which gates were
-    touched, so the owning handle can refresh its own downstream state
-    (WS tables or propagation profiles) over the fan-in cone of the
-    delay changes. Every recomputation replays
-    {!Timing.analyze}'s per-gate body with bit-identical inputs and the
-    folds ({!energy}, {!area}) follow the from-scratch operation order,
-    so the state is bit-identical to a from-scratch pass. *)
+    touched, so the cone driver can refresh the rows (WS tables or
+    propagation profiles) over the fan-in cone of the delay changes.
+    Every recomputation replays {!Timing.analyze}'s per-gate body with
+    bit-identical inputs and the folds ({!energy}, {!area}) follow the
+    from-scratch operation order, so the state is bit-identical to a
+    from-scratch pass. *)
 
 val same_bits : float -> float -> bool
 (** [true] guarantees the two floats are bit-identical (it tells [0.]
@@ -139,5 +139,5 @@ val metrics : t -> unreliability:float -> metrics
 (** The four cost metrics, with the owning handle's total. *)
 
 val timing : t -> Timing.t
-(** Materialise the full timing record (required times and slacks are
-    rebuilt with {!Timing.analyze}'s backward sweep). *)
+(** Materialise the full timing record; required times and slacks are
+    not maintained incrementally and come from {!Timing.backward}. *)

@@ -31,6 +31,28 @@ let compute_loads ~env lib asg =
   Array.iter (fun po -> loads.(po) <- loads.(po) +. env.po_cap) c.outputs;
   loads
 
+(* Required times subtract the delays that arrivals added, so a
+   critical node's slack lands within rounding of zero; a residue below
+   1e-9 of the critical delay is that rounding and reads as exactly 0. *)
+let backward (c : Circuit.t) ~delays ~arrival ~critical_delay =
+  let n = Circuit.node_count c in
+  let required = Array.make n Float.max_float in
+  Array.iter (fun po -> required.(po) <- critical_delay) c.outputs;
+  for id = n - 1 downto 0 do
+    Array.iter
+      (fun reader ->
+        let r = required.(reader) -. delays.(reader) in
+        if r < required.(id) then required.(id) <- r)
+      c.nodes.(id).fanout
+  done;
+  let eps = 1e-9 *. critical_delay in
+  let slack =
+    Array.init n (fun id ->
+        let s = required.(id) -. arrival.(id) in
+        if Float.abs s <= eps then 0. else s)
+  in
+  (required, slack)
+
 let analyze ?(env = default_env) lib asg =
   let c = Assignment.circuit asg in
   let n = Circuit.node_count c in
@@ -63,17 +85,7 @@ let analyze ?(env = default_env) lib asg =
   let critical_delay =
     Array.fold_left (fun acc po -> Float.max acc arrival.(po)) 0. c.outputs
   in
-  let required = Array.make n Float.max_float in
-  Array.iter (fun po -> required.(po) <- critical_delay) c.outputs;
-  for id = n - 1 downto 0 do
-    let nd = c.nodes.(id) in
-    Array.iter
-      (fun reader ->
-        let r = required.(reader) -. delays.(reader) in
-        if r < required.(id) then required.(id) <- r)
-      nd.fanout
-  done;
-  let slack = Array.init n (fun id -> required.(id) -. arrival.(id)) in
+  let required, slack = backward c ~delays ~arrival ~critical_delay in
   { loads; input_ramp; delays; ramps; arrival; required; slack; critical_delay }
 
 let critical_path asg timing =

@@ -25,6 +25,17 @@ val analyze :
   ?env:env -> Ser_cell.Library.t -> Assignment.t -> t
 (** One forward + one backward pass; O(V + E). *)
 
+val backward :
+  Ser_netlist.Circuit.t ->
+  delays:float array ->
+  arrival:float array ->
+  critical_delay:float ->
+  float array * float array
+(** The backward sweep of {!analyze}: [(required, slack)] against the
+    critical delay. A slack within [1e-9 * critical_delay] of zero is
+    subtraction residue and is returned as exactly [0.], so the nodes
+    of {!critical_path} read slack [0.]. *)
+
 val critical_path : Assignment.t -> t -> int array
 (** Node ids of one critical path, PI first, PO last. *)
 

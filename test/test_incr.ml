@@ -127,7 +127,7 @@ let test_swap_burst () =
         asg e
   done;
   let st = Incr.stats e in
-  Alcotest.(check bool) "cutoffs actually fire" true (st.Incr.sta_cutoff > 0)
+  Alcotest.(check bool) "cutoffs actually fire" true (st.Ser_incr.Cone.sta_cutoff > 0)
 
 let test_full_rebuild_path () =
   let c, lib, masking = Lazy.force setup in
@@ -159,8 +159,8 @@ let test_full_rebuild_path () =
   Incr.update e !batch;
   Incr.update es !batch;
   Alcotest.(check bool) "took the rebuild path" true
-    ((Incr.stats e).Incr.full_rebuilds >= 1
-    && (Incr.stats es).Incr.full_rebuilds >= 1);
+    ((Incr.stats e).Ser_incr.Cone.full_rebuilds >= 1
+    && (Incr.stats es).Ser_incr.Cone.full_rebuilds >= 1);
   check_matches_scratch ~what:"after rebuild" lib masking asg e;
   let r =
     Aserta.Ser_rate.run ~spectrum ~clock_period lib asg
@@ -223,7 +223,7 @@ let test_noop_and_validation () =
   let e = Incr.create ~config lib asg masking in
   let g = (non_inputs c).(0) in
   Incr.set_cell e g (Incr.cell e g);
-  Alcotest.(check int) "no-op does not count" 0 (Incr.stats e).Incr.updates;
+  Alcotest.(check int) "no-op does not count" 0 (Incr.stats e).Ser_incr.Cone.updates;
   Alcotest.check_raises "primary input rejected"
     (Invalid_argument "Incr.update: primary input") (fun () ->
       Incr.set_cell e c.Circuit.inputs.(0) (Incr.cell e g))

@@ -245,8 +245,37 @@ let test_fork_isolation () =
     (handle_matches_scratch l fasg f);
   let st = Serpp_incr.stats f in
   Alcotest.(check bool) "a one-gate move re-runs a cone, not the circuit" true
-    (st.Serpp_incr.updates = 1 && st.Serpp_incr.full_rebuilds = 0
-    && st.Serpp_incr.rows_recomputed < Circuit.gate_count (Assignment.circuit asg))
+    (st.Ser_incr.Cone.updates = 1 && st.Ser_incr.Cone.full_rebuilds = 0
+    && st.Ser_incr.Cone.rows_recomputed < Circuit.gate_count (Assignment.circuit asg))
+
+(* A sync that moves more gates than Incr_sta.wants_rebuild allows takes
+   the driver's wholesale path exactly once and lands on Serpp.run. *)
+let test_rebuild_path () =
+  let l, asg = sized_bench "c432" in
+  let c = Assignment.circuit asg in
+  let h = Serpp_incr.of_run l asg (Serpp.run l asg) in
+  let target = Assignment.copy asg in
+  let moved = ref 0 in
+  Array.iteri
+    (fun k g ->
+      if k mod 3 = 0 then begin
+        let cur = Assignment.get asg g in
+        Circuit_gen.variants_of l c g
+        |> Array.to_list
+        |> List.find_opt (fun p -> not (Cell_params.equal p cur))
+        |> Option.iter (fun p ->
+               Assignment.set target g p;
+               incr moved)
+      end)
+    (Circuit_gen.non_inputs c);
+  Alcotest.(check bool) "batch is above the rebuild threshold" true
+    (!moved > max 8 (Circuit.gate_count c / 8));
+  Serpp_incr.sync h target;
+  let st = Serpp_incr.stats h in
+  Alcotest.(check int) "one update" 1 st.Ser_incr.Cone.updates;
+  Alcotest.(check int) "one rebuild" 1 st.Ser_incr.Cone.full_rebuilds;
+  Alcotest.(check bool) "rebuilt handle equals scratch" true
+    (handle_matches_scratch l target h)
 
 (* ------------------------- qcheck properties ----------------------- *)
 
@@ -471,6 +500,7 @@ let () =
       ( "handle",
         [
           Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
+          Alcotest.test_case "rebuild path" `Quick test_rebuild_path;
           QCheck_alcotest.to_alcotest incremental_equals_scratch_prop;
         ] );
       ( "xval",

@@ -93,22 +93,47 @@ let test_loads () =
   (* output gate carries the latch cap *)
   Alcotest.(check (float 1e-9)) "po load" 2.5 t.T.loads.(o)
 
+(* Every node of a critical path has slack exactly 0. (the backward
+   sweep snaps the subtraction residue), from a from-scratch analysis
+   and from the incremental engine's timing after a move. *)
+let check_zero_slack what asg t =
+  Array.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: critical node %d slack 0" what id)
+        true
+        (Int64.bits_of_float t.T.slack.(id) = 0L))
+    (T.critical_path asg t)
+
 let test_slack () =
   let c, _, _, _, _, bb, _ = diamond () in
   let lib = L.create () in
   let asg = A.uniform lib c in
   let t = T.analyze lib asg in
   (* the short branch (single inverter b) has positive slack; the long
-     branch is critical with ~zero slack *)
+     branch is critical *)
   Alcotest.(check bool) "short branch has slack" true (t.T.slack.(bb) > 1.);
-  let path = T.critical_path asg t in
-  Array.iter
-    (fun id ->
-      Alcotest.(check bool)
-        (Printf.sprintf "critical node %d slack ~0" id)
-        true
-        (Float.abs t.T.slack.(id) < 1e-6))
-    path
+  check_zero_slack "diamond" asg t;
+  let config = { Aserta.Analysis.default_config with Aserta.Analysis.vectors = 64 } in
+  List.iter
+    (fun name ->
+      let c = Ser_circuits.Iscas.load name in
+      let asg = A.uniform lib c in
+      check_zero_slack name asg (T.analyze lib asg);
+      let e =
+        Ser_incr.Incr.create ~config lib asg
+          (Aserta.Analysis.compute_masking config c)
+      in
+      let g = (T.critical_path asg (Ser_incr.Incr.timing e)).(1) in
+      let cand =
+        Array.to_list (Circuit_gen.variants_of lib c g)
+        |> List.find (fun p -> not (Ser_device.Cell_params.equal p (A.get asg g)))
+      in
+      A.set asg g cand;
+      Ser_incr.Incr.set_cell e g cand;
+      check_zero_slack (name ^ " moved") asg (T.analyze lib asg);
+      check_zero_slack (name ^ " incremental") asg (Ser_incr.Incr.timing e))
+    [ "c17"; "c432" ]
 
 let test_critical_path_connected () =
   let c = Ser_circuits.Iscas.load "c432" in
