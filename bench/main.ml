@@ -125,9 +125,7 @@ let sertopt_check ?(smoke = false) () =
     float_of_int re.Opt.evals /. float_of_int (max 1 rt.Opt.evals)
   in
   let cost_of (r : Opt.result) =
-    let d = Opt.default_config in
-    Cost.eval ~weights:d.Opt.weights ~delay_slack:d.Opt.delay_slack
-      ~baseline:re.Opt.baseline_metrics r.Opt.optimized_metrics
+    Cost.eval ~baseline:re.Opt.baseline_metrics r.Opt.optimized_metrics
   in
   let cost_exact = cost_of re in
   let cost_rel_delta =

@@ -140,6 +140,7 @@ let load_circuit spec = Handlers.load_circuit (Request.Spec spec)
 let request op source override =
   or_diag (Request.validate (override (Request.defaults op source)))
 let make_library vdds vths = Handlers.make_library ~vdds ~vths
+let prepare req = or_diag (Handlers.prepare req)
 
 (* ------------------------------------------------------------------ *)
 
@@ -190,7 +191,7 @@ let analyze_cmd run spec override odc json dot =
   let req = request Request.Analyze (Request.Spec spec) override in
   let odc_report = Option.map load_odc_report odc in
   let t0 = Unix.gettimeofday () in
-  let analyzed = or_diag (Handlers.analyze ?odc_report req) in
+  let analyzed = or_diag (Handlers.analyze ?odc_report req (prepare req)) in
   let dt = Unix.gettimeofday () -. t0 in
   let doc = Handlers.analyze_payload req analyzed in
   Printf.printf "circuit %s: %d gates, critical delay %.1f ps\n"
@@ -257,7 +258,7 @@ let odc_cmd run spec override output =
   one_shot "odc" run @@ fun () ->
   let req = request Request.Odc (Request.Spec spec) override in
   let t0 = Unix.gettimeofday () in
-  let r = or_diag (Handlers.odc req) in
+  let r = or_diag (Handlers.odc req (prepare req)) in
   let dt = Unix.gettimeofday () -. t0 in
   print_string (Ser_odc.Odc.render r);
   Printf.printf
@@ -310,7 +311,8 @@ let optimize_cmd run spec override timeout checkpoint odc output json =
   let t0 = Unix.gettimeofday () in
   let r =
     Fun.protect ~finally:restore_signals (fun () ->
-        or_diag (Handlers.optimize ~budget ?initial ?odc_report req))
+        or_diag
+          (Handlers.optimize ~budget ?initial ?odc_report req (prepare req)))
   in
   let dt = Unix.gettimeofday () -. t0 in
   let interrupted = Ser_util.Budget.was_cancelled budget in
@@ -343,10 +345,7 @@ let optimize_cmd run spec override timeout checkpoint odc output json =
   | None -> ()
   | Some path ->
     let cost =
-      let dcfg = Sertopt.Optimizer.default_config in
-      Sertopt.Cost.eval ~weights:dcfg.Sertopt.Optimizer.weights
-        ~delay_slack:dcfg.Sertopt.Optimizer.delay_slack
-        ~baseline:r.Sertopt.Optimizer.baseline_metrics
+      Sertopt.Cost.eval ~baseline:r.Sertopt.Optimizer.baseline_metrics
         r.Sertopt.Optimizer.optimized_metrics
     in
     or_diag
@@ -375,7 +374,7 @@ let optimize_cmd run spec override timeout checkpoint odc output json =
 let rate_cmd run spec override =
   one_shot "rate" run @@ fun () ->
   let req = request Request.Rate (Request.Spec spec) override in
-  let doc = Handlers.rate_payload req (or_diag (Handlers.rate req)) in
+  let doc = or_diag (Handlers.run req) in
   Printf.printf
     "%s: SER = %.2f FIT (synthetic flux normalisation)\n\
      clock %.0f ps, exponential charge spectrum with Qs = %.1f fC\n\n"

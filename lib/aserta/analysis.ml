@@ -394,7 +394,7 @@ let run ?(config = default_config) ?prune lib asg =
 
 let fail fmt = Ser_util.Diag.fail ~subsystem:"aserta" fmt
 
-let run_checked ?(config = default_config) ?prune lib asg =
+let validate config =
   Ser_util.Diag.guard ~subsystem:"aserta" (fun () ->
       if config.vectors < 1 then
         fail "config.vectors must be >= 1 (got %d)" config.vectors;
@@ -407,13 +407,15 @@ let run_checked ?(config = default_config) ?prune lib asg =
         || config.max_sample_width <= 0.
       then
         fail "config.max_sample_width must be finite and positive (got %g)"
-          config.max_sample_width;
-      let t = run ~config ?prune lib asg in
+          config.max_sample_width)
+
+let check t =
+  Ser_util.Diag.guard ~subsystem:"aserta" (fun () ->
       (* unreliability is a sum of probability-weighted widths: it must
          come out finite and non-negative. Sub-epsilon negatives are
          floating-point noise from the interpolation and are clamped;
          anything else is a real numerical failure. *)
-      let c = Assignment.circuit asg in
+      let c = t.circuit in
       let unreliability =
         Array.mapi
           (fun id u ->
@@ -432,6 +434,14 @@ let run_checked ?(config = default_config) ?prune lib asg =
       if not (Float.is_finite total) then
         fail "non-finite total unreliability";
       { t with unreliability; total })
+
+let run_checked ?(config = default_config) lib asg =
+  let ( let* ) = Result.bind in
+  let* () = validate config in
+  let* t =
+    Ser_util.Diag.guard ~subsystem:"aserta" (fun () -> run ~config lib asg)
+  in
+  check t
 
 let successor_weight t ~gate ~succ ~po =
   pi_weight t.circuit t.masking ~gate ~succ ~po

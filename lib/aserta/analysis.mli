@@ -143,18 +143,25 @@ val run :
 (** [compute_masking] followed by [run_electrical]. [prune] is passed
     through to {!compute_masking}. *)
 
+val validate : config -> (unit, Ser_util.Diag.t) result
+(** Rejects a nonsensical [config] (vectors < 1, non-finite or
+    non-positive charge, < 2 samples, bad top sample) with a
+    diagnostic. *)
+
+val check : t -> (t, Ser_util.Diag.t) result
+(** The result check of {!run_checked}, for an analysis from any source
+    (a {!run}, or a snapshot of an incremental handle): rejects a
+    numerically poisoned answer (non-finite or negative per-gate
+    unreliability) with a located diagnostic instead of a silent NaN.
+    Sub-epsilon negative [U_i] from interpolation round-off is clamped
+    to 0 and [total] re-summed. *)
+
 val run_checked :
   ?config:config ->
-  ?prune:bool array ->
   Ser_cell.Library.t ->
   Ser_sta.Assignment.t ->
   (t, Ser_util.Diag.t) result
-(** {!run} behind validation: rejects a nonsensical [config] (vectors
-    < 1, non-finite or non-positive charge, < 2 samples, bad top
-    sample) and a numerically poisoned answer (non-finite or negative
-    per-gate unreliability) with a located diagnostic instead of an
-    exception or silent NaN. Sub-epsilon negative [U_i] from
-    interpolation round-off is clamped to 0 and [total] re-summed. *)
+(** {!run} between {!validate} and {!check}. *)
 
 val sample_widths : config -> float array
 (** The sample glitch-width grid used by the electrical pass

@@ -41,12 +41,10 @@ let library_id lib =
     (render axes.Ser_cell.Library.vdds)
     (render axes.Ser_cell.Library.vths)
 
-let aserta_config (req : Request.t) =
-  {
-    Aserta.Analysis.default_config with
-    Aserta.Analysis.vectors = req.Request.vectors;
-    charge = req.Request.charge;
-  }
+type prepared = {
+  circuit : Ser_netlist.Circuit.t;
+  library : Ser_cell.Library.t;
+}
 
 type backend_result =
   | Aserta of Aserta.Analysis.t
@@ -57,62 +55,74 @@ type analyzed = {
   result : backend_result;
 }
 
-type rated = {
-  r_assignment : Ser_sta.Assignment.t;
-  r_analysis : Aserta.Analysis.t;
-  r_rate : Aserta.Ser_rate.t;
-}
+type aserta_source =
+  Aserta.Analysis.config -> Ser_sta.Assignment.t * Aserta.Analysis.t
 
 let subsystem = "cli"
 
-let analyze ?odc_report (req : Request.t) =
+let prepare (req : Request.t) =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
-      let lib =
-        make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
-      in
-      let assignment = Sertopt.Optimizer.size_for_speed lib c in
-      let prune =
-        match odc_report with
-        | None -> None
-        | Some rep ->
-          if req.Request.backend = "serpp" then
-            raise
-              (Diag.Diag_error
-                 (Diag.make ~subsystem
-                    "the serpp backend does not consume ODC reports (its \
-                     analytic estimate cannot skip sites soundly)"));
-          Some (or_diag (Ser_odc.Odc.prune_set c rep))
-      in
-      let result =
-        match req.Request.backend with
-        | "serpp" ->
-          let config =
-            {
-              Ser_serpp.Serpp.default_config with
-              Ser_serpp.Serpp.charge = req.Request.charge;
-            }
-          in
-          Serpp (or_diag (Ser_serpp.Serpp.run_checked ~config lib assignment))
-        | _ ->
-          let config = aserta_config req in
-          Aserta
-            (or_diag (Aserta.Analysis.run_checked ~config ?prune lib assignment))
-      in
-      { assignment; result })
+      let circuit = load_circuit req.Request.source in
+      {
+        circuit;
+        library = make_library ~vdds:req.Request.vdds ~vths:req.Request.vths;
+      })
 
-let optimize ?budget ?initial ?odc_report (req : Request.t) =
+let baseline_analysis ?prune p config =
+  let asg = Sertopt.Optimizer.size_for_speed p.library p.circuit in
+  (asg, Aserta.Analysis.run ~config ?prune p.library asg)
+
+(* the one place an ASERTA answer is validated, whichever source
+   produced it *)
+let checked_aserta ?aserta ?prune (req : Request.t) p =
+  let config =
+    {
+      Aserta.Analysis.default_config with
+      Aserta.Analysis.vectors = req.Request.vectors;
+      charge = req.Request.charge;
+    }
+  in
+  or_diag (Aserta.Analysis.validate config);
+  let source =
+    match aserta with Some f -> f | None -> baseline_analysis ?prune p
+  in
+  let asg, a = source config in
+  (asg, or_diag (Aserta.Analysis.check a))
+
+let analyze ?odc_report ?aserta (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
-      let lib =
-        make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
-      in
-      let baseline = Sertopt.Optimizer.size_for_speed lib c in
+      match req.Request.backend with
+      | "serpp" ->
+        if odc_report <> None then
+          Diag.fail ~subsystem
+            "the serpp backend does not consume ODC reports (its analytic \
+             estimate cannot skip sites soundly)";
+        let assignment = Sertopt.Optimizer.size_for_speed p.library p.circuit in
+        let config =
+          {
+            Ser_serpp.Serpp.default_config with
+            Ser_serpp.Serpp.charge = req.Request.charge;
+          }
+        in
+        let s = Ser_serpp.Serpp.run_checked ~config p.library assignment in
+        { assignment; result = Serpp (or_diag s) }
+      | _ ->
+        let prune =
+          Option.map
+            (fun rep -> or_diag (Ser_odc.Odc.prune_set p.circuit rep))
+            odc_report
+        in
+        let assignment, a = checked_aserta ?aserta ?prune req p in
+        { assignment; result = Aserta a })
+
+let optimize ?budget ?initial ?odc_report (req : Request.t) p =
+  Diag.guard ~subsystem (fun () ->
+      let baseline = Sertopt.Optimizer.size_for_speed p.library p.circuit in
       let initial = Option.map (fun f -> f baseline) initial in
       let odc_obs =
-        match odc_report with
-        | None -> None
-        | Some rep -> Some (or_diag (Ser_odc.Odc.obs_array c rep))
+        Option.map
+          (fun rep -> or_diag (Ser_odc.Odc.obs_array p.circuit rep))
+          odc_report
       in
       let cfg =
         {
@@ -138,19 +148,16 @@ let optimize ?budget ?initial ?odc_report (req : Request.t) =
         | None, Some n -> Some (Ser_util.Budget.create ~max_evals:n ())
         | None, None -> None
       in
-      Sertopt.Optimizer.optimize ~config:cfg ?budget ?initial lib baseline)
+      Sertopt.Optimizer.optimize ~config:cfg ?budget ?initial p.library
+        baseline)
 
-let odc (req : Request.t) =
+let odc (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
       let mode =
         match Ser_odc.Odc.mode_of_string req.Request.odc_mode with
         | Some m -> m
         | None ->
-          raise
-            (Diag.Diag_error
-               (Diag.make ~subsystem
-                  (Printf.sprintf "unknown odc mode %S" req.Request.odc_mode)))
+          Diag.fail ~subsystem "unknown odc mode %S" req.Request.odc_mode
       in
       let config =
         {
@@ -160,30 +167,20 @@ let odc (req : Request.t) =
           seed = req.Request.odc_seed;
         }
       in
-      or_diag (Ser_odc.Odc.analyze_checked ~config c))
+      or_diag (Ser_odc.Odc.analyze_checked ~config p.circuit))
 
-let rate (req : Request.t) =
+let rate ?aserta (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
-      let c = load_circuit req.Request.source in
-      let lib =
-        make_library ~vdds:req.Request.vdds ~vths:req.Request.vths
-      in
-      let r_assignment = Sertopt.Optimizer.size_for_speed lib c in
-      let config = aserta_config req in
-      let r_analysis =
-        or_diag (Aserta.Analysis.run_checked ~config lib r_assignment)
-      in
+      let asg, a = checked_aserta ?aserta req p in
       let spectrum =
         {
           Aserta.Ser_rate.default_spectrum with
           Aserta.Ser_rate.q_slope = req.Request.q_slope;
         }
       in
-      let r_rate =
-        Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock lib
-          r_assignment r_analysis
-      in
-      { r_assignment; r_analysis; r_rate })
+      ( a,
+        Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock
+          p.library asg a ))
 
 (* ------------------------------ payloads -------------------------- *)
 
@@ -324,8 +321,8 @@ let optimize_payload (req : Request.t) (r : Sertopt.Optimizer.result) =
           ] );
     ]
 
-let rate_payload (req : Request.t) { r_analysis; r_rate = r; _ } =
-  let c = r_analysis.Aserta.Analysis.circuit in
+let rate_payload (req : Request.t) ((a : Aserta.Analysis.t), r) =
+  let c = a.Aserta.Analysis.circuit in
   let total = r.Aserta.Ser_rate.total in
   let top =
     top_indices r.Aserta.Ser_rate.per_gate req.Request.top
@@ -349,6 +346,9 @@ let rate_payload (req : Request.t) { r_analysis; r_rate = r; _ } =
       ("top", Json.List top);
     ]
 
+(* summary counts plus the full report document under "report": a
+   client can save that member and feed it back to analyze --odc or
+   optimize --odc unchanged *)
 let odc_payload (req : Request.t) (r : Ser_odc.Odc.t) =
   let low_obs =
     Array.fold_left
@@ -372,11 +372,13 @@ let odc_payload (req : Request.t) (r : Ser_odc.Odc.t) =
       ("report", Ser_odc.Odc.to_json r);
     ]
 
-let run ?budget (req : Request.t) =
+let execute ?budget ?aserta (req : Request.t) p =
   match req.Request.op with
   | Request.Analyze ->
-    Result.map (fun a -> analyze_payload req a) (analyze req)
+    Result.map (analyze_payload req) (analyze ?aserta req p)
   | Request.Optimize ->
-    Result.map (fun r -> optimize_payload req r) (optimize ?budget req)
-  | Request.Rate -> Result.map (fun r -> rate_payload req r) (rate req)
-  | Request.Odc -> Result.map (fun r -> odc_payload req r) (odc req)
+    Result.map (optimize_payload req) (optimize ?budget req p)
+  | Request.Rate -> Result.map (rate_payload req) (rate ?aserta req p)
+  | Request.Odc -> Result.map (odc_payload req) (odc req p)
+
+let run ?budget req = Result.bind (prepare req) (execute ?budget req)

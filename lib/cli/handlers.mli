@@ -1,14 +1,15 @@
 (** Execution of canonical {!Request} records — the shared back half of
     the one-shot CLI commands, the batch worker and the serve daemon.
 
-    Each operation returns its full result records and has a
-    [_payload] rendering: the op's one output document. [sertool
-    analyze --json] and [optimize --json] write it, the CLI text for
-    analyze, optimize and rate prints its numbers from it, and the
-    worker protocol and the serve response carry it. Payloads contain
-    no timestamps or elapsed times, so an identical request on an
-    identical build renders bit-identically — the property the serve
-    result cache and journal resume rely on. *)
+    {!execute} renders each op's one output document, its payload.
+    [sertool analyze --json] and [optimize --json] write it, the CLI
+    text for analyze, optimize and rate prints its numbers from it, and
+    the worker protocol and the serve response carry it. Analyze,
+    optimize and odc also return their full result records, for the
+    CLI's extra outputs. Payloads contain no timestamps or elapsed
+    times, so an identical request on an identical build renders
+    bit-identically — the property the serve result cache and journal
+    resume rely on. *)
 
 val load_circuit : Request.source -> Ser_netlist.Circuit.t
 (** The one canonical netlist loader: a [Spec] that names an existing
@@ -27,7 +28,14 @@ val library_id : Ser_cell.Library.t -> string
     component of serve cache keys. Two libraries built by
     {!make_library} with equal menus have equal ids. *)
 
-val aserta_config : Request.t -> Aserta.Analysis.config
+type prepared = {
+  circuit : Ser_netlist.Circuit.t;
+  library : Ser_cell.Library.t;
+}
+
+val prepare : Request.t -> (prepared, Ser_util.Diag.t) result
+(** The load step every op runs on: {!load_circuit} of the request's
+    source and {!make_library} of its VDD/Vth menus. *)
 
 type backend_result =
   | Aserta of Aserta.Analysis.t
@@ -40,14 +48,26 @@ type analyzed = {
   result : backend_result;  (** per {!Request.t.backend} *)
 }
 
-type rated = {
-  r_assignment : Ser_sta.Assignment.t;
-  r_analysis : Aserta.Analysis.t;
-  r_rate : Aserta.Ser_rate.t;
-}
+type aserta_source =
+  Aserta.Analysis.config -> Ser_sta.Assignment.t * Aserta.Analysis.t
+(** Where analyze (aserta backend) and rate get the size-for-speed
+    baseline and its analysis: {!baseline_analysis} by default, a warm
+    incremental handle in the serve daemon. The answer then passes
+    {!Aserta.Analysis.check} either way. *)
+
+val baseline_analysis :
+  ?prune:bool array ->
+  prepared ->
+  Aserta.Analysis.config ->
+  Ser_sta.Assignment.t * Aserta.Analysis.t
+(** {!Sertopt.Optimizer.size_for_speed}, then {!Aserta.Analysis.run}. *)
 
 val analyze :
-  ?odc_report:Ser_odc.Odc.t -> Request.t -> (analyzed, Ser_util.Diag.t) result
+  ?odc_report:Ser_odc.Odc.t ->
+  ?aserta:aserta_source ->
+  Request.t ->
+  prepared ->
+  (analyzed, Ser_util.Diag.t) result
 (** Size-for-speed baseline assignment + checked SER analysis with the
     requested backend (ASERTA by default, serpp when
     [req.backend = "serpp"]). The analyze payload has the same keys
@@ -57,28 +77,29 @@ val analyze :
 
     [odc_report] (ASERTA backend only; rejected for serpp) skips the
     provably-masked fault sites of the report during the Monte-Carlo
-    [P_ij] pass — bit-identical totals, [aserta.odc_pruned] counts the
-    skipped sites. The report's digest must match the loaded netlist. *)
+    [P_ij] pass of the default source — bit-identical totals,
+    [aserta.odc_pruned] counts the skipped sites. The report's digest
+    must match the loaded netlist. *)
 
 val optimize :
   ?budget:Ser_util.Budget.t ->
   ?initial:(Ser_sta.Assignment.t -> Ser_sta.Assignment.t) ->
   ?odc_report:Ser_odc.Odc.t ->
   Request.t ->
+  prepared ->
   (Sertopt.Optimizer.result, Ser_util.Diag.t) result
 (** [initial] is called once with the sized-for-speed baseline and
     returns the incumbent to start from (a checkpoint restored onto
     that baseline); without it the search starts at the baseline.
     [odc_report] additionally seeds the optimizer's ODC downsizing
     stage ({!Sertopt.Optimizer.config.odc_obs}) with the report's
-    observability bounds, cut at [req.odc_threshold]. *)
+    observability bounds, cut at [req.odc_threshold]. [budget] bounds
+    the search; without it [req.budget_evals] caps the evaluations. *)
 
-val rate : Request.t -> (rated, Ser_util.Diag.t) result
-
-val odc : Request.t -> (Ser_odc.Odc.t, Ser_util.Diag.t) result
+val odc : Request.t -> prepared -> (Ser_odc.Odc.t, Ser_util.Diag.t) result
 (** Observability-don't-care discovery ({!Ser_odc.Odc.analyze}) driven
-    by the request's [odc_mode]/[vectors]/[odc_seed]. Backend-free: no
-    library is built and the VDD/Vth axes are ignored. *)
+    by the request's [odc_mode]/[vectors]/[odc_seed]. Backend-free: the
+    prepared library is not used. *)
 
 val backend_view :
   backend_result ->
@@ -108,17 +129,19 @@ val optimize_payload : Request.t -> Sertopt.Optimizer.result -> Ser_util.Json.t
     [evals], [degraded], the improving [cost_trace] and the
     {!Sertopt.Optimizer.knob_summary} fields under [knobs]. *)
 
-val rate_payload : Request.t -> rated -> Ser_util.Json.t
-
-val odc_payload : Request.t -> Ser_odc.Odc.t -> Ser_util.Json.t
-(** Summary counts plus the full report document under ["report"] — a
-    client can extract that member, save it, and feed it back to
-    [analyze --odc] / [optimize --odc] unchanged. *)
+val execute :
+  ?budget:Ser_util.Budget.t ->
+  ?aserta:aserta_source ->
+  Request.t ->
+  prepared ->
+  (Ser_util.Json.t, Ser_util.Diag.t) result
+(** Execute any op and render its payload: the one op executor behind
+    every front end. [budget] bounds the optimize search; no other op
+    reads it. *)
 
 val run :
   ?budget:Ser_util.Budget.t ->
   Request.t ->
   (Ser_util.Json.t, Ser_util.Diag.t) result
-(** Execute any request from scratch and render its payload — the
-    whole body of a batch/serve worker. [budget] bounds the optimize
-    search (analyze and rate check it only between phases). *)
+(** {!prepare} then {!execute} — the whole body of a batch/serve
+    worker. *)

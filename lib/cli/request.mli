@@ -1,7 +1,7 @@
 (** The canonical request record shared by every front end.
 
-    One-shot CLI commands ([sertool analyze/optimize/rate]), the batch
-    worker and the serve daemon all execute the same three operations;
+    One-shot CLI commands ([sertool analyze/optimize/rate/odc]), the
+    batch worker and the serve daemon all execute the same four ops;
     historically each re-parsed its own flags and re-assembled its own
     parameter set. A {!t} is the single source of truth: the CLI builds
     one from cmdliner flags ({!Flags}), the daemon decodes one from a

@@ -35,7 +35,9 @@ let measure ~config ~masking ?(objective = Fixed_charge) ?clock_period lib asg =
   in
   ({ unreliability; delay; energy; area }, analysis)
 
-let eval ?(weights = default_weights) ?(delay_slack = 0.05) ~baseline m =
+let delay_slack = 0.05
+
+let eval ?(weights = default_weights) ~baseline m =
   let r_u = m.unreliability /. Float.max 1e-12 baseline.unreliability in
   let r_t = m.delay /. Float.max 1e-12 baseline.delay in
   let r_e = m.energy /. Float.max 1e-12 baseline.energy in

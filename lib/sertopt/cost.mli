@@ -48,15 +48,10 @@ val measure :
     window so that candidates with different delays are compared under
     the same clock. *)
 
-val eval :
-  ?weights:weights ->
-  ?delay_slack:float ->
-  baseline:metrics ->
-  metrics ->
-  float
-(** Eq. 5 against the baseline. [delay_slack] (default 0.05) is the
-    tolerated fractional delay increase before the penalty term
-    activates. *)
+val eval : ?weights:weights -> baseline:metrics -> metrics -> float
+(** Eq. 5 against the baseline ([weights] default
+    {!default_weights}). A fractional delay increase above 0.05 is
+    penalised. *)
 
 val ratios : baseline:metrics -> metrics -> metrics
 (** Component-wise ratios (the Area/Energy/Delay columns of Table 1). *)

@@ -39,14 +39,8 @@ type config = {
   objective : Cost.objective;
   tier : tier;
   weights : Cost.weights;
-  delay_slack : float;
-  k_paths : int;
-  n_soft_directions : int;
-  n_random_directions : int;
-  step : float;
   max_evals : int;
   seed : int;
-  matching : Matching.options;
   annealing_steps : int;
   greedy_passes : int;
   greedy_gates : int;
@@ -55,20 +49,22 @@ type config = {
   odc_threshold : float;
 }
 
+(* the delay-assignment search's fixed shape: rows of the topology
+   matrix, search directions aimed at the highest-U_i gates plus random
+   ones, and the initial delay perturbation (ps) *)
+let k_paths = 48
+let n_soft_directions = 24
+let n_random_directions = 8
+let step = 12.
+
 let default_config =
   {
     aserta = Analysis.default_config;
     objective = Cost.Fixed_charge;
     tier = Exact;
     weights = Cost.default_weights;
-    delay_slack = 0.05;
-    k_paths = 48;
-    n_soft_directions = 24;
-    n_random_directions = 8;
-    step = 12.;
     max_evals = 400;
     seed = 2005;
-    matching = Matching.default_options;
     annealing_steps = 0;
     greedy_passes = 2;
     greedy_gates = 160;
@@ -325,7 +321,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     Ser_incr.Incr.of_analysis ?rate lib baseline baseline_analysis
   in
   let cost_against ~baseline (m : Incr_sta.metrics) =
-    Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack ~baseline
+    Cost.eval ~weights:config.weights ~baseline
       {
         Cost.unreliability = m.Incr_sta.m_unreliability;
         delay = m.Incr_sta.m_delay;
@@ -404,7 +400,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
           } )
   in
   let timing0 = baseline_analysis.Analysis.timing in
-  let paths = Paths.k_worst_paths baseline timing0 ~k:config.k_paths in
+  let paths = Paths.k_worst_paths baseline timing0 ~k:k_paths in
   let t_matrix, cols = Paths.topology_matrix baseline paths in
   let col_of = Array.make n (-1) in
   Array.iteri (fun j id -> col_of.(id) <- j) cols;
@@ -417,7 +413,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     out
   in
   let d0 = timing0.Timing.delays in
-  let matching = Matching.context ~options:config.matching lib baseline in
+  let matching = Matching.context lib baseline in
   let assignment_of delta =
     let targets =
       Array.init n (fun id ->
@@ -469,14 +465,14 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   in
   let soft_dirs =
     soft_order
-    |> List.filteri (fun i _ -> i < config.n_soft_directions)
+    |> List.filteri (fun i _ -> i < n_soft_directions)
     |> List.filter_map (fun id ->
            let d = Array.make n 0. in
            d.(id) <- 1.;
            normalize (project d))
   in
   let random_dirs =
-    List.init config.n_random_directions (fun _ ->
+    List.init n_random_directions (fun _ ->
         let d =
           Array.init n (fun id ->
               if Circuit.is_input c id then 0. else Ser_rng.Rng.gaussian rng)
@@ -488,7 +484,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   let search_sp = Obs.Trace.start "sertopt.search" in
   let search =
     Ser_opt.Minimize.direction_search ~f:objective ~x0:(Array.make n 0.)
-      ~directions ~step:config.step ~shrink:0.5 ~min_step:0.75
+      ~directions ~step ~shrink:0.5 ~min_step:0.75
       ~max_evals:config.max_evals ?budget ()
   in
   Obs.Trace.finish search_sp;
@@ -503,7 +499,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
         | [] -> ()
         | _ ->
           let id = List.nth soft_order (Ser_rng.Rng.int rng (min 64 (List.length soft_order))) in
-          delta.(id) <- delta.(id) +. (config.step *. Ser_rng.Rng.gaussian rng)
+          delta.(id) <- delta.(id) +. (step *. Ser_rng.Rng.gaussian rng)
       done;
       let p = project delta in
       Array.iteri (fun i v -> d.(i) <- d.(i) +. v) p;
@@ -566,7 +562,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
             let cands =
               vdd_feasible_variants lib asg g ~keep:(fun p ->
                   p.Cell_params.size
-                  <= config.matching.Matching.max_size +. 1e-9
+                  <= Matching.default_options.Matching.max_size +. 1e-9
                   && not (Cell_params.equal p current))
             in
             (* cap the menu deterministically to bound the eval budget *)
@@ -710,12 +706,12 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   (* never return something worse than the baseline (by the cost) *)
   let optimized, optimized_metrics, optimized_analysis, guard_choice =
     let base_cost =
-      Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
-        ~baseline:baseline_metrics baseline_metrics
+      Cost.eval ~weights:config.weights ~baseline:baseline_metrics
+        baseline_metrics
     in
     let opt_cost =
-      Cost.eval ~weights:config.weights ~delay_slack:config.delay_slack
-        ~baseline:baseline_metrics optimized_metrics
+      Cost.eval ~weights:config.weights ~baseline:baseline_metrics
+        optimized_metrics
     in
     if guard_choice = None && opt_cost >= base_cost then
       (baseline, baseline_metrics, baseline_analysis, guard_choice)

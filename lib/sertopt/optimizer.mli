@@ -43,16 +43,9 @@ type config = {
           visits gates by their fixed-charge [U_i] under either
           objective. *)
   tier : tier;  (** greedy-menu evaluation economy, default {!Exact} *)
-  weights : Cost.weights;
-  delay_slack : float;   (** tolerated fractional delay increase *)
-  k_paths : int;         (** rows of the topology matrix *)
-  n_soft_directions : int;
-      (** search directions targeting the highest-U_i gates *)
-  n_random_directions : int;
-  step : float;          (** initial delay perturbation, ps *)
+  weights : Cost.weights;  (** Eq. 5 weights *)
   max_evals : int;       (** cost-evaluation budget for the search *)
   seed : int;
-  matching : Matching.options;
   annealing_steps : int; (** extra SA refinement steps; 0 disables *)
   greedy_passes : int;
       (** discrete per-gate refinement sweeps after the delay-assignment

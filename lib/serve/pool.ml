@@ -1,11 +1,7 @@
 module Json = Ser_util.Json
 
 type entry = {
-  e_circuit : Ser_netlist.Circuit.t;
-  e_library : Ser_cell.Library.t;
   e_assignment : Ser_sta.Assignment.t;
-  e_config : Aserta.Analysis.config;
-  e_masking : Aserta.Analysis.masking;
   e_incr : Ser_incr.Incr.t;
 }
 
@@ -68,8 +64,6 @@ let warm t ~key ~build =
     Ser_obs.Obs.Metrics.incr m_builds;
     evict t;
     (entry, false)
-
-let entries t = Hashtbl.length t.table
 
 let stats_json t =
   Json.Obj

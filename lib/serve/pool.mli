@@ -8,12 +8,8 @@
     — a handful of handles covers a daemon's working set. *)
 
 type entry = {
-  e_circuit : Ser_netlist.Circuit.t;
-  e_library : Ser_cell.Library.t;
-  e_assignment : Ser_sta.Assignment.t;
-  e_config : Aserta.Analysis.config;
-  e_masking : Aserta.Analysis.masking;
-  e_incr : Ser_incr.Incr.t;
+  e_assignment : Ser_sta.Assignment.t;  (** the size-for-speed baseline *)
+  e_incr : Ser_incr.Incr.t;  (** its analysis, snapshotted per query *)
 }
 
 type t
@@ -26,5 +22,4 @@ val warm : t -> key:string -> build:(unit -> entry) -> entry * bool
 (** Find-or-build: the boolean is [true] when the entry was already
     warm. A built entry is inserted (evicting LRU beyond the bound). *)
 
-val entries : t -> int
 val stats_json : t -> Ser_util.Json.t

@@ -258,112 +258,35 @@ let pool_params (req : Request.t) =
       ("charge", Json.Num req.Request.charge);
     ]
 
-let build_pool_entry (req : Request.t) c lib () =
-  let asg = Sertopt.Optimizer.size_for_speed lib c in
-  let config = Handlers.aserta_config req in
-  let masking = Aserta.Analysis.compute_masking config c in
-  let incr = Ser_incr.Incr.create ~config lib asg masking in
-  {
-    Pool.e_circuit = c;
-    e_library = lib;
-    e_assignment = asg;
-    e_config = config;
-    e_masking = masking;
-    e_incr = incr;
-  }
-
-let run_inline st (req : Request.t) c lib ~pool_key ~deadline_left =
-  Diag.guard ~subsystem (fun () ->
-      match req.Request.op with
-      | Request.Analyze when req.Request.backend = "serpp" ->
-        (* the warm pool caches ASERTA masking + an incremental engine;
-           a serpp analysis is one cheap pass, so it runs direct and
-           leaves the pool to the requests that need it *)
-        let asg = Sertopt.Optimizer.size_for_speed lib c in
-        let config =
+(* The one executor with the warm pool as its ASERTA source: a pooled
+   handle answers analyze/rate through a snapshot, and every other op
+   runs exactly as a one-shot command does. *)
+let run_inline st (req : Request.t) (p : Handlers.prepared) ~pool_key
+    ~deadline_left =
+  let warm = ref false in
+  let aserta config =
+    let entry, was_warm =
+      Pool.warm st.pool ~key:pool_key ~build:(fun () ->
+          let asg, a = Handlers.baseline_analysis p config in
           {
-            Ser_serpp.Serpp.default_config with
-            Ser_serpp.Serpp.charge = req.Request.charge;
-          }
-        in
-        let s =
-          match Ser_serpp.Serpp.run_checked ~config lib asg with
-          | Ok s -> s
-          | Error d -> raise (Diag.Diag_error d)
-        in
-        let payload =
-          Handlers.analyze_payload req
-            { Handlers.assignment = asg; result = Handlers.Serpp s }
-        in
-        (payload, false)
-      | Request.Analyze | Request.Rate ->
-        let entry, warm =
-          Pool.warm st.pool ~key:pool_key ~build:(build_pool_entry req c lib)
-        in
-        let analysis = Ser_incr.Incr.snapshot entry.Pool.e_incr in
-        let payload =
-          match req.Request.op with
-          | Request.Analyze ->
-            Handlers.analyze_payload req
-              {
-                Handlers.assignment = entry.Pool.e_assignment;
-                result = Handlers.Aserta analysis;
-              }
-          | _ ->
-            let spectrum =
-              {
-                Aserta.Ser_rate.default_spectrum with
-                Aserta.Ser_rate.q_slope = req.Request.q_slope;
-              }
-            in
-            let r_rate =
-              Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock
-                entry.Pool.e_library entry.Pool.e_assignment analysis
-            in
-            Handlers.rate_payload req
-              {
-                Handlers.r_assignment = entry.Pool.e_assignment;
-                r_analysis = analysis;
-                r_rate;
-              }
-        in
-        (payload, warm)
-      | Request.Odc ->
-        (* backend-free: one bit-parallel injection pass over the
-           already parsed netlist; the warm pool's library + masking
-           state cannot help it, so it runs direct like serpp analyze *)
-        let mode =
-          match Ser_odc.Odc.mode_of_string req.Request.odc_mode with
-          | Some m -> m
-          | None -> raise (Diag.Diag_error (diagf "unknown odc mode %S" req.Request.odc_mode))
-        in
-        let config =
-          {
-            Ser_odc.Odc.default with
-            Ser_odc.Odc.mode;
-            vectors = req.Request.vectors;
-            seed = req.Request.odc_seed;
-          }
-        in
-        let r =
-          match Ser_odc.Odc.analyze_checked ~config c with
-          | Ok r -> r
-          | Error d -> raise (Diag.Diag_error d)
-        in
-        (Handlers.odc_payload req r, false)
-      | Request.Optimize ->
-        let budget =
-          match (req.Request.budget_evals, deadline_left) with
-          | None, None -> None
-          | evals, seconds ->
-            Some (Budget.create ?max_evals:evals ?max_seconds:seconds ())
-        in
-        let payload =
-          match Handlers.run ?budget req with
-          | Ok p -> p
-          | Error d -> raise (Diag.Diag_error d)
-        in
-        (payload, false))
+            Pool.e_assignment = asg;
+            e_incr = Ser_incr.Incr.of_analysis p.Handlers.library asg a;
+          })
+    in
+    warm := was_warm;
+    (entry.Pool.e_assignment, Ser_incr.Incr.snapshot entry.Pool.e_incr)
+  in
+  (* the deadline bounds an inline optimize's search *)
+  let budget =
+    Option.map
+      (fun seconds ->
+        Budget.create ?max_evals:req.Request.budget_evals ~max_seconds:seconds
+          ())
+      deadline_left
+  in
+  Result.map
+    (fun payload -> (payload, !warm))
+    (Handlers.execute ?budget ~aserta req p)
 
 let reject_of_worker (o : Supervisor.outcome) =
   let p = o.Supervisor.o_payload in
@@ -478,22 +401,14 @@ let execute st (p : pending) =
     Option.map (fun d -> Float.max 0.01 (d -. t0)) p.p_deadline
   in
   let envelope =
-    match
-      Diag.guard ~subsystem (fun () ->
-          let c = Handlers.load_circuit req.Request.source in
-          let lib =
-            Handlers.make_library ~vdds:req.Request.vdds
-              ~vths:req.Request.vths
-          in
-          (c, lib))
-    with
+    match Handlers.prepare req with
     | Error d ->
       st.bad_requests <- st.bad_requests + 1;
       Obs.Metrics.incr m_bad;
       Wire.error ~id:req.Request.id Wire.Bad_request d
-    | Ok (c, lib) -> (
-      let digest = Cache.circuit_digest c in
-      let lib_id = Handlers.library_id lib in
+    | Ok prepared -> (
+      let digest = Cache.circuit_digest prepared.Handlers.circuit in
+      let lib_id = Handlers.library_id prepared.Handlers.library in
       let ckey =
         Cache.key ~circuit:digest ~library:lib_id
           ~params:(Request.params_json req)
@@ -542,7 +457,7 @@ let execute st (p : pending) =
               Cache.key ~circuit:digest ~library:lib_id
                 ~params:(pool_params req)
             in
-            match run_inline st req c lib ~pool_key ~deadline_left with
+            match run_inline st req prepared ~pool_key ~deadline_left with
             | Ok (payload, warm) ->
               if cacheable then cache_store st ckey payload;
               Wire.ok ~warm ~id:req.Request.id

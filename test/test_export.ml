@@ -83,7 +83,8 @@ let analyze_req backend top =
 
 let test_analyze_document () =
   let positive backend =
-    match Handlers.analyze (analyze_req backend 0) with
+    let req = analyze_req backend 0 in
+    match Result.bind (Handlers.prepare req) (Handlers.analyze req) with
     | Ok a ->
       let _, u, _, _, _, _ = Handlers.backend_view a.Handlers.result in
       Array.fold_left (fun n v -> if v > 0. then n + 1 else n) 0 u

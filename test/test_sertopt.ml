@@ -592,7 +592,9 @@ let test_handler_resume_sizes_once () =
   in
   let run ?initial () =
     let t0 = trials () in
-    match Handlers.optimize ?initial req with
+    match
+      Result.bind (Handlers.prepare req) (Handlers.optimize ?initial req)
+    with
     | Ok r -> (r, trials () - t0)
     | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
   in

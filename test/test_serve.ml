@@ -399,10 +399,12 @@ let test_daemon_smoke () =
           | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
           | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
 
-(* A warm pool entry answers through Incr.snapshot; its document must
-   be the one a from-scratch Handlers.run renders for the same request,
-   byte for byte (the per-gate slack comes from the snapshot's rebuilt
-   backward sweep). *)
+(* The daemon executes inline requests through Handlers with the warm
+   pool as the ASERTA source: a warm entry answers analyze/rate through
+   Incr.snapshot (the per-gate slack comes from the snapshot's rebuilt
+   backward sweep), every other op runs as a one-shot command does.
+   Each document must be the one a from-scratch Handlers.run renders
+   for the same request, byte for byte. *)
 let test_warm_pool_equals_run () =
   let dir = tmpdir () in
   Fun.protect
@@ -429,11 +431,12 @@ let test_warm_pool_equals_run () =
           in
           let cold = call_ok addr (Request.to_json (req Request.Analyze 3)) in
           Alcotest.(check bool) "first builds the entry" false cold.Wire.r_warm;
-          (* another top misses the result cache but not the pool *)
+          (* another top misses the result cache but not the pool; the
+             serpp, odc and inline optimize ops never touch the pool *)
           List.iter
-            (fun (what, req) ->
+            (fun (what, pooled, req) ->
               let r = call_ok addr (Request.to_json req) in
-              Alcotest.(check bool) (what ^ " is warm") true r.Wire.r_warm;
+              Alcotest.(check bool) (what ^ " warm flag") pooled r.Wire.r_warm;
               match (r.Wire.r_status, Ser_cli.Handlers.run req) with
               | Wire.Ok_payload p, Ok expected ->
                 Alcotest.(check string) (what ^ " document")
@@ -441,8 +444,20 @@ let test_warm_pool_equals_run () =
               | _, Error d -> Alcotest.failf "run: %s" (Diag.to_string d)
               | Wire.Rejected _, _ -> Alcotest.fail "rejected")
             [
-              ("analyze", req Request.Analyze 10);
-              ("rate", req Request.Rate 10);
+              ("analyze", true, req Request.Analyze 10);
+              ("rate", true, req Request.Rate 10);
+              ( "serpp analyze",
+                false,
+                { (req Request.Analyze 10) with Request.backend = "serpp" } );
+              ("odc", false, req Request.Odc 10);
+              ( "inline optimize",
+                false,
+                {
+                  (req Request.Optimize 10) with
+                  Request.evals = 4;
+                  greedy = 0;
+                  isolate = Some false;
+                } );
             ]))
 
 let response_of_json_total_prop =
