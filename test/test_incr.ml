@@ -232,11 +232,11 @@ let test_noop_and_validation () =
 
 (* One small c432 optimize per objective, pinned bit for bit: the eval
    count, the improving-cost trace, the optimized metrics and the
-   number of changed cells. The values were produced by the optimizer
-   when it still measured the charge-spectrum objective with a
-   from-scratch analysis per candidate (and checked the fixed-charge
-   objective against that path), so they carry the from-scratch
-   reference forward. *)
+   number of changed cells. The eval counts, traces and changed-cell
+   counts were produced by the incremental optimizer with no annealing
+   stage (the direction search, then one greedy pass). The metric pins
+   are from-scratch numbers whatever the search path: the optimizer
+   measures its returned assignment with [Cost.measure]. *)
 let check_pins objective ~evals ~changed ~trace ~metrics () =
   let c, lib, masking = Lazy.force setup in
   let baseline = Assignment.uniform lib c in
@@ -246,7 +246,7 @@ let check_pins objective ~evals ~changed ~trace ~metrics () =
       Opt.aserta = config;
       objective;
       max_evals = 10;
-      annealing_steps = 8;
+      annealing_steps = 0;
       greedy_passes = 1;
       greedy_gates = 10;
     }
@@ -263,25 +263,25 @@ let check_pins objective ~evals ~changed ~trace ~metrics () =
     (hex [ m.Cost.unreliability; m.Cost.delay; m.Cost.energy; m.Cost.area ])
 
 let test_pins_fixed_charge =
-  check_pins Cost.Fixed_charge ~evals:259 ~changed:117
+  check_pins Cost.Fixed_charge ~evals:250 ~changed:117
     ~trace:
       [ 0x1.9fff75a1593dep+0; 0x1.8c0133e37a89ap+0; 0x1.85c02d90ac95dp+0;
         0x1.8028f0371f1p+0; 0x1.7cde853af2f7fp+0; 0x1.759df2034d75ep+0;
-        0x1.684db2e3df3f6p+0; 0x1.684db2e3df3f6p+0 ]
+        0x1.684db2e3df3f6p+0 ]
     ~metrics:
       [ 0x1.874cd7c45b558p+11; 0x1.6cfcc50f87107p+9; 0x1.51d777634c55ep+6;
         0x1.22fb36d7d386ap+9 ]
 
 let test_pins_spectrum =
   check_pins (Cost.Charge_spectrum Aserta.Ser_rate.default_spectrum)
-    ~evals:259 ~changed:152
+    ~evals:250 ~changed:152
     ~trace:
       [ 0x1.af7432c8a5f7ep+0; 0x1.a11ee28dd53bap+0; 0x1.9e425a873360dp+0;
         0x1.972861e575326p+0; 0x1.912ec2e4b35bfp+0; 0x1.8bee6dc1cb40bp+0;
-        0x1.800550c55cecep+0; 0x1.800550c55cecep+0; 0x1.7c23c3548ecccp+0 ]
+        0x1.800550c55cecep+0 ]
     ~metrics:
-      [ 0x1.1595753a67c9dp+10; 0x1.8042cd6c4c9p+9; 0x1.c102860faefa6p+6;
-        0x1.5ddbff447745cp+9 ]
+      [ 0x1.0eb2e77c51ab6p+10; 0x1.8716c1c4aa014p+9; 0x1.c94449cc4a1b5p+6;
+        0x1.6a8558a3957e4p+9 ]
 
 let () =
   Alcotest.run "incr"

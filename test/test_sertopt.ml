@@ -633,6 +633,60 @@ let test_masking_override () =
     a.Opt.baseline_metrics.Cost.unreliability
     b.Opt.baseline_metrics.Cost.unreliability
 
+(* ------------------------- ODC-seeded downsizing ------------------------- *)
+
+(* A small c432 optimize seeded by an ODC report, pinned bit for bit:
+   the eval count, the improving-cost trace, the optimized metrics, the
+   changed cells and the ODC stage's proposed/accepted move deltas. The
+   speed-sized baseline leaves upsized cells for the stage to shrink. *)
+let test_optimize_odc_pins () =
+  let c = Ser_circuits.Iscas.load "c432" in
+  let lib = L.create () in
+  let baseline = Opt.size_for_speed lib c in
+  let report =
+    Ser_odc.Odc.analyze
+      ~config:{ Ser_odc.Odc.default with Ser_odc.Odc.vectors = 300 } c
+  in
+  let obs =
+    match Ser_odc.Odc.obs_array c report with
+    | Ok o -> o
+    | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+  in
+  let config =
+    {
+      Opt.default_config with
+      Opt.aserta = { quick_aserta with Aserta.Analysis.vectors = 300 };
+      max_evals = 6;
+      greedy_passes = 1;
+      greedy_gates = 12;
+      odc_obs = Some obs;
+    }
+  in
+  let counter name =
+    match Ser_obs.Obs.Metrics.find_counter name with
+    | Some ctr -> Ser_obs.Obs.Metrics.value ctr
+    | None -> 0
+  in
+  let moves0 = counter "sertopt.odc_moves"
+  and accepts0 = counter "sertopt.odc_accepts" in
+  let r = Opt.optimize ~config lib baseline in
+  let hex l = List.map (Printf.sprintf "%h") l in
+  Alcotest.(check int) "evals" 474 r.Opt.evals;
+  Alcotest.(check (list string)) "cost trace bits"
+    (hex
+       [ 0x1.a20575b04eb7cp+0; 0x1.8effd44648938p+0; 0x1.7451d3e9a5b09p+0;
+         0x1.73bc165e5b3f9p+0; 0x1.72b74948dca5fp+0 ])
+    (hex r.Opt.cost_trace);
+  let m = r.Opt.optimized_metrics in
+  Alcotest.(check (list string)) "optimized metric bits"
+    (hex
+       [ 0x1.76a00488789bap+11; 0x1.38cb6a28d5b62p+9; 0x1.b372674fa9fa2p+6;
+         0x1.9a70d04bd8404p+9 ])
+    (hex [ m.Cost.unreliability; m.Cost.delay; m.Cost.energy; m.Cost.area ]);
+  Alcotest.(check int) "changed cells" 136 (Opt.knob_summary r).Opt.changed_gates;
+  Alcotest.(check int) "odc moves" 180 (counter "sertopt.odc_moves" - moves0);
+  Alcotest.(check int) "odc accepts" 3 (counter "sertopt.odc_accepts" - accepts0)
+
 (* ------------------------- menu sampling ------------------------- *)
 
 let test_sample_menu () =
@@ -694,6 +748,8 @@ let () =
           Alcotest.test_case "replay guard" `Slow test_replay_guard;
           Alcotest.test_case "masking override" `Quick test_masking_override;
           Alcotest.test_case "menu sampling" `Quick test_sample_menu;
+          Alcotest.test_case "odc-seeded downsizing pins" `Quick
+            test_optimize_odc_pins;
           Alcotest.test_case "size_for_speed = from-scratch" `Slow
             test_sizing_oracle;
         ] );
