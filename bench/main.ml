@@ -107,7 +107,6 @@ let sertopt_check ?(smoke = false) () =
         max_evals;
         greedy_gates;
         greedy_passes = 1;
-        annealing_steps = 0;
       }
     in
     Opt.optimize ~config ~masking lib baseline

@@ -22,32 +22,7 @@ let budget_degraded = function
   | None -> false
   | Some b -> Ser_util.Budget.was_exhausted b
 
-let golden_ratio = (sqrt 5. -. 1.) /. 2.
-
-let golden_section ~f ~lo ~hi ?tol ?(max_iter = 200) () =
-  if hi <= lo then invalid_arg "Minimize.golden_section: empty interval";
-  let tol = match tol with Some t -> t | None -> 1e-6 *. (hi -. lo) in
-  let rec loop a b c fc d fd iter =
-    if b -. a <= tol || iter >= max_iter then
-      if fc <= fd then (c, fc) else (d, fd)
-    else if fc < fd then begin
-      let b' = d in
-      let d' = c in
-      let c' = b' -. (golden_ratio *. (b' -. a)) in
-      loop a b' c' (f c') d' fc (iter + 1)
-    end
-    else begin
-      let a' = c in
-      let c' = d in
-      let d' = a' +. (golden_ratio *. (b -. a')) in
-      loop a' b c' fd d' (f d') (iter + 1)
-    end
-  in
-  let c = hi -. (golden_ratio *. (hi -. lo)) in
-  let d = lo +. (golden_ratio *. (hi -. lo)) in
-  loop lo hi c (f c) d (f d) 0
-
-(* Shared pattern-search engine over a direction set. *)
+(* Pattern-search engine over a non-empty direction set. *)
 let pattern_search ~f ~x0 ~directions ~step ~shrink ~min_step ~max_evals
     ~budget =
   let n = Array.length x0 in
@@ -98,17 +73,6 @@ let pattern_search ~f ~x0 ~directions ~step ~shrink ~min_step ~max_evals
   { x; fx = !fx; evals = !evals; trace = List.rev !trace;
     degraded = budget_degraded budget }
 
-let coordinate_descent ~f ~x0 ?(step = 1.0) ?(shrink = 0.5) ?(min_step = 1e-4)
-    ?(max_evals = 10_000) ?budget () =
-  let n = Array.length x0 in
-  let directions =
-    Array.init n (fun i ->
-        let d = Array.make n 0. in
-        d.(i) <- 1.;
-        d)
-  in
-  pattern_search ~f ~x0 ~directions ~step ~shrink ~min_step ~max_evals ~budget
-
 let direction_search ~f ~x0 ~directions ?(step = 1.0) ?(shrink = 0.5)
     ?(min_step = 1e-4) ?(max_evals = 10_000) ?budget () =
   if Array.length directions = 0 then begin
@@ -118,107 +82,3 @@ let direction_search ~f ~x0 ~directions ?(step = 1.0) ?(shrink = 0.5)
       degraded = budget_degraded budget }
   end
   else pattern_search ~f ~x0 ~directions ~step ~shrink ~min_step ~max_evals ~budget
-
-let genetic ~rng ~f ~x0 ?(population = 16) ?(generations = 30) ?(sigma = 1.0)
-    ?(elite = 2) ?budget () =
-  if population < 2 then invalid_arg "Minimize.genetic: population too small";
-  let n = Array.length x0 in
-  let evals = ref 0 in
-  let eval_unchecked x =
-    budget_tick budget;
-    incr evals;
-    f x
-  in
-  let eval x =
-    if budget_spent budget then raise Budget_out;
-    eval_unchecked x
-  in
-  let perturb scale x =
-    Array.map (fun v -> v +. (scale *. Ser_rng.Rng.gaussian rng)) x
-  in
-  let f0 = eval_unchecked x0 in
-  let best = ref (Array.copy x0) and fbest = ref f0 in
-  let trace = ref [ f0 ] in
-  let by_fitness a b = compare (fst a) (fst b) in
-  let pop = Array.make population (f0, Array.copy x0) in
-  (try
-     for i = 1 to population - 1 do
-       let x = perturb sigma x0 in
-       pop.(i) <- (eval x, x)
-     done;
-     Array.sort by_fitness pop;
-     best := snd pop.(0);
-     fbest := fst pop.(0);
-     trace := [ !fbest ];
-     for gen = 1 to generations do
-       let decay =
-         sigma *. (0.05 ** (float_of_int gen /. float_of_int generations))
-       in
-       let tournament () =
-         let a = pop.(Ser_rng.Rng.int rng population) in
-         let b = pop.(Ser_rng.Rng.int rng population) in
-         if fst a <= fst b then snd a else snd b
-       in
-       let next =
-         Array.init population (fun i ->
-             if i < elite then pop.(i)
-             else begin
-               let pa = tournament () and pb = tournament () in
-               let child =
-                 Array.init n (fun k ->
-                     let t = Ser_rng.Rng.uniform rng in
-                     Ser_util.Floatx.lerp pa.(k) pb.(k) t
-                     +. (decay *. Ser_rng.Rng.gaussian rng))
-               in
-               (eval child, child)
-             end)
-       in
-       Array.sort by_fitness next;
-       Array.blit next 0 pop 0 population;
-       if fst pop.(0) < !fbest then begin
-         fbest := fst pop.(0);
-         best := snd pop.(0);
-         trace := !fbest :: !trace
-       end
-     done
-   with Budget_out -> ());
-  { x = Array.copy !best; fx = !fbest; evals = !evals; trace = List.rev !trace;
-    degraded = budget_degraded budget }
-
-let simulated_annealing ~rng ~f ~x0 ~neighbor ?(t0 = 1.0) ?(t_end = 1e-3)
-    ?(steps = 500) ?budget () =
-  let x = ref (Array.copy x0) in
-  budget_tick budget;
-  let fx = ref (f x0) in
-  let best = ref (Array.copy x0) in
-  let fbest = ref !fx in
-  let trace = ref [ !fx ] in
-  let evals = ref 1 in
-  let scale = Float.max 1e-12 (Float.abs !fx) in
-  let cooling = (t_end /. t0) ** (1. /. float_of_int (max 1 (steps - 1))) in
-  let temp = ref (t0 *. scale) in
-  (try
-     for _ = 1 to steps do
-       if budget_spent budget then raise Budget_out;
-       let cand = neighbor rng !x in
-       budget_tick budget;
-       let fc = f cand in
-       incr evals;
-       let accept =
-         fc < !fx
-         || Ser_rng.Rng.uniform rng < exp ((!fx -. fc) /. Float.max 1e-18 !temp)
-       in
-       if accept then begin
-         x := cand;
-         fx := fc
-       end;
-       if fc < !fbest then begin
-         best := Array.copy cand;
-         fbest := fc;
-         trace := fc :: !trace
-       end;
-       temp := !temp *. cooling
-     done
-   with Budget_out -> ());
-  { x = !best; fx = !fbest; evals = !evals; trace = List.rev !trace;
-    degraded = budget_degraded budget }

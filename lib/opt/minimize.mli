@@ -1,10 +1,10 @@
-(** Derivative-free minimisers used by SERTOPT.
+(** The derivative-free minimiser SERTOPT runs.
 
     The paper minimises its cost with MATLAB's SQP and notes that
     "simulated annealing, genetic algorithms or some other optimization
     algorithm can also be used"; objective evaluations here are
-    expensive (a full ASERTA pass each), so these are budget-aware
-    direct-search methods. *)
+    expensive (an ASERTA re-analysis each), so this is a budget-aware
+    direct search. *)
 
 type result = {
   x : float array;   (** best point found *)
@@ -15,26 +15,6 @@ type result = {
                          {!Ser_util.Budget}; [x] is the best point seen
                          so far, still a valid result *)
 }
-
-val golden_section :
-  f:(float -> float) -> lo:float -> hi:float -> ?tol:float -> ?max_iter:int ->
-  unit -> float * float
-(** Minimum of a unimodal 1-D function on an interval; returns
-    (argmin, min). [tol] defaults to 1e-6 of the interval. *)
-
-val coordinate_descent :
-  f:(float array -> float) ->
-  x0:float array ->
-  ?step:float ->
-  ?shrink:float ->
-  ?min_step:float ->
-  ?max_evals:int ->
-  ?budget:Ser_util.Budget.t ->
-  unit ->
-  result
-(** Pattern search: probe +-step along every coordinate, accept
-    improvements, shrink the step by [shrink] (default 0.5) when a
-    full sweep fails, stop at [min_step] or the evaluation budget. *)
 
 val direction_search :
   f:(float array -> float) ->
@@ -47,39 +27,8 @@ val direction_search :
   ?budget:Ser_util.Budget.t ->
   unit ->
   result
-(** Like {!coordinate_descent} but probing along arbitrary direction
-    vectors instead of coordinate axes — the nullspace-basis search at
-    the heart of SERTOPT. *)
-
-val simulated_annealing :
-  rng:Ser_rng.Rng.t ->
-  f:(float array -> float) ->
-  x0:float array ->
-  neighbor:(Ser_rng.Rng.t -> float array -> float array) ->
-  ?t0:float ->
-  ?t_end:float ->
-  ?steps:int ->
-  ?budget:Ser_util.Budget.t ->
-  unit ->
-  result
-(** Classic exponential-schedule annealing. [t0] defaults to 1.0
-    (interpreted relative to |f(x0)|), [t_end] to 1e-3, [steps] to
-    500. The best-ever point is returned, not the final one. *)
-
-val genetic :
-  rng:Ser_rng.Rng.t ->
-  f:(float array -> float) ->
-  x0:float array ->
-  ?population:int ->
-  ?generations:int ->
-  ?sigma:float ->
-  ?elite:int ->
-  ?budget:Ser_util.Budget.t ->
-  unit ->
-  result
-(** Real-coded genetic algorithm (the paper's other suggested
-    alternative to SQP): tournament-2 selection, uniform blend
-    crossover, Gaussian mutation with a decaying step [sigma]
-    (default 1.0), elitism. The initial population is [x0] plus
-    perturbed copies. Defaults: population 16, generations 30,
-    elite 2. *)
+(** Pattern search along arbitrary direction vectors — the
+    nullspace-basis search at the heart of SERTOPT: probe +-step along
+    every direction, accept improvements, shrink the step by [shrink]
+    (default 0.5) when a full sweep fails, stop at [min_step] or the
+    evaluation budget. Unit directions give coordinate descent. *)

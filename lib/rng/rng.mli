@@ -1,9 +1,9 @@
 (** Deterministic pseudo-random number generation.
 
     Every stochastic component of the library (random input vectors,
-    synthetic circuit generation, simulated annealing) draws from this
-    module with an explicit seed, so experiments are bit-reproducible
-    across runs and OCaml versions.
+    synthetic circuit generation, SERTOPT's random search directions)
+    draws from this module with an explicit seed, so experiments are
+    bit-reproducible across runs and OCaml versions.
 
     The generator is xoshiro256** seeded through splitmix64, the
     combination recommended by Blackman and Vigna. *)

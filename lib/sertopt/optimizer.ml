@@ -40,8 +40,6 @@ type config = {
   tier : tier;
   weights : Cost.weights;
   max_evals : int;
-  seed : int;
-  annealing_steps : int;
   greedy_passes : int;
   greedy_gates : int;
   replay_guard : int;
@@ -51,10 +49,11 @@ type config = {
 
 (* the delay-assignment search's fixed shape: rows of the topology
    matrix, search directions aimed at the highest-U_i gates plus random
-   ones, and the initial delay perturbation (ps) *)
+   ones (drawn from [seed]), and the initial delay perturbation (ps) *)
 let k_paths = 48
 let n_soft_directions = 24
 let n_random_directions = 8
+let seed = 2005
 let step = 12.
 
 let default_config =
@@ -64,8 +63,6 @@ let default_config =
     tier = Exact;
     weights = Cost.default_weights;
     max_evals = 400;
-    seed = 2005;
-    annealing_steps = 0;
     greedy_passes = 2;
     greedy_gates = 160;
     replay_guard = 0;
@@ -266,7 +263,6 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   | Serpp_prefilter k when k < 1 ->
     invalid_arg "Optimizer.optimize: tier k must be >= 1"
   | _ -> ());
-  let rng = Ser_rng.Rng.create config.seed in
   let masking =
     match masking with
     | Some m -> m
@@ -402,8 +398,6 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   let timing0 = baseline_analysis.Analysis.timing in
   let paths = Paths.k_worst_paths baseline timing0 ~k:k_paths in
   let t_matrix, cols = Paths.topology_matrix baseline paths in
-  let col_of = Array.make n (-1) in
-  Array.iteri (fun j id -> col_of.(id) <- j) cols;
   (* project the on-path components of a full delta vector onto null(T) *)
   let project delta =
     let sub = Array.map (fun id -> delta.(id)) cols in
@@ -422,18 +416,10 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     in
     Matching.match_delays matching ~targets
   in
-  let best_cost = ref Float.max_float in
-  let best_delta = ref (Array.make n 0.) in
   let objective delta =
     incr evals;
     Obs.Metrics.incr m_evals;
-    let cost = eval_cost (assignment_of delta) in
-    if cost < !best_cost then begin
-      best_cost := cost;
-      best_delta := Array.copy delta;
-      Obs.Metrics.incr m_improvements
-    end;
-    cost
+    eval_cost (assignment_of delta)
   in
   (* measure a checkpointed incumbent first, while the budget is still
      fresh — resuming must not cost more than one evaluation *)
@@ -446,25 +432,21 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
       Some (Assignment.copy inc, eval_cost inc)
     | _ -> None
   in
+  let gates =
+    List.filter (fun id -> not (Circuit.is_input c id)) (List.init n Fun.id)
+  in
   (* search directions: slow down the softest gates (projected), plus a
      few random projected directions *)
-  let soft_order =
-    let idx =
-      Array.to_list (Array.init n Fun.id)
-      |> List.filter (fun id -> not (Circuit.is_input c id))
-    in
-    List.sort
-      (fun a b ->
-        compare baseline_analysis.Analysis.unreliability.(b)
-          baseline_analysis.Analysis.unreliability.(a))
-      idx
-  in
   let normalize v =
     let norm = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v) in
     if norm < 1e-9 then None else Some (Array.map (fun x -> x /. norm) v)
   in
   let soft_dirs =
-    soft_order
+    List.sort
+      (fun a b ->
+        compare baseline_analysis.Analysis.unreliability.(b)
+          baseline_analysis.Analysis.unreliability.(a))
+      gates
     |> List.filteri (fun i _ -> i < n_soft_directions)
     |> List.filter_map (fun id ->
            let d = Array.make n 0. in
@@ -472,6 +454,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
            normalize (project d))
   in
   let random_dirs =
+    let rng = Ser_rng.Rng.create seed in
     List.init n_random_directions (fun _ ->
         let d =
           Array.init n (fun id ->
@@ -488,188 +471,137 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
       ~max_evals:config.max_evals ?budget ()
   in
   Obs.Trace.finish search_sp;
-  let trace = ref search.Ser_opt.Minimize.trace in
-  if config.annealing_steps > 0 then begin
-    let neighbor rng x =
-      let d = Array.copy x in
-      let kicks = 1 + Ser_rng.Rng.int rng 3 in
-      let delta = Array.make n 0. in
-      for _ = 1 to kicks do
-        match soft_order with
-        | [] -> ()
-        | _ ->
-          let id = List.nth soft_order (Ser_rng.Rng.int rng (min 64 (List.length soft_order))) in
-          delta.(id) <- delta.(id) +. (step *. Ser_rng.Rng.gaussian rng)
-      done;
-      let p = project delta in
-      Array.iteri (fun i v -> d.(i) <- d.(i) +. v) p;
-      d
-    in
-    let sa =
-      Obs.Trace.with_span "sertopt.annealing" (fun () ->
-          Ser_opt.Minimize.simulated_annealing ~rng ~f:objective
-            ~x0:!best_delta ~neighbor ~t0:0.05 ~t_end:1e-4
-            ~steps:config.annealing_steps ?budget ())
-    in
-    trace := !trace @ sa.Ser_opt.Minimize.trace
-  end;
-  let search_assignment = assignment_of !best_delta in
+  (* the trace holds the start cost and every strict improvement *)
+  Obs.Metrics.add m_improvements (List.length search.Ser_opt.Minimize.trace);
   (* the checkpointed incumbent was measured before the search; adopt
      it if the search did not beat it *)
   let search_assignment =
     match incumbent with
-    | Some (inc, cost) when cost < !best_cost ->
-      best_cost := cost;
-      inc
-    | _ -> search_assignment
+    | Some (inc, cost) when cost < search.Ser_opt.Minimize.fx -> inc
+    | _ -> assignment_of search.Ser_opt.Minimize.x
   in
-  let optimized = search_assignment in
-  (* Discrete greedy refinement (extension over the paper's pure
-     delay-assignment method): revisit the softest gates and try their
-     whole variant menu directly, keeping any change that lowers the
-     Eq. 5 cost. Menus respect the VDD ordering against the current
-     neighbours ([vdd_feasible_variants]). *)
-  let optimized =
-    if config.greedy_passes = 0 || budget_spent () then optimized
+  (* Tier prefilter: rank the whole menu of gate [g] with the cheap
+     serpp estimate and keep only the top-k (score-ascending, original
+     menu order restored for the accept tie-break) for the exact
+     engine. Ranking runs do not charge the budget — they are the
+     economy the budget is spent through. *)
+  let prefilter rank g cands =
+    match rank with
+    | Some (k, h, sbase) when Array.length cands > k ->
+      let rank_sp = Obs.Trace.start "sertopt.tier_rank" in
+      let scores =
+        Ser_par.Par.parallel_map ~chunk:1
+          (fun cand ->
+            let probe = Ser_serpp.Serpp_incr.fork h in
+            Ser_serpp.Serpp_incr.set_cell probe g cand;
+            cost_against ~baseline:sbase (Ser_serpp.Serpp_incr.metrics probe))
+          cands
+      in
+      Obs.Trace.finish rank_sp;
+      Obs.Metrics.add m_tier_ranks (Array.length cands);
+      Obs.Metrics.add m_exact_saved (Array.length cands - k);
+      let idx = Array.init (Array.length cands) Fun.id in
+      Array.sort
+        (fun a b ->
+          let cc = compare scores.(a) scores.(b) in
+          if cc <> 0 then cc else compare a b)
+        idx;
+      let keep = Array.sub idx 0 k in
+      Array.sort compare keep;
+      Array.map (fun i -> cands.(i)) keep
+    | _ -> cands
+  in
+  (* Discrete menu refinement (extension over the paper's pure
+     delay-assignment method), the one walk behind the greedy and ODC
+     stages. For [passes] passes it visits the gates [order ()] names
+     and builds each gate's menu: the variants [keep current] admits
+     under the VDD ordering against the current neighbours
+     ([vdd_feasible_variants]), capped deterministically at [cap] to
+     bound the eval budget and, with a ranking handle [rank], tier
+     prefiltered. [scored] counts the menu. The best entry is accepted
+     on a strict Eq. 5 improvement, moving the assignment, the engine
+     and the ranking handle together; [accepted] counts it. *)
+  let refine ~span ~passes ~order ~keep ~cap ~rank ~scored ~accepted start =
+    if passes = 0 || budget_spent () then start
     else begin
-      let asg = Assignment.copy optimized in
-      let greedy_sp = Obs.Trace.start "sertopt.greedy" in
+      let asg = Assignment.copy start in
+      let sp = Obs.Trace.start span in
       budget_tick ();
       let cur_cost = ref (eval_cost asg) in
-      (match tier_ctx with
-      | Some (_, h, _) -> Ser_serpp.Serpp_incr.sync h asg
-      | None -> ());
-      if !cur_cost < !best_cost then best_cost := !cur_cost;
-      for _pass = 1 to config.greedy_passes do
-        let order =
-          let idx =
-            Array.to_list (Array.init n Fun.id)
-            |> List.filter (fun id -> not (Circuit.is_input c id))
-          in
-          (* softest first by the incumbent's fixed-charge U_i, under
-             either objective *)
-          List.sort
-            (fun a b ->
-              compare
-                (Ser_incr.Incr.unreliability engine b)
-                (Ser_incr.Incr.unreliability engine a))
-            idx
-          |> List.filteri (fun i _ -> i < config.greedy_gates)
-        in
+      Option.iter (fun (_, h, _) -> Ser_serpp.Serpp_incr.sync h asg) rank;
+      for _pass = 1 to passes do
         List.iter
           (fun g ->
             let current = Assignment.get asg g in
             let cands =
-              vdd_feasible_variants lib asg g ~keep:(fun p ->
-                  p.Cell_params.size
-                  <= Matching.default_options.Matching.max_size +. 1e-9
-                  && not (Cell_params.equal p current))
+              vdd_feasible_variants lib asg g ~keep:(keep current)
+              |> sample_menu ~cap |> Array.of_list |> prefilter rank g
             in
-            (* cap the menu deterministically to bound the eval budget *)
-            let cands = Array.of_list (sample_menu ~cap:24 cands) in
-            (* tier prefilter: rank the whole menu with the cheap serpp
-               estimate, keep only the top-k (score-ascending, original
-               menu order restored for the accept tie-break) for the
-               exact engine. Ranking runs do not charge the budget —
-               they are the economy the budget is spent through. *)
-            let cands =
-              match tier_ctx with
-              | Some (k, h, sbase) when Array.length cands > k ->
-                let rank_sp = Obs.Trace.start "sertopt.tier_rank" in
-                let scores =
-                  Ser_par.Par.parallel_map ~chunk:1
-                    (fun cand ->
-                      let probe = Ser_serpp.Serpp_incr.fork h in
-                      Ser_serpp.Serpp_incr.set_cell probe g cand;
-                      cost_against ~baseline:sbase
-                        (Ser_serpp.Serpp_incr.metrics probe))
-                    cands
-                in
-                Obs.Trace.finish rank_sp;
-                Obs.Metrics.add m_tier_ranks (Array.length cands);
-                Obs.Metrics.add m_exact_saved (Array.length cands - k);
-                let idx = Array.init (Array.length cands) Fun.id in
-                Array.sort
-                  (fun a b ->
-                    let cc = compare scores.(a) scores.(b) in
-                    if cc <> 0 then cc else compare a b)
-                  idx;
-                let keep = Array.sub idx 0 k in
-                Array.sort compare keep;
-                Array.map (fun i -> cands.(i)) keep
-              | _ -> cands
-            in
-            Obs.Metrics.incr m_menus;
-            Obs.Metrics.add m_menu_evals (Array.length cands);
-            let menu_sp = Obs.Trace.start "sertopt.menu" in
-            let best = best_of_menu g cands in
-            Obs.Trace.finish menu_sp;
-            match best with
-            | Some (i, cost) when cost < !cur_cost ->
-              cur_cost := cost;
-              Obs.Metrics.incr m_accepts;
-              Assignment.set asg g cands.(i);
-              Ser_incr.Incr.set_cell engine g cands.(i);
-              (match tier_ctx with
-              | Some (_, h, _) -> Ser_serpp.Serpp_incr.set_cell h g cands.(i)
-              | None -> ())
-            | _ -> ())
-          order
+            scored (Array.length cands);
+            if Array.length cands > 0 then begin
+              let menu_sp = Obs.Trace.start "sertopt.menu" in
+              let best = best_of_menu g cands in
+              Obs.Trace.finish menu_sp;
+              match best with
+              | Some (i, cost) when cost < !cur_cost ->
+                cur_cost := cost;
+                accepted ();
+                Assignment.set asg g cands.(i);
+                Ser_incr.Incr.set_cell engine g cands.(i);
+                Option.iter
+                  (fun (_, h, _) -> Ser_serpp.Serpp_incr.set_cell h g cands.(i))
+                  rank
+              | _ -> ()
+            end)
+          (order ())
       done;
-      if !cur_cost < !best_cost then best_cost := !cur_cost;
-      Obs.Trace.finish greedy_sp;
+      Obs.Trace.finish sp;
       asg
     end
+  in
+  (* Greedy: revisit the softest gates (by the incumbent's fixed-charge
+     U_i, under either objective) and try their whole variant menu. *)
+  let optimized =
+    refine search_assignment ~span:"sertopt.greedy" ~passes:config.greedy_passes
+      ~order:(fun () ->
+        List.sort
+          (fun a b ->
+            compare
+              (Ser_incr.Incr.unreliability engine b)
+              (Ser_incr.Incr.unreliability engine a))
+          gates
+        |> List.filteri (fun i _ -> i < config.greedy_gates))
+      ~keep:(fun current (p : Cell_params.t) ->
+        p.size <= Matching.default_options.Matching.max_size +. 1e-9
+        && not (Cell_params.equal p current))
+      ~cap:24 ~rank:tier_ctx
+      ~scored:(fun k ->
+        Obs.Metrics.incr m_menus;
+        Obs.Metrics.add m_menu_evals k)
+      ~accepted:(fun () -> Obs.Metrics.incr m_accepts)
   in
   (* ODC-seeded downsizing: gates the ODC report proves or estimates
      (near-)unobservable contribute (near-)zero unreliability whatever
      their drive strength, so shrinking them recovers energy and area
-     essentially for free. The report only seeds the move list — every
-     move is measured with the exact engine and accepted on the same
-     Eq. 5 cost as any greedy move, so a misleading observability
-     estimate can waste evaluations but never degrade the result. *)
+     essentially for free. The report only seeds the move list
+     (lowest observability first) — every move is measured with the
+     exact engine and accepted on the same Eq. 5 cost as any greedy
+     move, so a misleading observability estimate can waste evaluations
+     but never degrade the result. *)
   let optimized =
     match config.odc_obs with
     | None -> optimized
-    | Some _ when budget_spent () -> optimized
     | Some obs ->
-      let asg = Assignment.copy optimized in
-      let odc_sp = Obs.Trace.start "sertopt.odc" in
-      budget_tick ();
-      let cur_cost = ref (eval_cost asg) in
-      if !cur_cost < !best_cost then best_cost := !cur_cost;
-      let order =
-        Array.to_list (Array.init n Fun.id)
-        |> List.filter (fun id ->
-               (not (Circuit.is_input c id))
-               && obs.(id) <= config.odc_threshold)
-        |> List.sort (fun a b ->
-               match compare obs.(a) obs.(b) with
-               | 0 -> compare a b
-               | r -> r)
-      in
-      List.iter
-        (fun g ->
-          let current = Assignment.get asg g in
-          let cands =
-            vdd_feasible_variants lib asg g ~keep:(fun p ->
-                p.Cell_params.size < current.Cell_params.size -. 1e-9)
-          in
-          let cands = Array.of_list (sample_menu ~cap:12 cands) in
-          if Array.length cands > 0 then begin
-            Obs.Metrics.add m_odc_moves (Array.length cands);
-            match best_of_menu g cands with
-            | Some (i, cost) when cost < !cur_cost ->
-              cur_cost := cost;
-              Obs.Metrics.incr m_odc_accepts;
-              Assignment.set asg g cands.(i);
-              Ser_incr.Incr.set_cell engine g cands.(i)
-            | _ -> ()
-          end)
-        order;
-      if !cur_cost < !best_cost then best_cost := !cur_cost;
-      Obs.Trace.finish odc_sp;
-      asg
+      refine optimized ~span:"sertopt.odc" ~passes:1
+        ~order:(fun () ->
+          List.filter (fun id -> obs.(id) <= config.odc_threshold) gates
+          |> List.sort (fun a b ->
+                 match compare obs.(a) obs.(b) with 0 -> compare a b | r -> r))
+        ~keep:(fun current (p : Cell_params.t) ->
+          p.size < current.Cell_params.size -. 1e-9)
+        ~cap:12 ~rank:None
+        ~scored:(Obs.Metrics.add m_odc_moves)
+        ~accepted:(fun () -> Obs.Metrics.incr m_odc_accepts)
   in
   (* Optional replay gate: the probabilistic objective can be gamed by
      the independence approximations on large reconvergent circuits, so
@@ -726,7 +658,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     baseline_analysis;
     optimized_analysis;
     masking;
-    cost_trace = !trace;
+    cost_trace = search.Ser_opt.Minimize.trace;
     evals = !evals;
     degraded =
       (match budget with

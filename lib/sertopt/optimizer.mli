@@ -4,12 +4,14 @@
     preserved — re-match each candidate assignment to the discrete
     library, and keep the assignment minimising the Eq. 5 cost.
 
-    The delay-assignment search is a direction search (plus optional
-    simulated annealing) over delta vectors projected onto
-    [null(T)]; the projection is computed with the small [K x K]
-    system of {!Ser_linalg.Matrix.project_onto_nullspace}, never an
-    explicit basis. The logical-masking data of ASERTA is computed
-    once and reused by every cost evaluation.
+    The delay-assignment search is a direction search over delta
+    vectors projected onto [null(T)]; the projection is computed with
+    the small [K x K] system of
+    {!Ser_linalg.Matrix.project_onto_nullspace}, never an explicit
+    basis. The search result is then refined one gate at a time by one
+    menu walk, run as the greedy stage and (with an ODC report) as the
+    ODC downsizing stage. The logical-masking data of ASERTA is
+    computed once and reused by every cost evaluation.
 
     Every candidate is evaluated on one {!Ser_incr.Incr} engine, under
     either objective: it is kept in sync with the candidate stream by
@@ -45,8 +47,6 @@ type config = {
   tier : tier;  (** greedy-menu evaluation economy, default {!Exact} *)
   weights : Cost.weights;  (** Eq. 5 weights *)
   max_evals : int;       (** cost-evaluation budget for the search *)
-  seed : int;
-  annealing_steps : int; (** extra SA refinement steps; 0 disables *)
   greedy_passes : int;
       (** discrete per-gate refinement sweeps after the delay-assignment
           search (an extension over the paper; set 0 for the pure

@@ -19,10 +19,6 @@ let error_to_string = function
   | Timeout -> "deadline expired while reading a frame"
   | Io msg -> Printf.sprintf "socket error: %s" msg
 
-let recoverable = function
-  | Bad_json _ -> true
-  | Closed | Bad_length _ | Timeout | Io _ -> false
-
 (* ------------------------------ pure codec ------------------------- *)
 
 let encode_raw payload =

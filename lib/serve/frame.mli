@@ -30,10 +30,6 @@ type error =
 
 val error_to_string : error -> string
 
-val recoverable : error -> bool
-(** Whether the connection's framing survives the error ([Bad_json]
-    does; everything else requires closing the stream). *)
-
 (** {1 Pure codec} *)
 
 val encode : Ser_util.Json.t -> string

@@ -1,7 +1,7 @@
 (** Evaluation and wall-clock budgets with graceful degradation.
 
     A budget is threaded through the expensive loops (direction search,
-    annealing, greedy refinement). Loops call {!tick} per objective
+    greedy and ODC menu refinement). Loops call {!tick} per objective
     evaluation and poll {!exhausted}; when it fires they stop and
     return their best-so-far incumbent instead of hanging or raising.
     Results computed under an exhausted budget are flagged [degraded]

@@ -233,10 +233,11 @@ let test_noop_and_validation () =
 (* One small c432 optimize per objective, pinned bit for bit: the eval
    count, the improving-cost trace, the optimized metrics and the
    number of changed cells. The eval counts, traces and changed-cell
-   counts were produced by the incremental optimizer with no annealing
-   stage (the direction search, then one greedy pass). The metric pins
-   are from-scratch numbers whatever the search path: the optimizer
-   measures its returned assignment with [Cost.measure]. *)
+   counts were taken from the incremental optimizer running the
+   direction search and one greedy pass, with the annealing stage it
+   used to carry switched off. The metric pins are from-scratch numbers
+   whatever the search path: the optimizer measures its returned
+   assignment with [Cost.measure]. *)
 let check_pins objective ~evals ~changed ~trace ~metrics () =
   let c, lib, masking = Lazy.force setup in
   let baseline = Assignment.uniform lib c in
@@ -246,7 +247,6 @@ let check_pins objective ~evals ~changed ~trace ~metrics () =
       Opt.aserta = config;
       objective;
       max_evals = 10;
-      annealing_steps = 0;
       greedy_passes = 1;
       greedy_gates = 10;
     }

@@ -1,26 +1,16 @@
 module Min = Ser_opt.Minimize
 
-let test_golden_section () =
-  let x, fx = Min.golden_section ~f:(fun x -> (x -. 2.) ** 2.) ~lo:0. ~hi:5. () in
-  Alcotest.(check (float 1e-4)) "argmin" 2. x;
-  Alcotest.(check (float 1e-6)) "min" 0. fx
-
-let test_golden_section_boundary () =
-  (* monotone function: minimum at an endpoint *)
-  let x, _ = Min.golden_section ~f:(fun x -> x) ~lo:1. ~hi:3. () in
-  Alcotest.(check bool) "near lower end" true (x < 1.01)
-
-let test_golden_section_validation () =
-  try
-    ignore (Min.golden_section ~f:Fun.id ~lo:2. ~hi:1. ());
-    Alcotest.fail "empty interval accepted"
-  with Invalid_argument _ -> ()
-
 let quadratic x =
   ((x.(0) -. 1.) ** 2.) +. (2. *. ((x.(1) +. 3.) ** 2.)) +. 0.5
 
+(* coordinate descent: a direction search along the unit axes *)
+let coordinate_descent ~f ~x0 =
+  let n = Array.length x0 in
+  let unit i = Array.init n (fun j -> if i = j then 1. else 0.) in
+  Min.direction_search ~f ~x0 ~directions:(Array.init n unit)
+
 let test_coordinate_descent () =
-  let r = Min.coordinate_descent ~f:quadratic ~x0:[| 0.; 0. |] () in
+  let r = coordinate_descent ~f:quadratic ~x0:[| 0.; 0. |] () in
   Alcotest.(check (float 1e-2)) "x0" 1. r.Min.x.(0);
   Alcotest.(check (float 1e-2)) "x1" (-3.) r.Min.x.(1);
   Alcotest.(check bool) "trace improves" true
@@ -34,7 +24,7 @@ let test_coordinate_descent_budget () =
     incr count;
     quadratic x
   in
-  let r = Min.coordinate_descent ~f ~x0:[| 10.; 10. |] ~max_evals:25 () in
+  let r = coordinate_descent ~f ~x0:[| 10.; 10. |] ~max_evals:25 () in
   Alcotest.(check bool) "budget respected" true (!count <= 25);
   Alcotest.(check int) "evals reported" !count r.Min.evals
 
@@ -61,71 +51,11 @@ let test_direction_search_diagonal () =
   Alcotest.(check (float 1e-2)) "x0" 2. r.Min.x.(0);
   Alcotest.(check (float 1e-2)) "x1" 2. r.Min.x.(1)
 
-let test_annealing_improves () =
-  let rng = Ser_rng.Rng.create 4 in
-  let neighbor rng x =
-    Array.map (fun v -> v +. (0.3 *. Ser_rng.Rng.gaussian rng)) x
-  in
-  let f x =
-    (* a bumpy 1-D landscape with global minimum at x = 2 *)
-    ((x.(0) -. 2.) ** 2.) +. (0.5 *. sin (5. *. x.(0)))
-  in
-  let r =
-    Min.simulated_annealing ~rng ~f ~x0:[| -3. |] ~neighbor ~steps:2000 ()
-  in
-  Alcotest.(check bool) "found a good basin" true (r.Min.fx < f [| -3. |] -. 5.);
-  Alcotest.(check bool) "near global minimum" true (Float.abs (r.Min.x.(0) -. 2.) < 1.)
-
-let test_annealing_deterministic () =
-  let f x = x.(0) ** 2. in
-  let neighbor rng x = [| x.(0) +. Ser_rng.Rng.gaussian rng |] in
-  let run seed =
-    let rng = Ser_rng.Rng.create seed in
-    (Min.simulated_annealing ~rng ~f ~x0:[| 5. |] ~neighbor ~steps:200 ()).Min.fx
-  in
-  Alcotest.(check (float 0.)) "same seed same result" (run 8) (run 8)
-
-let test_annealing_returns_best () =
-  (* even if the walk wanders off, the best-ever point is returned *)
-  let f x = Float.abs x.(0) in
-  let neighbor rng x = [| x.(0) +. (10. *. Ser_rng.Rng.gaussian rng) |] in
-  let rng = Ser_rng.Rng.create 21 in
-  let r = Min.simulated_annealing ~rng ~f ~x0:[| 100. |] ~neighbor ~steps:500 () in
-  Alcotest.(check bool) "best no worse than start" true (r.Min.fx <= 100.)
-
-let test_genetic_quadratic () =
-  let rng = Ser_rng.Rng.create 6 in
-  let r =
-    Min.genetic ~rng ~f:quadratic ~x0:[| 8.; 8. |] ~population:24
-      ~generations:60 ~sigma:2. ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "near optimum (%.3f, %.3f)" r.Min.x.(0) r.Min.x.(1))
-    true
-    (Float.abs (r.Min.x.(0) -. 1.) < 0.3 && Float.abs (r.Min.x.(1) +. 3.) < 0.3)
-
-let test_genetic_deterministic () =
-  let run seed =
-    let rng = Ser_rng.Rng.create seed in
-    (Min.genetic ~rng ~f:quadratic ~x0:[| 0.; 0. |] ()).Min.fx
-  in
-  Alcotest.(check (float 0.)) "same seed same result" (run 2) (run 2)
-
-let test_genetic_elitism () =
-  (* the best fitness never worsens across generations *)
-  let rng = Ser_rng.Rng.create 9 in
-  let r = Min.genetic ~rng ~f:quadratic ~x0:[| 3.; 3. |] ~generations:20 () in
-  let rec non_increasing = function
-    | a :: (b :: _ as rest) -> a >= b && non_increasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "trace non-increasing" true (non_increasing r.Min.trace)
-
 (* ---------------- budgets ---------------- *)
 
 let test_budget_cuts_search () =
   let b = Ser_util.Budget.create ~max_evals:5 () in
-  let r = Min.coordinate_descent ~f:quadratic ~x0:[| 10.; 10. |] ~budget:b () in
+  let r = coordinate_descent ~f:quadratic ~x0:[| 10.; 10. |] ~budget:b () in
   Alcotest.(check bool) "degraded" true r.Min.degraded;
   Alcotest.(check bool) "evals bounded" true (r.Min.evals <= 5);
   Alcotest.(check bool) "best-so-far not worse than start" true
@@ -134,65 +64,28 @@ let test_budget_cuts_search () =
 let test_budget_single_eval () =
   (* the degenerate budget: one evaluation must still yield a result *)
   let b = Ser_util.Budget.create ~max_evals:1 () in
-  let r = Min.coordinate_descent ~f:quadratic ~x0:[| 3.; 4. |] ~budget:b () in
+  let r = coordinate_descent ~f:quadratic ~x0:[| 3.; 4. |] ~budget:b () in
   Alcotest.(check int) "one eval" 1 r.Min.evals;
   Alcotest.(check bool) "degraded" true r.Min.degraded;
   Alcotest.(check (float 0.)) "returns the start point" 3. r.Min.x.(0)
 
 let test_budget_not_degraded_when_ample () =
   let b = Ser_util.Budget.create ~max_evals:100_000 () in
-  let r = Min.coordinate_descent ~f:quadratic ~x0:[| 0.; 0. |] ~budget:b () in
+  let r = coordinate_descent ~f:quadratic ~x0:[| 0.; 0. |] ~budget:b () in
   Alcotest.(check bool) "not degraded" false r.Min.degraded;
   Alcotest.(check (float 1e-2)) "still converges" 1. r.Min.x.(0)
-
-let test_budget_annealing () =
-  let rng = Ser_rng.Rng.create 7 in
-  let b = Ser_util.Budget.create ~max_evals:3 () in
-  let neighbor rng x =
-    Array.map (fun v -> v +. Ser_rng.Rng.gaussian rng) x
-  in
-  let r =
-    Min.simulated_annealing ~rng ~f:quadratic ~x0:[| 2.; 2. |] ~neighbor
-      ~steps:500 ~budget:b ()
-  in
-  Alcotest.(check bool) "degraded" true r.Min.degraded;
-  Alcotest.(check bool) "evals bounded" true (r.Min.evals <= 3)
-
-let test_budget_genetic () =
-  let rng = Ser_rng.Rng.create 7 in
-  let b = Ser_util.Budget.create ~max_evals:4 () in
-  let r =
-    Min.genetic ~rng ~f:quadratic ~x0:[| 2.; 2. |] ~population:16
-      ~generations:30 ~budget:b ()
-  in
-  Alcotest.(check bool) "degraded" true r.Min.degraded;
-  Alcotest.(check bool) "evals bounded" true (r.Min.evals <= 4);
-  Alcotest.(check bool) "valid best" true (Float.is_finite r.Min.fx)
 
 let test_budget_deadline () =
   (* an already-expired wall clock stops the search after the first
      evaluation *)
   let b = Ser_util.Budget.create ~max_seconds:0. () in
-  let r = Min.coordinate_descent ~f:quadratic ~x0:[| 3.; 4. |] ~budget:b () in
+  let r = coordinate_descent ~f:quadratic ~x0:[| 3.; 4. |] ~budget:b () in
   Alcotest.(check bool) "degraded" true r.Min.degraded;
   Alcotest.(check int) "only the start evaluated" 1 r.Min.evals
-
-let test_genetic_validation () =
-  let rng = Ser_rng.Rng.create 1 in
-  try
-    ignore (Min.genetic ~rng ~f:quadratic ~x0:[| 0. |] ~population:1 ());
-    Alcotest.fail "population 1 accepted"
-  with Invalid_argument _ -> ()
 
 let () =
   Alcotest.run "ser_opt"
     [
-      ( "golden section",
-        [
-          Alcotest.test_case "quadratic" `Quick test_golden_section;
-          Alcotest.test_case "boundary" `Quick test_golden_section_boundary;
-          Alcotest.test_case "validation" `Quick test_golden_section_validation;
-        ] );
       ( "pattern search",
         [
           Alcotest.test_case "coordinate descent" `Quick test_coordinate_descent;
@@ -206,21 +99,6 @@ let () =
           Alcotest.test_case "cuts search" `Quick test_budget_cuts_search;
           Alcotest.test_case "single eval" `Quick test_budget_single_eval;
           Alcotest.test_case "ample budget" `Quick test_budget_not_degraded_when_ample;
-          Alcotest.test_case "annealing" `Quick test_budget_annealing;
-          Alcotest.test_case "genetic" `Quick test_budget_genetic;
           Alcotest.test_case "expired deadline" `Quick test_budget_deadline;
-        ] );
-      ( "annealing",
-        [
-          Alcotest.test_case "improves" `Quick test_annealing_improves;
-          Alcotest.test_case "deterministic" `Quick test_annealing_deterministic;
-          Alcotest.test_case "returns best" `Quick test_annealing_returns_best;
-        ] );
-      ( "genetic",
-        [
-          Alcotest.test_case "quadratic" `Quick test_genetic_quadratic;
-          Alcotest.test_case "deterministic" `Quick test_genetic_deterministic;
-          Alcotest.test_case "elitism" `Quick test_genetic_elitism;
-          Alcotest.test_case "validation" `Quick test_genetic_validation;
         ] );
     ]

@@ -376,7 +376,6 @@ let tier_config =
     max_evals = 6;
     greedy_passes = 1;
     greedy_gates = 4;
-    annealing_steps = 0;
     replay_guard = 0;
   }
 
