@@ -191,9 +191,10 @@ let analyze_cmd run spec override odc json dot =
   let req = request Request.Analyze (Request.Spec spec) override in
   let odc_report = Option.map load_odc_report odc in
   let t0 = Unix.gettimeofday () in
-  let analyzed = or_diag (Handlers.analyze ?odc_report req (prepare req)) in
+  let p = prepare req in
+  let result = or_diag (Handlers.analyze ?odc_report req p) in
   let dt = Unix.gettimeofday () -. t0 in
-  let doc = Handlers.analyze_payload req analyzed in
+  let doc = Handlers.analyze_payload req p result in
   Printf.printf "circuit %s: %d gates, critical delay %.1f ps\n"
     (str doc "circuit") (count doc "gates") (num doc "critical_delay_ps");
   let total = num doc "total_unreliability" and charge = num doc "charge" in
@@ -239,7 +240,7 @@ let analyze_cmd run spec override odc json dot =
   (match dot with
   | Some path ->
     (* the heat map colours every gate, not just the document's top *)
-    let c, values, _, _, _, _ = Handlers.backend_view analyzed.Handlers.result in
+    let c, values, _, _, _, _ = Handlers.backend_view result in
     let u_max = Array.fold_left Float.max 1e-12 values in
     let annotation =
       {
@@ -482,13 +483,9 @@ let pipeline_cmd jobs spec stages clock =
 let timing_cmd jobs spec n_paths axes =
   wrap @@ fun () ->
   apply_jobs jobs;
-  let c = load_circuit spec in
-  let { Request.vdds; vths; _ } =
-    axes (Request.defaults Request.Analyze (Request.Spec spec))
-  in
-  let lib = make_library vdds vths in
-  let asg = Sertopt.Optimizer.size_for_speed lib c in
-  let t = Ser_sta.Timing.analyze lib asg in
+  let p = prepare (request Request.Analyze (Request.Spec spec) axes) in
+  let c = p.Handlers.circuit and asg = Handlers.baseline p in
+  let t = Ser_sta.Timing.analyze p.Handlers.library asg in
   Printf.printf "%s: critical delay %.1f ps across %d gates (depth %d)\n\n"
     c.Ser_netlist.Circuit.name t.Ser_sta.Timing.critical_delay
     (Ser_netlist.Circuit.gate_count c)
@@ -518,9 +515,8 @@ let timing_cmd jobs spec n_paths axes =
 
 let export_deck_cmd spec strike vector charge output =
   wrap @@ fun () ->
-  let c = load_circuit spec in
-  let lib = make_library [] [] in
-  let asg = Sertopt.Optimizer.size_for_speed lib c in
+  let p = prepare (Request.defaults Request.Analyze (Request.Spec spec)) in
+  let c = p.Handlers.circuit and asg = Handlers.baseline p in
   let strike_id =
     match Ser_netlist.Circuit.find_by_name c strike with
     | Some id -> id
@@ -1552,7 +1548,8 @@ let serve_t =
   in
   let pool_entries =
     Arg.(value & opt int 4 & info [ "pool-entries" ] ~docv:"N"
-           ~doc:"Warm incremental-handle pool LRU bound.")
+           ~doc:"LRU bound of the pool of prepared circuits (each with \
+                 its sized baseline and ASERTA analysis).")
   in
   let worker_timeout =
     Arg.(value & opt float 120. & info [ "worker-timeout" ] ~docv:"SECONDS"
@@ -1581,7 +1578,7 @@ let serve_t =
     (Cmd.info "serve"
        ~doc:"Run a persistent analysis daemon: length-framed JSON requests \
              over a Unix (or TCP) socket, content-addressed result cache, \
-             warm incremental handles, admission control with load \
+             pooled prepared circuits, admission control with load \
              shedding, per-request deadlines, crash-contained isolated \
              workers and graceful drain on SIGTERM")
     Term.(ret (const serve_cmd $ jobs_arg $ obs_args $ socket_arg $ tcp_arg

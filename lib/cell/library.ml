@@ -120,10 +120,12 @@ let closest target candidates =
     None candidates
   |> Option.get
 
+let nominal_vdd ax = closest 1.0 ax.vdds
+
 let nominal t kind fanin =
   let size = List.fold_left Float.min (List.hd t.ax.sizes) t.ax.sizes in
   let length = List.fold_left Float.min (List.hd t.ax.lengths) t.ax.lengths in
-  let vdd = closest 1.0 t.ax.vdds in
+  let vdd = nominal_vdd t.ax in
   let vth = closest 0.2 (List.filter (fun v -> v < vdd) t.ax.vths) in
   Cell_params.v ~size ~length ~vdd ~vth kind fanin
 

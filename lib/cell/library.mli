@@ -60,6 +60,10 @@ val nominal : t -> Ser_netlist.Gate.kind -> int -> Ser_device.Cell_params.t
 (** The baseline corner: size and length minimal in the axes, VDD
     closest to 1.0, Vth closest to 0.2. *)
 
+val nominal_vdd : axes -> float
+(** The VDD {!nominal} picks: the one on the (non-empty) axis closest
+    to 1.0. Its Vth comes from the axis values below it. *)
+
 (** {1 Geometry (backend-independent)} *)
 
 val input_cap : t -> Ser_device.Cell_params.t -> float

@@ -24,13 +24,7 @@ let load_circuit (src : Request.source) =
            (String.concat ", " Ser_circuits.Iscas.names))
 
 let make_library ~vdds ~vths =
-  let axes =
-    Ser_cell.Library.restrict
-      ?vdds:(if vdds = [] then None else Some vdds)
-      ?vths:(if vths = [] then None else Some vths)
-      Ser_cell.Library.default_axes
-  in
-  Ser_cell.Library.create ~axes ()
+  Ser_cell.Library.create ~axes:(Request.menu_axes ~vdds ~vths) ()
 
 let library_id lib =
   let axes = Ser_cell.Library.axes lib in
@@ -41,40 +35,38 @@ let library_id lib =
     (render axes.Ser_cell.Library.vdds)
     (render axes.Ser_cell.Library.vths)
 
+(* Handlers ops never run at once on one prepared value (the serve
+   daemon's loop is single-threaded), so a plain memo suffices. *)
 type prepared = {
   circuit : Ser_netlist.Circuit.t;
   library : Ser_cell.Library.t;
+  baseline : Ser_sta.Assignment.t Lazy.t;
+  mutable analysis : Aserta.Analysis.t option;
 }
 
 type backend_result =
   | Aserta of Aserta.Analysis.t
   | Serpp of Ser_serpp.Serpp.t
 
-type analyzed = {
-  assignment : Ser_sta.Assignment.t;
-  result : backend_result;
-}
-
-type aserta_source =
-  Aserta.Analysis.config -> Ser_sta.Assignment.t * Aserta.Analysis.t
-
 let subsystem = "cli"
 
 let prepare (req : Request.t) =
   Diag.guard ~subsystem (fun () ->
       let circuit = load_circuit req.Request.source in
+      let library = make_library ~vdds:req.Request.vdds ~vths:req.Request.vths in
       {
         circuit;
-        library = make_library ~vdds:req.Request.vdds ~vths:req.Request.vths;
+        library;
+        baseline = lazy (Sertopt.Optimizer.size_for_speed library circuit);
+        analysis = None;
       })
 
-let baseline_analysis ?prune p config =
-  let asg = Sertopt.Optimizer.size_for_speed p.library p.circuit in
-  (asg, Aserta.Analysis.run ~config ?prune p.library asg)
+let baseline p = Lazy.force p.baseline
 
-(* the one place an ASERTA answer is validated, whichever source
-   produced it *)
-let checked_aserta ?aserta ?prune (req : Request.t) p =
+(* the one place an ASERTA answer is validated. A pruned analysis is
+   computed fresh and never memoized, so [aserta.odc_pruned] counts
+   the sites each [--odc] run skips. *)
+let checked_aserta ?prune (req : Request.t) p =
   let config =
     {
       Aserta.Analysis.default_config with
@@ -83,13 +75,15 @@ let checked_aserta ?aserta ?prune (req : Request.t) p =
     }
   in
   or_diag (Aserta.Analysis.validate config);
-  let source =
-    match aserta with Some f -> f | None -> baseline_analysis ?prune p
-  in
-  let asg, a = source config in
-  (asg, or_diag (Aserta.Analysis.check a))
+  match p.analysis with
+  | Some a when prune = None && a.Aserta.Analysis.config = config -> a
+  | _ ->
+    let a = Aserta.Analysis.run ~config ?prune p.library (baseline p) in
+    let a = or_diag (Aserta.Analysis.check a) in
+    if prune = None then p.analysis <- Some a;
+    a
 
-let analyze ?odc_report ?aserta (req : Request.t) p =
+let analyze ?odc_report (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
       match req.Request.backend with
       | "serpp" ->
@@ -97,28 +91,33 @@ let analyze ?odc_report ?aserta (req : Request.t) p =
           Diag.fail ~subsystem
             "the serpp backend does not consume ODC reports (its analytic \
              estimate cannot skip sites soundly)";
-        let assignment = Sertopt.Optimizer.size_for_speed p.library p.circuit in
         let config =
           {
             Ser_serpp.Serpp.default_config with
             Ser_serpp.Serpp.charge = req.Request.charge;
           }
         in
-        let s = Ser_serpp.Serpp.run_checked ~config p.library assignment in
-        { assignment; result = Serpp (or_diag s) }
+        Serpp (or_diag (Ser_serpp.Serpp.run_checked ~config p.library (baseline p)))
       | _ ->
         let prune =
           Option.map
             (fun rep -> or_diag (Ser_odc.Odc.prune_set p.circuit rep))
             odc_report
         in
-        let assignment, a = checked_aserta ?aserta ?prune req p in
-        { assignment; result = Aserta a })
+        Aserta (checked_aserta ?prune req p))
 
 let optimize ?budget ?initial ?odc_report (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
-      let baseline = Sertopt.Optimizer.size_for_speed p.library p.circuit in
+      let baseline = baseline p in
       let initial = Option.map (fun f -> f baseline) initial in
+      (* seed, input statistics and masking backend are defaults on
+         both paths and masking ignores the charge, so equal vector
+         counts mean equal P_ij *)
+      let masking =
+        match p.analysis with
+        | Some a when a.config.vectors = req.Request.vectors -> Some a.masking
+        | _ -> None
+      in
       let odc_obs =
         Option.map
           (fun rep -> or_diag (Ser_odc.Odc.obs_array p.circuit rep))
@@ -148,8 +147,8 @@ let optimize ?budget ?initial ?odc_report (req : Request.t) p =
         | None, Some n -> Some (Ser_util.Budget.create ~max_evals:n ())
         | None, None -> None
       in
-      Sertopt.Optimizer.optimize ~config:cfg ?budget ?initial p.library
-        baseline)
+      Sertopt.Optimizer.optimize ~config:cfg ?masking ?budget ?initial
+        p.library baseline)
 
 let odc (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
@@ -169,9 +168,9 @@ let odc (req : Request.t) p =
       in
       or_diag (Ser_odc.Odc.analyze_checked ~config p.circuit))
 
-let rate ?aserta (req : Request.t) p =
+let rate (req : Request.t) p =
   Diag.guard ~subsystem (fun () ->
-      let asg, a = checked_aserta ?aserta req p in
+      let a = checked_aserta req p in
       let spectrum =
         {
           Aserta.Ser_rate.default_spectrum with
@@ -180,7 +179,7 @@ let rate ?aserta (req : Request.t) p =
       in
       ( a,
         Aserta.Ser_rate.run ~spectrum ?clock_period:req.Request.clock
-          p.library asg a ))
+          p.library (baseline p) a ))
 
 (* ------------------------------ payloads -------------------------- *)
 
@@ -225,7 +224,7 @@ let backend_view = function
       s.Ser_serpp.Serpp.timing,
       s.Ser_serpp.Serpp.total )
 
-let analyze_payload (req : Request.t) { assignment; result } =
+let analyze_payload (req : Request.t) p result =
   let c, values, gen_width, probs, timing, total = backend_view result in
   (* serpp has no P_ij, so only ASERTA rows carry the masking bound *)
   let masking id =
@@ -247,7 +246,7 @@ let analyze_payload (req : Request.t) { assignment; result } =
          ( "cell",
            Json.Str
              (Ser_device.Cell_params.to_string
-                (Ser_sta.Assignment.get assignment id)) );
+                (Ser_sta.Assignment.get (baseline p) id)) );
          ("u", Json.Num values.(id));
          ("w_gen_ps", Json.Num gen_width.(id));
          ("share", Json.Num (share values.(id) total));
@@ -372,13 +371,12 @@ let odc_payload (req : Request.t) (r : Ser_odc.Odc.t) =
       ("report", Ser_odc.Odc.to_json r);
     ]
 
-let execute ?budget ?aserta (req : Request.t) p =
+let execute ?budget (req : Request.t) p =
   match req.Request.op with
-  | Request.Analyze ->
-    Result.map (analyze_payload req) (analyze ?aserta req p)
+  | Request.Analyze -> Result.map (analyze_payload req p) (analyze req p)
   | Request.Optimize ->
     Result.map (optimize_payload req) (optimize ?budget req p)
-  | Request.Rate -> Result.map (rate_payload req) (rate ?aserta req p)
+  | Request.Rate -> Result.map (rate_payload req) (rate req p)
   | Request.Odc -> Result.map (odc_payload req) (odc req p)
 
 let run ?budget req = Result.bind (prepare req) (execute ?budget req)

@@ -9,7 +9,8 @@
     CLI's extra outputs. Payloads contain no timestamps or elapsed
     times, so an identical request on an identical build renders
     bit-identically — the property the serve result cache and journal
-    resume rely on. *)
+    resume rely on. Every op runs on a {!prepared} value, which sizes
+    its baseline once for all of them. *)
 
 val load_circuit : Request.source -> Ser_netlist.Circuit.t
 (** The one canonical netlist loader: a [Spec] that names an existing
@@ -20,22 +21,32 @@ val load_circuit : Request.source -> Ser_netlist.Circuit.t
 
 val make_library :
   vdds:float list -> vths:float list -> Ser_cell.Library.t
-(** Default axes restricted to the given VDD/Vth menus ([] keeps the
-    default axis). *)
+(** A library on {!Request.menu_axes}. *)
 
 val library_id : Ser_cell.Library.t -> string
 (** Canonical one-line rendering of the library's axes — the "library"
     component of serve cache keys. Two libraries built by
     {!make_library} with equal menus have equal ids. *)
 
-type prepared = {
+type prepared = private {
   circuit : Ser_netlist.Circuit.t;
   library : Ser_cell.Library.t;
+  baseline : Ser_sta.Assignment.t Lazy.t;  (** read it with {!baseline} *)
+  mutable analysis : Aserta.Analysis.t option;
+      (** the unpruned, checked ASERTA analysis of the baseline for the
+          last config an op asked for *)
 }
+(** A loaded circuit and library plus the work every op on them
+    shares; the serve daemon pools prepared values. *)
 
 val prepare : Request.t -> (prepared, Ser_util.Diag.t) result
 (** The load step every op runs on: {!load_circuit} of the request's
     source and {!make_library} of its VDD/Vth menus. *)
+
+val baseline : prepared -> Ser_sta.Assignment.t
+(** {!Sertopt.Optimizer.size_for_speed}, run once per prepared value:
+    the timing-feasible circuit every op starts from. Shared; do not
+    mutate it. *)
 
 type backend_result =
   | Aserta of Aserta.Analysis.t
@@ -43,43 +54,23 @@ type backend_result =
   | Serpp of Ser_serpp.Serpp.t
       (** single-pass propagation-probability estimate *)
 
-type analyzed = {
-  assignment : Ser_sta.Assignment.t;
-  result : backend_result;  (** per {!Request.t.backend} *)
-}
-
-type aserta_source =
-  Aserta.Analysis.config -> Ser_sta.Assignment.t * Aserta.Analysis.t
-(** Where analyze (aserta backend) and rate get the size-for-speed
-    baseline and its analysis: {!baseline_analysis} by default, a warm
-    incremental handle in the serve daemon. The answer then passes
-    {!Aserta.Analysis.check} either way. *)
-
-val baseline_analysis :
-  ?prune:bool array ->
-  prepared ->
-  Aserta.Analysis.config ->
-  Ser_sta.Assignment.t * Aserta.Analysis.t
-(** {!Sertopt.Optimizer.size_for_speed}, then {!Aserta.Analysis.run}. *)
-
 val analyze :
   ?odc_report:Ser_odc.Odc.t ->
-  ?aserta:aserta_source ->
   Request.t ->
   prepared ->
-  (analyzed, Ser_util.Diag.t) result
-(** Size-for-speed baseline assignment + checked SER analysis with the
-    requested backend (ASERTA by default, serpp when
-    [req.backend = "serpp"]). The analyze payload has the same keys
-    for both backends but [max_path_probability] — per-gate [u] means
-    the serpp estimate under the serpp backend — plus a ["backend"]
-    field naming which estimator produced it.
+  (backend_result, Ser_util.Diag.t) result
+(** Checked SER analysis of the {!baseline} with the requested backend
+    (ASERTA by default, serpp when [req.backend = "serpp"]); the ASERTA
+    analysis is memoized in [p.analysis]. The analyze payload has the
+    same keys for both backends but [max_path_probability] — per-gate
+    [u] means the serpp estimate under the serpp backend — plus a
+    ["backend"] field naming which estimator produced it.
 
     [odc_report] (ASERTA backend only; rejected for serpp) skips the
     provably-masked fault sites of the report during the Monte-Carlo
-    [P_ij] pass of the default source — bit-identical totals,
-    [aserta.odc_pruned] counts the skipped sites. The report's digest
-    must match the loaded netlist. *)
+    [P_ij] pass — bit-identical totals, [aserta.odc_pruned] counts the
+    skipped sites; that analysis is never memoized. The report's
+    digest must match the loaded netlist. *)
 
 val optimize :
   ?budget:Ser_util.Budget.t ->
@@ -88,9 +79,10 @@ val optimize :
   Request.t ->
   prepared ->
   (Sertopt.Optimizer.result, Ser_util.Diag.t) result
-(** [initial] is called once with the sized-for-speed baseline and
-    returns the incumbent to start from (a checkpoint restored onto
-    that baseline); without it the search starts at the baseline.
+(** [initial] is called once with the {!baseline} and returns the
+    incumbent to start from (a checkpoint restored onto that
+    baseline); without it the search starts at the baseline. It
+    reuses [p.analysis]'s masking when the vector counts agree.
     [odc_report] additionally seeds the optimizer's ODC downsizing
     stage ({!Sertopt.Optimizer.config.odc_obs}) with the report's
     observability bounds, cut at [req.odc_threshold]. [budget] bounds
@@ -113,7 +105,8 @@ val backend_view :
     unreliability, generated glitch widths, signal probabilities, STA
     pass, total)]. Under serpp the per-gate values are its estimate. *)
 
-val analyze_payload : Request.t -> analyzed -> Ser_util.Json.t
+val analyze_payload :
+  Request.t -> prepared -> backend_result -> Ser_util.Json.t
 (** [cmd], [backend], [circuit], [gates], [inputs], [outputs],
     [critical_delay_ps], [total_unreliability], [vectors], [charge] and
     [top]: the request's [top] gates with the largest positive [U_i],
@@ -131,7 +124,6 @@ val optimize_payload : Request.t -> Sertopt.Optimizer.result -> Ser_util.Json.t
 
 val execute :
   ?budget:Ser_util.Budget.t ->
-  ?aserta:aserta_source ->
   Request.t ->
   prepared ->
   (Ser_util.Json.t, Ser_util.Diag.t) result

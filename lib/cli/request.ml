@@ -119,6 +119,12 @@ let defaults op source =
 
 let err fmt = Printf.ksprintf (fun m -> Error (Diag.make ~subsystem m)) fmt
 
+let menu_axes ~vdds ~vths =
+  Ser_cell.Library.restrict
+    ?vdds:(if vdds = [] then None else Some vdds)
+    ?vths:(if vths = [] then None else Some vths)
+    Ser_cell.Library.default_axes
+
 (* The one place request values are range-checked: every front end
    that builds a request from flags calls it, and so does {!of_json}
    (serve, batch and worker). *)
@@ -147,7 +153,25 @@ let validate t =
   else if
     match t.deadline_s with Some d -> (not (Float.is_finite d)) || d <= 0. | None -> false
   then err "deadline_s must be finite and positive"
-  else Ok t
+  else if (not (Float.is_finite t.q_slope)) || t.q_slope <= 0. then
+    err "q_slope must be finite and positive (got %g)" t.q_slope
+  else if
+    match t.clock with Some c -> (not (Float.is_finite c)) || c <= 0. | None -> false
+  then err "clock must be finite and positive"
+  else
+    match List.find_opt (fun v -> not (v > 0. && v <= 2.)) t.vdds with
+    | Some v -> err "vdds: %g V is outside (0, 2]" v
+    | None -> (
+      match
+        List.find_opt (fun v -> (not (Float.is_finite v)) || v <= 0.) t.vths
+      with
+      | Some v -> err "vths: %g V must be finite and positive" v
+      | None ->
+        (* the baseline corner needs a Vth below the nominal VDD *)
+        let axes = menu_axes ~vdds:t.vdds ~vths:t.vths in
+        let vdd = Ser_cell.Library.nominal_vdd axes in
+        if List.exists (fun v -> v < vdd) axes.Ser_cell.Library.vths then Ok t
+        else err "vths: none lies below the nominal VDD %g V" vdd)
 
 (* --------------------- the field declarations -------------------- *)
 

@@ -106,10 +106,15 @@ val defaults : op -> source -> t
     preference or fault. Front ends override fields by record update
     and then {!validate}. *)
 
+val menu_axes : vdds:float list -> vths:float list -> Ser_cell.Library.axes
+(** Default axes restricted to the given VDD/Vth menus ([] keeps the
+    default axis). *)
+
 val validate : t -> (t, Ser_util.Diag.t) result
 (** Range checks shared by every front end (e.g. [tier_k >= 1],
-    [vectors >= 1], backend/op compatibility); failures are located
-    diagnostics with subsystem ["cli"]. *)
+    [vectors >= 1], backend/op compatibility, a VDD/Vth menu whose
+    nominal corner exists); failures are located diagnostics with
+    subsystem ["cli"]. *)
 
 val to_json : t -> Ser_util.Json.t
 

@@ -1,11 +1,6 @@
 module Json = Ser_util.Json
 
-type entry = {
-  e_assignment : Ser_sta.Assignment.t;
-  e_incr : Ser_incr.Incr.t;
-}
-
-type slot = { entry : entry; mutable gen : int }
+type slot = { prepared : Ser_cli.Handlers.prepared; mutable gen : int }
 
 type t = {
   max_entries : int;
@@ -29,41 +24,32 @@ let create ?(max_entries = 4) () =
     evictions = 0;
   }
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
+(* one insert at a time, so at most one entry is over the bound *)
 let evict t =
-  while Hashtbl.length t.table > t.max_entries do
-    let victim =
+  if Hashtbl.length t.table > t.max_entries then begin
+    let victim, _ =
       Hashtbl.fold
-        (fun k s acc ->
-          match acc with
-          | Some (_, g) when g <= s.gen -> acc
-          | _ -> Some (k, s.gen))
-        t.table None
+        (fun k s (v, g) -> if s.gen < g then (k, s.gen) else (v, g))
+        t.table ("", max_int)
     in
-    match victim with
-    | Some (k, _) ->
-      Hashtbl.remove t.table k;
-      t.evictions <- t.evictions + 1
-    | None -> ()
-  done
+    Hashtbl.remove t.table victim;
+    t.evictions <- t.evictions + 1
+  end
 
-let warm t ~key ~build =
+let warm t ~key prepared =
+  t.clock <- t.clock + 1;
   match Hashtbl.find_opt t.table key with
   | Some s ->
-    s.gen <- tick t;
+    s.gen <- t.clock;
     t.warm_hits <- t.warm_hits + 1;
     Ser_obs.Obs.Metrics.incr m_warm;
-    (s.entry, true)
+    (s.prepared, true)
   | None ->
-    let entry = build () in
-    Hashtbl.replace t.table key { entry; gen = tick t };
+    Hashtbl.replace t.table key { prepared; gen = t.clock };
     t.builds <- t.builds + 1;
     Ser_obs.Obs.Metrics.incr m_builds;
     evict t;
-    (entry, false)
+    (prepared, false)
 
 let stats_json t =
   Json.Obj

@@ -258,23 +258,15 @@ let pool_params (req : Request.t) =
       ("charge", Json.Num req.Request.charge);
     ]
 
-(* The one executor with the warm pool as its ASERTA source: a pooled
-   handle answers analyze/rate through a snapshot, and every other op
-   runs exactly as a one-shot command does. *)
+(* The one executor on a pooled prepared value: every op but odc runs
+   on it, so a warm value answers with its memoized baseline and
+   analysis. Odc is backend-free and runs on the request's own load. *)
 let run_inline st (req : Request.t) (p : Handlers.prepared) ~pool_key
     ~deadline_left =
-  let warm = ref false in
-  let aserta config =
-    let entry, was_warm =
-      Pool.warm st.pool ~key:pool_key ~build:(fun () ->
-          let asg, a = Handlers.baseline_analysis p config in
-          {
-            Pool.e_assignment = asg;
-            e_incr = Ser_incr.Incr.of_analysis p.Handlers.library asg a;
-          })
-    in
-    warm := was_warm;
-    (entry.Pool.e_assignment, Ser_incr.Incr.snapshot entry.Pool.e_incr)
+  let p, warm =
+    match req.Request.op with
+    | Request.Odc -> (p, false)
+    | _ -> Pool.warm st.pool ~key:pool_key p
   in
   (* the deadline bounds an inline optimize's search *)
   let budget =
@@ -285,8 +277,8 @@ let run_inline st (req : Request.t) (p : Handlers.prepared) ~pool_key
       deadline_left
   in
   Result.map
-    (fun payload -> (payload, !warm))
-    (Handlers.execute ?budget ~aserta req p)
+    (fun payload -> (payload, warm))
+    (Handlers.execute ?budget req p)
 
 let reject_of_worker (o : Supervisor.outcome) =
   let p = o.Supervisor.o_payload in

@@ -86,7 +86,7 @@ let test_analyze_document () =
     let req = analyze_req backend 0 in
     match Result.bind (Handlers.prepare req) (Handlers.analyze req) with
     | Ok a ->
-      let _, u, _, _, _, _ = Handlers.backend_view a.Handlers.result in
+      let _, u, _, _, _, _ = Handlers.backend_view a in
       Array.fold_left (fun n v -> if v > 0. then n + 1 else n) 0 u
     | Error d -> Alcotest.failf "analyze: %s" (Ser_util.Diag.to_string d)
   in

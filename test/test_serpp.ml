@@ -460,15 +460,34 @@ let test_request_tier_codec () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tier_k 0 accepted");
-  (* the flag path (Request.validate) runs the same check and fails typed *)
+  (* the flag path (Request.validate) runs the same check and fails
+     typed, naming the field; so do the rate and library inputs that
+     would otherwise print a NaN rate or fail untyped downstream *)
   List.iter
-    (fun k ->
-      match Request.validate { req with Request.tier_k = k } with
+    (fun (field, bad) ->
+      match Request.validate bad with
       | Error d ->
         Alcotest.(check string) "typed cli diagnostic" "cli"
-          d.Ser_util.Diag.subsystem
-      | Ok _ -> Alcotest.failf "Request.validate accepted tier_k %d" k)
-    [ 0; -3 ];
+          d.Ser_util.Diag.subsystem;
+        let msg = d.Ser_util.Diag.message in
+        Alcotest.(check bool) (msg ^ " names " ^ field) true
+          (String.length msg >= String.length field
+          && String.sub msg 0 (String.length field) = field)
+      | Ok _ -> Alcotest.failf "Request.validate accepted a bad %s" field)
+    [
+      ("tier_k", { req with Request.tier_k = 0 });
+      ("tier_k", { req with Request.tier_k = -3 });
+      ("q_slope", { req with Request.q_slope = 0. });
+      ("q_slope", { req with Request.q_slope = -3. });
+      ("q_slope", { req with Request.q_slope = Float.nan });
+      ("clock", { req with Request.clock = Some (-100.) });
+      ("clock", { req with Request.clock = Some Float.infinity });
+      ("vdds", { req with Request.vdds = [ 0. ] });
+      ("vdds", { req with Request.vdds = [ 1.0; 2.5 ] });
+      ("vths", { req with Request.vths = [ -0.1 ] });
+      ("vths", { req with Request.vths = [ 1.5 ] });
+      ("vths", { req with Request.vdds = [ 0.8; 1.2 ]; vths = [ 0.9 ] });
+    ];
   (* and the optimizer no longer clamps a bad k to 1 *)
   let l, asg = sized_bench "c17" in
   match

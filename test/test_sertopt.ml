@@ -618,6 +618,62 @@ let test_handler_resume_sizes_once () =
     (resumed.Opt.optimized_metrics.Cost.unreliability
      <= first.Opt.optimized_metrics.Cost.unreliability +. 1e-9)
 
+let test_prepared_sizes_once () =
+  (* every op on one prepared value shares its sized baseline, and
+     analyze, rate and optimize share one Monte-Carlo masking pass;
+     each payload is still the one a fresh Handlers.run renders *)
+  let module Request = Ser_cli.Request in
+  let module Handlers = Ser_cli.Handlers in
+  let module Metrics = Ser_obs.Obs.Metrics in
+  let counter name =
+    match Metrics.find_counter name with
+    | Some ctr -> Metrics.value ctr
+    | None -> 0
+  in
+  let req op =
+    { (Request.defaults op (Request.Spec "c17")) with Request.vectors = 300 }
+  in
+  let p =
+    match Handlers.prepare (req Request.Analyze) with
+    | Ok p -> p
+    | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+  in
+  let ops =
+    [
+      ("analyze", req Request.Analyze);
+      ("serpp analyze", { (req Request.Analyze) with Request.backend = "serpp" });
+      ("rate", req Request.Rate);
+      ( "optimize",
+        { (req Request.Optimize) with Request.evals = 4; greedy = 0 } );
+    ]
+  in
+  let masking0 = counter "aserta.masking_runs" in
+  let docs =
+    List.mapi
+      (fun i (what, r) ->
+        let t0 = counter "sta.sizing_trials" in
+        let doc =
+          match Handlers.execute r p with
+          | Ok doc -> Ser_util.Json.to_string doc
+          | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+        in
+        let sized = counter "sta.sizing_trials" - t0 in
+        if i = 0 then Alcotest.(check bool) (what ^ " sizes") true (sized > 0)
+        else Alcotest.(check int) (what ^ " reuses the baseline") 0 sized;
+        (what, r, doc))
+      ops
+  in
+  Alcotest.(check int) "one masking pass across analyze, rate and optimize" 1
+    (counter "aserta.masking_runs" - masking0);
+  List.iter
+    (fun (what, r, doc) ->
+      match Handlers.run r with
+      | Ok want ->
+        Alcotest.(check string) (what ^ " payload")
+          (Ser_util.Json.to_string want) doc
+      | Error d -> Alcotest.fail (Ser_util.Diag.to_string d))
+    docs
+
 let test_masking_override () =
   let c = Ser_circuits.Iscas.c17 () in
   let lib = lib_small () in
@@ -768,5 +824,7 @@ let () =
             test_optimize_resume_from_checkpoint;
           Alcotest.test_case "handler resume sizes once" `Quick
             test_handler_resume_sizes_once;
+          Alcotest.test_case "one prepared value, one sizing" `Quick
+            test_prepared_sizes_once;
         ] );
     ]

@@ -399,10 +399,9 @@ let test_daemon_smoke () =
           | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
           | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
 
-(* The daemon executes inline requests through Handlers with the warm
-   pool as the ASERTA source: a warm entry answers analyze/rate through
-   Incr.snapshot (the per-gate slack comes from the snapshot's rebuilt
-   backward sweep), every other op runs as a one-shot command does.
+(* The daemon executes every inline op but odc through Handlers on a
+   pooled prepared value: a warm value answers with its memoized
+   baseline and ASERTA analysis, odc runs on the request's own load.
    Each document must be the one a from-scratch Handlers.run renders
    for the same request, byte for byte. *)
 let test_warm_pool_equals_run () =
@@ -431,8 +430,9 @@ let test_warm_pool_equals_run () =
           in
           let cold = call_ok addr (Request.to_json (req Request.Analyze 3)) in
           Alcotest.(check bool) "first builds the entry" false cold.Wire.r_warm;
-          (* another top misses the result cache but not the pool; the
-             serpp, odc and inline optimize ops never touch the pool *)
+          (* another top misses the result cache but not the pool;
+             every op but the backend-free odc runs on the pooled
+             value *)
           List.iter
             (fun (what, pooled, req) ->
               let r = call_ok addr (Request.to_json req) in
@@ -447,11 +447,11 @@ let test_warm_pool_equals_run () =
               ("analyze", true, req Request.Analyze 10);
               ("rate", true, req Request.Rate 10);
               ( "serpp analyze",
-                false,
+                true,
                 { (req Request.Analyze 10) with Request.backend = "serpp" } );
               ("odc", false, req Request.Odc 10);
               ( "inline optimize",
-                false,
+                true,
                 {
                   (req Request.Optimize 10) with
                   Request.evals = 4;
