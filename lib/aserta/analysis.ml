@@ -192,18 +192,40 @@ let context config masking (c : Circuit.t) =
    delay: for each sample width, the interpolation bracket of the
    attenuated width (or -1 when fully attenuated) and its fraction.
    Depends only on [delay] and the grid, so it is computed once per
-   gate delay and read by every driver of the gate. *)
+   gate delay and read by every driver of the gate. Like every per-gate
+   kernel here it is plain loops over unboxed locals, with
+   [Floatx.binary_search_bracket], [clamp] and [inv_lerp] written out in
+   the same operation order: the calls would box their float arguments
+   and results once per sample. *)
 let ws_brackets ~samples:ws ~delay =
   let n_samples = Array.length ws in
   let lo = Array.make n_samples (-1) in
   let fr = Array.make n_samples 0. in
+  let w_min = ws.(0) and w_max = ws.(n_samples - 1) in
   for k = 0 to n_samples - 1 do
     let wo = Glitch.propagate ~delay ~width:ws.(k) in
     if wo > 0. then begin
-      let b = Ser_util.Floatx.binary_search_bracket ws wo in
-      let woc = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wo in
+      let b =
+        if wo <= w_min then 0
+        else if wo >= w_max then n_samples - 2
+        else begin
+          (* invariant: ws.(l) <= wo < ws.(h) *)
+          let l = ref 0 in
+          let h = ref (n_samples - 1) in
+          while !h - !l > 1 do
+            let mid = (!l + !h) / 2 in
+            if ws.(mid) <= wo then l := mid else h := mid
+          done;
+          !l
+        end
+      in
+      let a = ws.(b) and z = ws.(b + 1) in
       lo.(k) <- b;
-      fr.(k) <- Ser_util.Floatx.inv_lerp ws.(b) ws.(b + 1) woc
+      fr.(k) <-
+        (if a = z then 0.
+         else if wo < w_min then (w_min -. a) /. (z -. a)
+         else if wo > w_max then (w_max -. a) /. (z -. a)
+         else (wo -. a) /. (z -. a))
     end
   done;
   (lo, fr)
@@ -213,41 +235,43 @@ let ws_brackets ~samples:ws ~delay =
    (lib/incr): recomputing a gate with bit-identical inputs gives a
    bit-identical matrix. Reads the successors' node-indexed [brackets]
    and their rows in [tables], and nothing else that depends on the
-   cell assignment. *)
+   cell assignment. Like every per-gate kernel here it is plain loops
+   over unboxed locals: no closure or tuple per gate, output or pair. *)
 let ws_table x ~brackets ~tables id =
   let ws = x.x_samples in
   let n_samples = Array.length ws in
-  match x.x_gates.(id) with
+  let table = Array.make x.x_n_pos x.x_zero in
+  (match x.x_gates.(id) with
   | None ->
     (* step (ii): a primary-output gate passes glitches straight to
        its own latch and, per the paper, to no other output *)
     let po = x.x_circuit.Circuit.po_pos.(id) in
-    Array.init x.x_n_pos (fun j -> if j = po then Array.copy ws else x.x_zero)
+    table.(po) <- Array.copy ws
   | Some by_output ->
     (* step (iii): blend the successors' expected widths at the
        attenuated sample widths with the Eq-2 weights *)
-    Array.mapi
-      (fun j pairs ->
-        if Array.length pairs = 0 then x.x_zero
-        else begin
-          let row = Array.make n_samples 0. in
-          Array.iter
-            (fun (weight, s) ->
-              let s_row = tables.(s).(j) in
-              let lo_s, fr_s = brackets.(s) in
-              for k = 0 to n_samples - 1 do
-                let b = Array.unsafe_get lo_s k in
-                if b >= 0 then begin
-                  let y0 = Array.unsafe_get s_row b in
-                  let y1 = Array.unsafe_get s_row (b + 1) in
-                  let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
-                  Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
-                end
-              done)
-            pairs;
-          row
-        end)
-      by_output
+    for j = 0 to Array.length by_output - 1 do
+      let pairs = by_output.(j) in
+      if Array.length pairs > 0 then begin
+        let row = Array.make n_samples 0. in
+        for p = 0 to Array.length pairs - 1 do
+          let weight, s = pairs.(p) in
+          let s_row = tables.(s).(j) in
+          let lo_s, fr_s = brackets.(s) in
+          for k = 0 to n_samples - 1 do
+            let b = Array.unsafe_get lo_s k in
+            if b >= 0 then begin
+              let y0 = Array.unsafe_get s_row b in
+              let y1 = Array.unsafe_get s_row (b + 1) in
+              let v = y0 +. (Array.unsafe_get fr_s k *. (y1 -. y0)) in
+              Array.unsafe_set row k (Array.unsafe_get row k +. (weight *. v))
+            end
+          done
+        done;
+        table.(j) <- row
+      end
+    done);
+  table
 
 (* Steps (i)/(iv) + Eqs 3-4 for one gate, given the two generated
    glitch widths (strike with output low / high) and the gate area;
@@ -256,27 +280,40 @@ let ws_table x ~brackets ~tables id =
    bracket of [w_i] is found once for all outputs, and an output with
    no WS contributions (its table row is provably all zeros, where the
    interpolation is exactly [+0.]) returns the literal without reading
-   the table. Returns (w_i, W_ij row, U_i). *)
-let gate_unreliability x ~tables ~w_low ~w_high ~area id =
+   the table. Writes w_i, the W_ij row and U_i at [id]; [clamp],
+   [inv_lerp] and [lerp] are written out as in [ws_brackets]. *)
+let gate_unreliability x ~tables ~w_low ~w_high ~area ~gen_width
+    ~expected_width ~unreliability id =
   let p1 = x.x_masking.probs.(id) in
   let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
   let ws = x.x_samples in
   let n_samples = Array.length ws in
   let br = Ser_util.Floatx.binary_search_bracket ws wi in
-  let wc = Ser_util.Floatx.clamp ~lo:ws.(0) ~hi:ws.(n_samples - 1) wi in
-  let fr = Ser_util.Floatx.inv_lerp ws.(br) ws.(br + 1) wc in
-  let po = x.x_circuit.Circuit.po_pos.(id) in
-  let wij =
-    Array.init x.x_n_pos (fun j ->
-        if j = po then wi
-        else
-          match x.x_gates.(id) with
-          | Some pairs when Array.length pairs.(j) > 0 ->
-            let row = tables.(id).(j) in
-            Ser_util.Floatx.lerp row.(br) row.(br + 1) fr
-          | Some _ | None -> 0.)
+  let w_min = ws.(0) and w_max = ws.(n_samples - 1) in
+  let a = ws.(br) and z = ws.(br + 1) in
+  let fr =
+    if a = z then 0.
+    else if wi < w_min then (w_min -. a) /. (z -. a)
+    else if wi > w_max then (w_max -. a) /. (z -. a)
+    else (wi -. a) /. (z -. a)
   in
-  (wi, wij, area *. Ser_util.Floatx.sum wij)
+  let po = x.x_circuit.Circuit.po_pos.(id) in
+  let n_pos = x.x_n_pos in
+  let wij = Array.make n_pos 0. in
+  let live = x.x_gates.(id) in
+  for j = 0 to n_pos - 1 do
+    if j = po then wij.(j) <- wi
+    else
+      match live with
+      | Some pairs when Array.length pairs.(j) > 0 ->
+        let row = tables.(id).(j) in
+        let y0 = row.(br) in
+        wij.(j) <- y0 +. ((row.(br + 1) -. y0) *. fr)
+      | Some _ | None -> ()
+  done;
+  gen_width.(id) <- wi;
+  expected_width.(id) <- wij;
+  unreliability.(id) <- area *. Ser_util.Floatx.sum wij
 
 let run_context x lib asg =
   let c = Assignment.circuit asg in
@@ -360,16 +397,14 @@ let run_context x lib asg =
       let w_high =
         Library.glitch_width k ~node_cap ~charge:config.charge ~output_low:false
       in
-      let wi, wij, u =
-        gate_unreliability x ~tables:table ~w_low ~w_high
-          ~area:(Library.area lib cell) id
-      in
-      gen_width.(id) <- wi;
-      expected_width.(id) <- wij;
-      unreliability.(id) <- u
+      gate_unreliability x ~tables:table ~w_low ~w_high
+        ~area:(Library.area lib cell) ~gen_width ~expected_width ~unreliability
+        id
     end);
   let total = ref 0. in
-  Array.iter (fun u -> total := !total +. u) unreliability;
+  for id = 0 to n - 1 do
+    total := !total +. unreliability.(id)
+  done;
   Obs.Trace.finish unrel_sp;
   {
     config;

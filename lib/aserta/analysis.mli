@@ -205,13 +205,18 @@ val gate_unreliability :
   w_low:float ->
   w_high:float ->
   area:float ->
+  gen_width:float array ->
+  expected_width:float array array ->
+  unreliability:float array ->
   int ->
-  float * float array * float
+  unit
 (** Steps (i)/(iv) and Eqs 3-4 for one non-input gate: blend the two
     generated glitch widths ([w_low]/[w_high], strike with output
     low/high) with the gate's one-probability into [w_i], interpolate
     the gate's WS table at [w_i] for every output, and weight by
-    [area]. Returns [(w_i, W_ij row, U_i)]. The interpolation bracket of
+    [area]. Writes [w_i], a fresh [W_ij] row and [U_i] at the gate's
+    index of [gen_width], [expected_width] and [unreliability] (no
+    tuple per gate). The interpolation bracket of
     [w_i] is found once for all outputs, and an output the gate cannot
     reach is the literal [+0.] (exactly what interpolating its all-zero
     row gives). The glitch-model queries that produce [w_low]/[w_high]

@@ -1,4 +1,4 @@
-let propagate ~delay ~width =
+let[@inline] propagate ~delay ~width =
   let width = Float.max 0. width in
   if width < delay then 0.
   else if width < 2. *. delay then 2. *. (width -. delay)

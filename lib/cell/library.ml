@@ -210,16 +210,20 @@ let kernel t p =
     let d, r = timing_tables t p in
     Tables (d, r)
 
-let kernel_timing k ~input_ramp ~cload =
+let kernel_timing k ~input_ramp ~cload out =
   match k with
-  | Model m -> Gate_model.eval m ~input_ramp ~cload
-  | Tables (d, r) -> (Lut.eval2 d input_ramp cload, Lut.eval2 r input_ramp cload)
+  | Model m -> Gate_model.eval m ~input_ramp ~cload out
+  | Tables (d, r) ->
+    out.(0) <- Lut.eval2 d input_ramp cload;
+    out.(1) <- Lut.eval2 r input_ramp cload
 
-let delay t p ~input_ramp ~cload =
-  fst (kernel_timing (kernel t p) ~input_ramp ~cload)
+let timing t p ~input_ramp ~cload =
+  let out = [| 0.; 0. |] in
+  kernel_timing (kernel t p) ~input_ramp ~cload out;
+  out
 
-let output_ramp t p ~input_ramp ~cload =
-  snd (kernel_timing (kernel t p) ~input_ramp ~cload)
+let delay t p ~input_ramp ~cload = (timing t p ~input_ramp ~cload).(0)
+let output_ramp t p ~input_ramp ~cload = (timing t p ~input_ramp ~cload).(1)
 
 let glitch_tables t p =
   with_lock t (fun () ->

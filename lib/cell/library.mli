@@ -87,8 +87,10 @@ type kernel
 
 val kernel : t -> Ser_device.Cell_params.t -> kernel
 
-val kernel_timing : kernel -> input_ramp:float -> cload:float -> float * float
-(** [(delay, output_ramp)], bit-identical to {!delay} and
+val kernel_timing :
+  kernel -> input_ramp:float -> cload:float -> float array -> unit
+(** Write the delay into [out.(0)] and the output ramp into [out.(1)]
+    (no tuple per evaluation), bit-identical to {!delay} and
     {!output_ramp}. *)
 
 type glitch

@@ -159,9 +159,14 @@ let compile (p : Cell_params.t) =
   }
 
 (* Half-swing time of a stage driving [c] fF at constant worst drive. *)
-let half_swing k ~c i = if i <= 0. then Float.max_float else c *. k.c_vdd /. 2. /. i
+(* [max_float] as a literal: the module value would force the result
+   into a box. *)
+let[@inline] half_swing k ~c i =
+  if i <= 0. then 0x1.fffffffffffffp+1023 else c *. k.c_vdd /. 2. /. i
 
-let eval k ~input_ramp ~cload =
+(* Writes into [out] so that the per-gate timing loops allocate no
+   tuple per evaluation. *)
+let eval k ~input_ramp ~cload out =
   let last = Array.length k.i_down - 1 in
   let acc_delay = ref 0. and ramp = ref input_ramp in
   for idx = 0 to last do
@@ -173,9 +178,14 @@ let eval k ~input_ramp ~cload =
     acc_delay := !acc_delay +. d;
     ramp := 1.6 *. t
   done;
-  (!acc_delay, !ramp)
+  out.(0) <- !acc_delay;
+  out.(1) <- !ramp
 
-let timing p ~input_ramp ~cload = eval (compile p) ~input_ramp ~cload
+let timing p ~input_ramp ~cload =
+  let out = [| 0.; 0. |] in
+  eval (compile p) ~input_ramp ~cload out;
+  (out.(0), out.(1))
+
 let delay p ~input_ramp ~cload = fst (timing p ~input_ramp ~cload)
 let output_ramp p ~input_ramp ~cload = snd (timing p ~input_ramp ~cload)
 

@@ -71,9 +71,10 @@ type compiled
 
 val compile : Cell_params.t -> compiled
 
-val eval : compiled -> input_ramp:float -> cload:float -> float * float
-(** [(delay, output_ramp)] of the compiled model, bit-identical to
-    {!delay} and {!output_ramp} (which compile and evaluate per call). *)
+val eval : compiled -> input_ramp:float -> cload:float -> float array -> unit
+(** Write the compiled model's delay into [out.(0)] and its output ramp
+    into [out.(1)], bit-identical to {!delay} and {!output_ramp} (which
+    compile and evaluate per call). *)
 
 val delay : Cell_params.t -> input_ramp:float -> cload:float -> float
 (** Propagation delay (50% to 50%), ps. Worst case over rise/fall. *)

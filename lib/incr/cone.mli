@@ -22,8 +22,9 @@
     A change set above {!Ser_sta.Incr_sta.wants_rebuild}'s threshold
     adopts the kernels' full pass instead. Either way every kernel sees
     bit-identical inputs, so the state is bit-identical to the full pass
-    on the same assignment. Forks share only immutable state and may be
-    mutated on worker domains. *)
+    on the same assignment. {!Make.score} evaluates a move in place
+    under an undo log and rolls it back. Forks share only immutable
+    state and may be mutated on worker domains. *)
 
 type stats = {
   mutable updates : int;  (** updates that changed anything *)
@@ -70,8 +71,9 @@ module type KERNELS = sig
   val same_row : row -> row -> bool
   (** [true] only when bit-identical. *)
 
-  val gate : ctx -> Ser_sta.Incr_sta.t -> row array -> gates -> int -> float
-  (** Refresh one gate's state and return its estimate. *)
+  val gate :
+    ctx -> Ser_sta.Incr_sta.t -> row array -> gates -> float array -> int -> unit
+  (** Refresh one gate's state and write its estimate into the array. *)
 
   val run : ctx -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> run
   val parts : run -> Ser_sta.Timing.t * row array * float array
@@ -81,6 +83,10 @@ module type KERNELS = sig
       timing, rows and estimates. *)
 
   val copy : gates -> gates
+
+  val blit_gate : gates -> gates -> int -> unit
+  (** [blit_gate src dst id] copies one gate's state (the undo log's
+      save and restore). *)
 end
 
 module Make (B : KERNELS) : sig
@@ -92,7 +98,11 @@ module Make (B : KERNELS) : sig
     estimate : float array;
     gates : B.gates;
     stats : stats;
+    work : work;
   }
+
+  and work
+  (** The handle's scratch and the cone half of its undo log. *)
 
   val make :
     env:Ser_sta.Timing.env ->
@@ -107,13 +117,27 @@ module Make (B : KERNELS) : sig
       [B.adopt] to fill. *)
 
   val fork : t -> t
-  (** O(nodes) copy-on-write clone with zeroed stats. *)
+  (** O(nodes) copy-on-write clone with zeroed stats and its own
+      scratch. *)
 
   val update : t -> (int * Ser_device.Cell_params.t) list -> unit
   (** Apply a batch of gate -> variant changes, propagate once over the
       union of the cones, and add the stats' deltas to the process-wide
       counters. No-op entries are skipped. Raises [Invalid_argument] on
       a bad id, a primary input or a mismatched cell. *)
+
+  val update_silently : t -> (int * Ser_device.Cell_params.t) list -> unit
+  (** {!update} without the trace span, the counter flush or a change
+      to {!stats}: keeps a per-slot copy of a handle in step with it. *)
+
+  val score : t -> (int * Ser_device.Cell_params.t) list -> (t -> 'a) -> 'a
+  (** [score t changes f] is [f] of the handle after [update t changes],
+      computed in place: the update runs (and counts) as usual, but
+      under an undo log that saves each overwritten node's state once,
+      and afterwards the handle is rolled back to its state before the
+      move, bit for bit, stats included — even when [f] raises. Equal
+      to [f] of a {!fork} after the same update, without the O(nodes)
+      copy. *)
 
   val set_cell : t -> int -> Ser_device.Cell_params.t -> unit
   val sync : t -> Ser_sta.Assignment.t -> unit

@@ -53,15 +53,12 @@ include Cone.Make (struct
   let same_row a b =
     a == b || (Array.length a = Array.length b && Array.for_all2 Sta.same_row a b)
 
-  let gate x (sta : Sta.t) tables g id =
-    let wi, wij, u =
-      Analysis.gate_unreliability x.context ~tables ~w_low:sta.glitch_low.(id)
-        ~w_high:sta.glitch_high.(id) ~area:sta.cell_area.(id) id
-    in
-    g.gen_width.(id) <- wi;
-    g.expected_width.(id) <- wij;
-    Option.iter (fun q -> refresh_fit x sta tables g q id) x.rate;
-    u
+  let gate x (sta : Sta.t) tables g estimate id =
+    Analysis.gate_unreliability x.context ~tables ~w_low:sta.glitch_low.(id)
+      ~w_high:sta.glitch_high.(id) ~area:sta.cell_area.(id)
+      ~gen_width:g.gen_width ~expected_width:g.expected_width
+      ~unreliability:estimate id;
+    match x.rate with Some q -> refresh_fit x sta tables g q id | None -> ()
 
   let run x lib asg = Analysis.run_context x.context lib asg
   let parts (a : Analysis.t) = (a.timing, a.tables, a.unreliability)
@@ -83,6 +80,11 @@ include Cone.Make (struct
       expected_width = Array.copy g.expected_width;
       fit = Array.copy g.fit;
     }
+
+  let blit_gate src dst id =
+    dst.gen_width.(id) <- src.gen_width.(id);
+    dst.expected_width.(id) <- src.expected_width.(id);
+    if Array.length src.fit > 0 then dst.fit.(id) <- src.fit.(id)
 end)
 
 type metrics = Sta.metrics = {
@@ -122,6 +124,8 @@ let cell t id =
   | None -> invalid_arg "Incr.cell: primary input has no cell"
 
 let unreliability t id = t.estimate.(id)
+let core t = t.sta
+let brackets t id = t.brackets.(id)
 let fit t id = if Option.is_none t.ctx.rate then 0. else t.gates.fit.(id)
 
 (* the spectrum total folds as Ser_rate.run does *)

@@ -59,6 +59,17 @@ val fork : t -> t
 val update : t -> (int * Ser_device.Cell_params.t) list -> unit
 (** Apply a batch of gate -> variant changes ({!Cone.Make.update}). *)
 
+val update_silently : t -> (int * Ser_device.Cell_params.t) list -> unit
+(** {!update} that records no span, flushes no counter and leaves
+    {!stats} alone ({!Ser_incr.Cone.Make.update_silently}): keeps a
+    per-slot copy in step with the handle it was forked from. *)
+
+val score : t -> (int * Ser_device.Cell_params.t) list -> (t -> 'a) -> 'a
+(** [score t changes f]: [f] of the handle after [update t changes],
+    computed in place under the undo log and rolled back afterwards,
+    bit for bit ({!Ser_incr.Cone.Make.score}). Equal to [f] of a
+    {!fork} after the same update. *)
+
 val set_cell : t -> int -> Ser_device.Cell_params.t -> unit
 (** [update t [(g, cell)]]. *)
 
@@ -74,6 +85,14 @@ val fit : t -> int -> float
 (** The FIT of a gate on a spectrum handle; [0.] otherwise. *)
 
 val critical_delay : t -> float
+
+val core : t -> Ser_sta.Incr_sta.t
+(** The handle's incremental STA core (read-only): cells, loads, timing
+    and the per-gate electrical terms. *)
+
+val brackets : t -> int -> int array * float array
+(** A gate's Eq-1 brackets ({!Aserta.Analysis.ws_brackets} of its
+    delay). *)
 
 val total : t -> float
 (** Bit-equal to [Analysis.run_electrical]'s total. *)

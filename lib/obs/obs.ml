@@ -137,6 +137,8 @@ module Metrics = struct
       ]
 
   let snapshot () =
+    (* the process's allocation so far, sampled at the snapshot *)
+    set_gauge (gauge "mem.minor_words") (Gc.quick_stat ()).Gc.minor_words;
     Mutex.lock registry_m;
     let cs =
       sorted_values counters (fun c -> c.c_name)

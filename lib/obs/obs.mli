@@ -72,7 +72,11 @@ module Metrics : sig
   (** Point-in-time JSON snapshot:
       [{"counters": {..}, "gauges": {..}, "histograms": {..}}], every
       section sorted by metric name. Zero-valued metrics are included —
-      a registered probe that never fired is information too. *)
+      a registered probe that never fired is information too. Taking a
+      snapshot first sets the gauge [mem.minor_words] to the words the
+      process has allocated on the minor heaps so far
+      ([Gc.quick_stat], current as of each domain's last minor
+      collection). *)
 
   val reset : ?prefix:string -> unit -> unit
   (** Zero every registered metric whose name starts with [prefix]

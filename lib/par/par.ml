@@ -294,16 +294,6 @@ let parallel_mapi ?chunk f a =
 
 let parallel_map ?chunk f a = parallel_mapi ?chunk (fun _ x -> f x) a
 
-let parallel_map_budgeted ~budget ?chunk f a =
-  let n = Array.length a in
-  let out = Array.make n None in
-  if n > 0 then
-    parallel_chunks ~budget ?chunk ~n (fun ~slot:_ ~lo ~hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- Some (f a.(i))
-        done);
-  out
-
 let parallel_reduce ?budget ?chunk ~n ~init ~map ~combine () =
   if n = 0 then init
   else begin

@@ -86,18 +86,6 @@ val parallel_map : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_mapi : ?chunk:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
-val parallel_map_budgeted :
-  budget:Ser_util.Budget.t ->
-  ?chunk:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b option array
-(** Budget-aware map: elements whose chunk never started because the
-    budget expired come back as [None]. Which elements are missing
-    depends on timing, but every [Some] value is the same as the
-    unbudgeted run would produce; callers keep their incumbent and flag
-    the result degraded. *)
-
 val parallel_reduce :
   ?budget:Ser_util.Budget.t ->
   ?chunk:int ->

@@ -145,11 +145,14 @@ let profile_row ctx ~brackets ~profiles id =
     row
   end
 
-let gate_estimate ctx ~w_low ~w_high ~area ~profile id =
+let gate_estimate ctx ~w_low ~w_high ~area ~profile ~gen_width ~propagated
+    ~estimate id =
   let p1 = ctx.c_probs.(id) in
   let wi = ((1. -. p1) *. w_low) +. (p1 *. w_high) in
   let prop = Lut.interpolate_1d ~xs:ctx.c_samples ~ys:profile wi in
-  (wi, prop, area *. prop)
+  gen_width.(id) <- wi;
+  propagated.(id) <- prop;
+  estimate.(id) <- area *. prop
 
 let run_context ctx lib asg =
   let config = ctx.c_config in
@@ -197,19 +200,16 @@ let run_context ctx lib asg =
         Library.glitch_width k ~node_cap ~charge:config.charge ~output_low:false
       in
       areas.(id) <- Library.area lib cell;
-      let wi, prop, u =
-        gate_estimate ctx ~w_low ~w_high ~area:areas.(id)
-          ~profile:profiles.(id) id
-      in
-      gen_width.(id) <- wi;
-      propagated.(id) <- prop;
-      estimate.(id) <- u
+      gate_estimate ctx ~w_low ~w_high ~area:areas.(id) ~profile:profiles.(id)
+        ~gen_width ~propagated ~estimate id
     end
   done;
   Obs.Metrics.add m_gate_evals !gate_evals;
   Obs.Trace.finish est_sp;
   let total = ref 0. in
-  Array.iter (fun u -> total := !total +. u) estimate;
+  for id = 0 to n - 1 do
+    total := !total +. estimate.(id)
+  done;
   {
     config;
     circuit = c;

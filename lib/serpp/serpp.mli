@@ -113,10 +113,15 @@ val gate_estimate :
   w_high:float ->
   area:float ->
   profile:float array ->
+  gen_width:float array ->
+  propagated:float array ->
+  estimate:float array ->
   int ->
-  float * float * float
-(** One gate's [(w_i, profile_i(w_i), Z_i * profile_i(w_i))] from its two
-    generated glitch widths (strike with output low / high). *)
+  unit
+(** One gate's [w_i], [profile_i(w_i)] and [Z_i * profile_i(w_i)] from
+    its two generated glitch widths (strike with output low / high),
+    written at the gate's index of [gen_width], [propagated] and
+    [estimate] (no tuple per gate). *)
 
 val run_context : context -> Ser_cell.Library.t -> Ser_sta.Assignment.t -> t
 (** {!run} over a prebuilt context: one STA pass, then one full pass of

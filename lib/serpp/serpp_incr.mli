@@ -10,8 +10,9 @@
     [serpp.cone_gates] histogram, and record no trace span.
 
     The optimizer's tiered menus keep one handle on the incumbent and
-    score each candidate on a {!fork}; forks may be mutated on worker
-    domains. *)
+    score each candidate on it in place ({!score}); a pool slot other
+    than the caller's scores on its own {!fork}, and forks may be
+    mutated on worker domains. *)
 
 type t
 
@@ -29,6 +30,17 @@ val update : t -> (int * Ser_device.Cell_params.t) list -> unit
 (** Apply a batch of gate -> variant changes
     ({!Ser_incr.Cone.Make.update}). *)
 
+val update_silently : t -> (int * Ser_device.Cell_params.t) list -> unit
+(** {!update} that records no span, flushes no counter and leaves
+    {!stats} alone ({!Ser_incr.Cone.Make.update_silently}): keeps a
+    per-slot copy in step with the handle it was forked from. *)
+
+val score : t -> (int * Ser_device.Cell_params.t) list -> (t -> 'a) -> 'a
+(** [score t changes f]: [f] of the handle after [update t changes],
+    computed in place under the undo log and rolled back afterwards,
+    bit for bit ({!Ser_incr.Cone.Make.score}). Equal to [f] of a
+    {!fork} after the same update. *)
+
 val set_cell : t -> int -> Ser_device.Cell_params.t -> unit
 (** [update t [(g, cell)]]. *)
 
@@ -40,6 +52,14 @@ val total : t -> float
 
 val estimate : t -> int -> float
 val profile : t -> int -> float array
+
+val core : t -> Ser_sta.Incr_sta.t
+(** The handle's incremental STA core (read-only): cells, loads, timing
+    and the per-gate electrical terms. *)
+
+val brackets : t -> int -> int array * float array
+(** A gate's Eq-1 brackets ({!Aserta.Analysis.ws_brackets} of its
+    delay). *)
 
 val metrics : t -> Ser_sta.Incr_sta.metrics
 (** The serpp total, critical delay, energy (as [Timing.total_energy]

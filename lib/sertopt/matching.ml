@@ -86,6 +86,7 @@ let match_delays ctx ~targets =
      successors are assigned *)
   let min_vdd = Array.make n 0. in
   let err = Array.make ctx.widest 0. in
+  let out = [| 0.; 0. |] in
   for id = n - 1 downto 0 do
     match ctx.menus.(id) with
     | None -> ()
@@ -100,8 +101,8 @@ let match_delays ctx ~targets =
       let best_err = ref Float.max_float in
       for j = 0 to Array.length m.cells - 1 do
         if m.vdd.(j) >= floor then begin
-          let d, _ = Library.kernel_timing m.kernels.(j) ~input_ramp ~cload in
-          let e = Float.abs (d -. target) in
+          Library.kernel_timing m.kernels.(j) ~input_ramp ~cload out;
+          let e = Float.abs (out.(0) -. target) in
           err.(j) <- e;
           best_err := Float.min !best_err e
         end

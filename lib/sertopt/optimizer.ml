@@ -25,8 +25,8 @@ let m_sizing_trials = Obs.Metrics.counter "sta.sizing_trials"
    every candidate with the engine ([Incr] cone re-analysis).
    [Serpp_prefilter k] (k >= 1) first ranks the whole menu
    with the cheap propagation-probability estimate (lib/serpp: a
-   cone-limited re-estimate on a fork of a handle that follows the
-   incumbent, no vectors) and hands only the top [k] candidates
+   cone-limited re-estimate, scored in place on a handle that follows
+   the incumbent, no vectors) and hands only the top [k] candidates
    to the exact evaluator — the saved exact evaluations are counted in
    [sertopt.exact_evals_saved]. The ranking is a heuristic: the final
    accept decision still compares exact costs only, so tiering can
@@ -197,9 +197,8 @@ let vdd_feasible_variants lib asg g ~keep =
 
 (* Greedy critical-path upsizing: the baseline "speed optimization".
    Each trial is re-timed on an incremental timing-only core: the
-   one-gate move is propagated through its cones and reverted by
-   propagating the old cell back, which replays the same kernels and
-   restores the same bits. *)
+   one-gate move is propagated through its cones under the core's undo
+   log, and a rejected trial is rolled back to the saved bits. *)
 let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
   Obs.Trace.with_span "sertopt.size_for_speed" @@ fun () ->
   let asg = Assignment.uniform lib c in
@@ -209,7 +208,6 @@ let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
     |> List.sort compare
   in
   let next_size s = List.find_opt (fun x -> x > s +. 1e-9) sizes in
-  let move id cell = ignore (Incr_sta.propagate sta [ (id, cell) ]) in
   (* one gate at a time: upsizing the whole path at once mostly feeds
      itself through the increased pin loads *)
   let continue = ref true in
@@ -227,14 +225,16 @@ let size_for_speed ?(env = Timing.default_env) ?(max_size = 8.) lib c =
           | Some s ->
             let bigger = { cell with Cell_params.size = s } in
             Obs.Metrics.incr m_sizing_trials;
-            move id bigger;
+            Incr_sta.begin_trial sta;
+            ignore (Incr_sta.propagate sta [ (id, bigger) ]);
             let after = sta.Incr_sta.critical_delay in
             if after < !best -. 1e-9 then begin
+              Incr_sta.commit sta;
               best := after;
               improved := true;
               Assignment.set asg id bigger
             end
-            else move id cell
+            else Incr_sta.rollback sta
           | None -> ()
         end)
       path;
@@ -331,27 +331,29 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
     Ser_incr.Incr.sync engine asg;
     cost_of (Ser_incr.Incr.metrics engine)
   in
-  (* Score a menu of cells for gate [g]: every entry is measured on a
-     copy-on-write fork of the incumbent engine with only gate [g]
-     changed, so the entries are independent and fan out over the
-     lib/par pool ([~chunk:1]: one evaluation per claimable chunk).
-     Returns the earliest strict minimiser, which reproduces the
-     sequential accept-if-better scan exactly; under a budget the pool
-     stops claiming entries once it expires and the incumbent so far
-     is kept (graceful degradation). *)
-  let best_of_menu g cands =
-    let try_cand cand =
-      budget_tick ();
-      let probe = Ser_incr.Incr.fork engine in
-      Ser_incr.Incr.set_cell probe g cand;
-      cost_of (Ser_incr.Incr.metrics probe)
-    in
-    let measured =
-      match budget with
-      | None ->
-        Array.map Option.some (Ser_par.Par.parallel_map ~chunk:1 try_cand cands)
-      | Some b -> Ser_par.Par.parallel_map_budgeted ~budget:b ~chunk:1 try_cand cands
-    in
+  (* Score a menu of cells for gate [g]: every entry is the incumbent
+     with only gate [g] changed, scored in place ([Incr.score]: the move
+     is applied under an undo log and rolled back) on the engine of the
+     pool slot that claims it: [engines.(0)] is the incumbent engine
+     itself, the other slots score on their own copies, which
+     [refine] keeps in step. The entries fan out over the lib/par pool
+     ([~chunk:1]: one evaluation per claimable chunk). Returns the
+     earliest strict minimiser, which reproduces the sequential
+     accept-if-better scan exactly; under a budget the pool stops
+     claiming entries once it expires and the incumbent so far is kept
+     (graceful degradation). *)
+  let best_of_menu engines g cands =
+    let measured = Array.make (Array.length cands) None in
+    Ser_par.Par.parallel_chunks ?budget ~chunk:1 ~n:(Array.length cands)
+      (fun ~slot ~lo ~hi ->
+        let e = engines.(slot) in
+        for i = lo to hi - 1 do
+          budget_tick ();
+          measured.(i) <-
+            Some
+              (Ser_incr.Incr.score e [ (g, cands.(i)) ] (fun e ->
+                   cost_of (Ser_incr.Incr.metrics e)))
+        done);
     let best = ref None in
     Array.iteri
       (fun i r ->
@@ -371,7 +373,7 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
      and area components are computed by the same Timing formulas in
      both backends, so only the unreliability anchor changes). The
      ranking handle follows the greedy incumbent; every candidate is
-     scored on a fork of it, so a one-gate move re-runs only its cones.
+     scored on it in place, so a one-gate move re-runs only its cones.
      Built once, up front, only when tiering is on. *)
   let tier_ctx =
     match config.tier with
@@ -483,20 +485,22 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
   (* Tier prefilter: rank the whole menu of gate [g] with the cheap
      serpp estimate and keep only the top-k (score-ascending, original
      menu order restored for the accept tie-break) for the exact
-     engine. Ranking runs do not charge the budget — they are the
-     economy the budget is spent through. *)
-  let prefilter rank g cands =
+     engine. Each pool slot scores in place on its own ranking handle,
+     as [best_of_menu] does on its engine. Ranking runs do not charge
+     the budget — they are the economy the budget is spent through. *)
+  let prefilter rank rankers g cands =
     match rank with
-    | Some (k, h, sbase) when Array.length cands > k ->
+    | Some (k, _, sbase) when Array.length cands > k ->
       let rank_sp = Obs.Trace.start "sertopt.tier_rank" in
-      let scores =
-        Ser_par.Par.parallel_map ~chunk:1
-          (fun cand ->
-            let probe = Ser_serpp.Serpp_incr.fork h in
-            Ser_serpp.Serpp_incr.set_cell probe g cand;
-            cost_against ~baseline:sbase (Ser_serpp.Serpp_incr.metrics probe))
-          cands
-      in
+      let scores = Array.make (Array.length cands) 0. in
+      Ser_par.Par.parallel_chunks ~chunk:1 ~n:(Array.length cands)
+        (fun ~slot ~lo ~hi ->
+          let h = rankers.(slot) in
+          for i = lo to hi - 1 do
+            scores.(i) <-
+              Ser_serpp.Serpp_incr.score h [ (g, cands.(i)) ] (fun h ->
+                  cost_against ~baseline:sbase (Ser_serpp.Serpp_incr.metrics h))
+          done);
       Obs.Trace.finish rank_sp;
       Obs.Metrics.add m_tier_ranks (Array.length cands);
       Obs.Metrics.add m_exact_saved (Array.length cands - k);
@@ -520,7 +524,11 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
      bound the eval budget and, with a ranking handle [rank], tier
      prefiltered. [scored] counts the menu. The best entry is accepted
      on a strict Eq. 5 improvement, moving the assignment, the engine
-     and the ranking handle together; [accepted] counts it. *)
+     and the ranking handle together; [accepted] counts it. Pool slots
+     other than the caller's score on copies of the engine and the
+     ranking handle, forked once here and advanced silently with each
+     accept, so every result and counter is the same at any pool
+     width. *)
   let refine ~span ~passes ~order ~keep ~cap ~rank ~scored ~accepted start =
     if passes = 0 || budget_spent () then start
     else begin
@@ -529,28 +537,45 @@ let optimize ?(config = default_config) ?masking ?budget ?initial lib baseline =
       budget_tick ();
       let cur_cost = ref (eval_cost asg) in
       Option.iter (fun (_, h, _) -> Ser_serpp.Serpp_incr.sync h asg) rank;
+      let per_slot head fork =
+        Array.init (Ser_par.Par.jobs ()) (fun slot ->
+            if slot = 0 then head else fork head)
+      in
+      let engines = per_slot engine Ser_incr.Incr.fork in
+      let rankers =
+        match rank with
+        | Some (_, h, _) -> per_slot h Ser_serpp.Serpp_incr.fork
+        | None -> [||]
+      in
       for _pass = 1 to passes do
         List.iter
           (fun g ->
             let current = Assignment.get asg g in
             let cands =
               vdd_feasible_variants lib asg g ~keep:(keep current)
-              |> sample_menu ~cap |> Array.of_list |> prefilter rank g
+              |> sample_menu ~cap |> Array.of_list |> prefilter rank rankers g
             in
             scored (Array.length cands);
             if Array.length cands > 0 then begin
               let menu_sp = Obs.Trace.start "sertopt.menu" in
-              let best = best_of_menu g cands in
+              let best = best_of_menu engines g cands in
               Obs.Trace.finish menu_sp;
               match best with
               | Some (i, cost) when cost < !cur_cost ->
                 cur_cost := cost;
                 accepted ();
                 Assignment.set asg g cands.(i);
-                Ser_incr.Incr.set_cell engine g cands.(i);
-                Option.iter
-                  (fun (_, h, _) -> Ser_serpp.Serpp_incr.set_cell h g cands.(i))
-                  rank
+                let move = [ (g, cands.(i)) ] in
+                Array.iteri
+                  (fun slot e ->
+                    if slot = 0 then Ser_incr.Incr.update e move
+                    else Ser_incr.Incr.update_silently e move)
+                  engines;
+                Array.iteri
+                  (fun slot h ->
+                    if slot = 0 then Ser_serpp.Serpp_incr.update h move
+                    else Ser_serpp.Serpp_incr.update_silently h move)
+                  rankers
               | _ -> ()
             end)
           (order ())

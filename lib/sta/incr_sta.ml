@@ -11,7 +11,7 @@ module Cell_params = Ser_device.Cell_params
    (distinguished here by their reciprocals, with no allocation, unlike
    [Int64.bits_of_float] which boxes in bytecode/dev builds). NaNs
    compare unequal and simply forgo the cutoff. *)
-let same_bits a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
+let[@inline] same_bits a b = a = b && (a <> 0. || 1. /. a = 1. /. b)
 
 let same_row a b =
   a == b
@@ -42,6 +42,7 @@ type t = {
   cells : Cell_params.t option array;
   kernels : Library.kernel option array;
   glitch : Library.glitch option array;
+  pin_cap : float array;
   loads : float array;
   input_ramp : float array;
   delays : float array;
@@ -53,7 +54,31 @@ type t = {
   cell_area : float array;
   glitch_low : float array;
   glitch_high : float array;
+  work : work;
 }
+
+(* Per-handle scratch and the undo log; a fork gets its own. *)
+and work = {
+  out : float array;  (* [Library.kernel_timing]'s delay and ramp *)
+  sta_dirty : bool array;  (* both consumed by [propagate]'s own scans *)
+  load_dirty : bool array;
+  touched : bool array;  (* both read by the caller after [propagate] *)
+  delay_changed : bool array;
+  marks : int array;  (* the ids flagged in either, cleared by the next *)
+  mutable n_marks : int;
+  mutable logging : bool;
+  saved : bool array;  (* this node's state is in the shadows *)
+  log : int array;  (* the saved ids, [n_log] of them *)
+  mutable n_log : int;
+  u_cells : Cell_params.t option array;
+  u_kernels : Library.kernel option array;
+  u_glitch : Library.glitch option array;
+  u_floats : float array;  (* the [n_floats] per-node floats, node-major *)
+  mutable u_critical_delay : float;
+}
+
+(* the float arrays of [t], from [pin_cap] to [glitch_high] *)
+let n_floats = 11
 
 type dirty = {
   touched : bool array;
@@ -72,9 +97,75 @@ let kernel_exn t id =
   | Some k -> k
   | None -> invalid_arg "Incr_sta: primary input has no cell"
 
+(* Under a trial, copy a node's whole state into the shadows before its
+   first write; [rollback] copies it back. *)
+let save t id =
+  let w = t.work in
+  if w.logging && not w.saved.(id) then begin
+    w.saved.(id) <- true;
+    w.log.(w.n_log) <- id;
+    w.n_log <- w.n_log + 1;
+    w.u_cells.(id) <- t.cells.(id);
+    w.u_kernels.(id) <- t.kernels.(id);
+    w.u_glitch.(id) <- t.glitch.(id);
+    let u = w.u_floats and o = n_floats * id in
+    u.(o) <- t.pin_cap.(id);
+    u.(o + 1) <- t.loads.(id);
+    u.(o + 2) <- t.input_ramp.(id);
+    u.(o + 3) <- t.delays.(id);
+    u.(o + 4) <- t.ramps.(id);
+    u.(o + 5) <- t.arrival.(id);
+    u.(o + 6) <- t.dyn_energy.(id);
+    u.(o + 7) <- t.leak_power.(id);
+    u.(o + 8) <- t.cell_area.(id);
+    u.(o + 9) <- t.glitch_low.(id);
+    u.(o + 10) <- t.glitch_high.(id)
+  end
+
+let restore_node t id =
+  let w = t.work in
+  t.cells.(id) <- w.u_cells.(id);
+  t.kernels.(id) <- w.u_kernels.(id);
+  t.glitch.(id) <- w.u_glitch.(id);
+  let u = w.u_floats and o = n_floats * id in
+  t.pin_cap.(id) <- u.(o);
+  t.loads.(id) <- u.(o + 1);
+  t.input_ramp.(id) <- u.(o + 2);
+  t.delays.(id) <- u.(o + 3);
+  t.ramps.(id) <- u.(o + 4);
+  t.arrival.(id) <- u.(o + 5);
+  t.dyn_energy.(id) <- u.(o + 6);
+  t.leak_power.(id) <- u.(o + 7);
+  t.cell_area.(id) <- u.(o + 8);
+  t.glitch_low.(id) <- u.(o + 9);
+  t.glitch_high.(id) <- u.(o + 10)
+
+let begin_trial t =
+  let w = t.work in
+  if w.logging then invalid_arg "Incr_sta.begin_trial: a trial is open";
+  w.logging <- true;
+  w.u_critical_delay <- t.critical_delay
+
+let close_trial t ~restore =
+  let w = t.work in
+  if not w.logging then invalid_arg "Incr_sta: no open trial";
+  for i = 0 to w.n_log - 1 do
+    let id = w.log.(i) in
+    w.saved.(id) <- false;
+    if restore then restore_node t id
+  done;
+  if restore then t.critical_delay <- w.u_critical_delay;
+  w.n_log <- 0;
+  w.logging <- false
+
+let rollback t = close_trial t ~restore:true
+let commit t = close_trial t ~restore:false
+
 let put_cell t g cell =
+  save t g;
   t.cells.(g) <- Some cell;
   t.kernels.(g) <- Some (Library.kernel t.lib cell);
+  t.pin_cap.(g) <- Library.input_cap t.lib cell;
   if Option.is_some t.charge then
     t.glitch.(g) <- Some (Library.glitch_kernel t.lib cell)
 
@@ -97,6 +188,9 @@ let refresh_static t id cell =
 
 let adopt t (timing : Timing.t) =
   let n = Array.length t.loads in
+  for id = 0 to n - 1 do
+    save t id
+  done;
   Array.blit timing.Timing.loads 0 t.loads 0 n;
   Array.blit timing.Timing.input_ramp 0 t.input_ramp 0 n;
   Array.blit timing.Timing.delays 0 t.delays 0 n;
@@ -114,6 +208,26 @@ let adopt t (timing : Timing.t) =
           refresh_static t id p;
           refresh_electrical t id p ~charge)
       t.cells
+
+let fresh_work n =
+  {
+    out = [| 0.; 0. |];
+    sta_dirty = Array.make n false;
+    load_dirty = Array.make n false;
+    touched = Array.make n false;
+    delay_changed = Array.make n false;
+    marks = Array.make n 0;
+    n_marks = 0;
+    logging = false;
+    saved = Array.make n false;
+    log = Array.make n 0;
+    n_log = 0;
+    u_cells = Array.make n None;
+    u_kernels = Array.make n None;
+    u_glitch = Array.make n None;
+    u_floats = Array.make (n_floats * n) 0.;
+    u_critical_delay = 0.;
+  }
 
 let create ?charge ~env lib asg timing =
   let c = Assignment.circuit asg in
@@ -135,6 +249,10 @@ let create ?charge ~env lib asg timing =
         (match charge with
         | None -> Array.make n None
         | Some _ -> Array.map (Option.map (Library.glitch_kernel lib)) cells);
+      pin_cap =
+        Array.map
+          (function None -> 0. | Some p -> Library.input_cap lib p)
+          cells;
       loads = z ();
       input_ramp = z ();
       delays = z ();
@@ -146,6 +264,7 @@ let create ?charge ~env lib asg timing =
       cell_area = z ();
       glitch_low = z ();
       glitch_high = z ();
+      work = fresh_work n;
     }
   in
   adopt t timing;
@@ -157,6 +276,7 @@ let fork t =
     cells = Array.copy t.cells;
     kernels = Array.copy t.kernels;
     glitch = Array.copy t.glitch;
+    pin_cap = Array.copy t.pin_cap;
     loads = Array.copy t.loads;
     input_ramp = Array.copy t.input_ramp;
     delays = Array.copy t.delays;
@@ -167,6 +287,7 @@ let fork t =
     cell_area = Array.copy t.cell_area;
     glitch_low = Array.copy t.glitch_low;
     glitch_high = Array.copy t.glitch_high;
+    work = fresh_work (Array.length t.cells);
   }
 
 let changes ~who t batch =
@@ -213,27 +334,27 @@ let assignment t =
     t.cells;
   asg
 
-(* Recompute one node's load exactly as Timing.compute_loads produces
-   it: for a fixed node, the sweep over readers adds each reader pin's
-   input capacitance in ascending (reader id, pin) order — which is
-   precisely the order of the node's [fanout] array — and the primary-
-   output pin capacitance comes last. *)
-let recompute_load t f =
-  let nd = Circuit.node t.circuit f in
-  let acc = ref 0. in
-  Array.iter
-    (fun r -> acc := !acc +. Library.input_cap t.lib (cell_exn t r))
-    nd.Circuit.fanout;
-  if Circuit.is_output t.circuit f then acc := !acc +. t.env.Timing.po_cap;
-  !acc
+(* Flag a node touched / delay-changed, remembering it for the clear at
+   the next [propagate]. *)
+let mark (w : work) id =
+  if not (w.touched.(id) || w.delay_changed.(id)) then begin
+    w.marks.(w.n_marks) <- id;
+    w.n_marks <- w.n_marks + 1
+  end
 
+(* The per-gate loops below are plain [for] loops over unboxed local
+   accumulators: no closure, tuple or float return per gate. *)
 let propagate t batch =
   let c = t.circuit in
   let n = Circuit.node_count c in
-  let sta_dirty = Array.make n false in
-  let delay_changed = Array.make n false in
-  let touched = Array.make n false in
-  let load_dirty = Array.make n false in
+  let w : work = t.work in
+  for i = 0 to w.n_marks - 1 do
+    let id = w.marks.(i) in
+    w.touched.(id) <- false;
+    w.delay_changed.(id) <- false
+  done;
+  w.n_marks <- 0;
+  let sta_dirty = w.sta_dirty and load_dirty = w.load_dirty in
   (* 1. apply the cell writes, refresh the cell-only terms, and seed
      the dirty sets: the gate itself plus every fan-in net whose load
      its input pins contribute to *)
@@ -242,20 +363,35 @@ let propagate t batch =
       put_cell t g cell;
       if Option.is_some t.charge then refresh_static t g cell;
       sta_dirty.(g) <- true;
-      touched.(g) <- true;
-      Array.iter
-        (fun f -> load_dirty.(f) <- true)
-        (Circuit.node c g).Circuit.fanin)
+      mark w g;
+      w.touched.(g) <- true;
+      let fanin = (Circuit.node c g).Circuit.fanin in
+      for q = 0 to Array.length fanin - 1 do
+        load_dirty.(fanin.(q)) <- true
+      done)
     batch;
-  (* 2. loads (after all writes: two changed gates may share a net) *)
+  (* 2. loads (after all writes: two changed gates may share a net),
+     exactly as Timing.compute_loads produces them: for a fixed node,
+     the sweep over readers adds each reader pin's input capacitance in
+     ascending (reader id, pin) order — which is precisely the order of
+     the node's [fanout] array — and the primary-output pin capacitance
+     comes last *)
   for f = 0 to n - 1 do
     if load_dirty.(f) then begin
-      let l = recompute_load t f in
-      if not (same_bits l t.loads.(f)) then begin
-        t.loads.(f) <- l;
+      load_dirty.(f) <- false;
+      let fanout = (Circuit.node c f).Circuit.fanout in
+      let l = ref 0. in
+      for q = 0 to Array.length fanout - 1 do
+        l := !l +. t.pin_cap.(fanout.(q))
+      done;
+      if Circuit.is_output c f then l := !l +. t.env.Timing.po_cap;
+      if not (same_bits !l t.loads.(f)) then begin
+        save t f;
+        t.loads.(f) <- !l;
         if not (Circuit.is_input c f) then begin
           sta_dirty.(f) <- true;
-          touched.(f) <- true
+          mark w f;
+          w.touched.(f) <- true
         end
       end
     end
@@ -265,51 +401,67 @@ let propagate t batch =
      a gate whose output ramp and arrival are bit-unchanged does not
      dirty its readers *)
   let pi_ramp = t.env.Timing.pi_ramp in
+  let out = w.out in
   let recomputed = ref 0 and cutoff = ref 0 in
   for id = 0 to n - 1 do
     if sta_dirty.(id) then begin
+      sta_dirty.(id) <- false;
       incr recomputed;
+      save t id;
       let nd = Circuit.node c id in
       let worst_ramp = ref pi_ramp in
       let worst_arrival = ref 0. in
-      Array.iter
-        (fun f ->
-          if t.ramps.(f) > !worst_ramp then worst_ramp := t.ramps.(f);
-          if t.arrival.(f) > !worst_arrival then worst_arrival := t.arrival.(f))
-        nd.Circuit.fanin;
-      let d, r =
-        Library.kernel_timing (kernel_exn t id) ~input_ramp:!worst_ramp
-          ~cload:t.loads.(id)
-      in
+      let fanin = nd.Circuit.fanin in
+      for q = 0 to Array.length fanin - 1 do
+        let f = fanin.(q) in
+        if t.ramps.(f) > !worst_ramp then worst_ramp := t.ramps.(f);
+        if t.arrival.(f) > !worst_arrival then worst_arrival := t.arrival.(f)
+      done;
+      Library.kernel_timing (kernel_exn t id) ~input_ramp:!worst_ramp
+        ~cload:t.loads.(id) out;
+      let d = out.(0) and r = out.(1) in
       let a = !worst_arrival +. d in
       t.input_ramp.(id) <- !worst_ramp;
       if not (same_bits d t.delays.(id)) then begin
         t.delays.(id) <- d;
-        delay_changed.(id) <- true
+        mark w id;
+        w.delay_changed.(id) <- true
       end;
       let out_changed =
         not (same_bits r t.ramps.(id) && same_bits a t.arrival.(id))
       in
       t.ramps.(id) <- r;
       t.arrival.(id) <- a;
-      if out_changed then
-        Array.iter (fun reader -> sta_dirty.(reader) <- true) nd.Circuit.fanout
+      if out_changed then begin
+        let fanout = nd.Circuit.fanout in
+        for q = 0 to Array.length fanout - 1 do
+          sta_dirty.(fanout.(q)) <- true
+        done
+      end
       else incr cutoff
     end
   done;
-  t.critical_delay <-
-    Array.fold_left
-      (fun acc po -> Float.max acc t.arrival.(po))
-      0. c.Circuit.outputs;
+  let critical = ref 0. in
+  let outputs = c.Circuit.outputs in
+  for i = 0 to Array.length outputs - 1 do
+    critical := Float.max !critical t.arrival.(outputs.(i))
+  done;
+  t.critical_delay <- !critical;
   (* 4. switching energy and generated glitch widths wherever the cell
      or the node load changed *)
   (match t.charge with
   | None -> ()
   | Some charge ->
-    for id = 0 to n - 1 do
-      if touched.(id) then refresh_electrical t id (cell_exn t id) ~charge
+    for i = 0 to w.n_marks - 1 do
+      let id = w.marks.(i) in
+      if w.touched.(id) then refresh_electrical t id (cell_exn t id) ~charge
     done);
-  { touched; delay_changed; sta_recomputed = !recomputed; sta_cutoff = !cutoff }
+  {
+    touched = w.touched;
+    delay_changed = w.delay_changed;
+    sta_recomputed = !recomputed;
+    sta_cutoff = !cutoff;
+  }
 
 (* Exactly Timing.total_energy with its default activity (0.2) and
    default clock (1.2 x critical delay): the fold visits gates in id
@@ -317,23 +469,21 @@ let propagate t batch =
 let energy t =
   let clock = 1.2 *. t.critical_delay in
   let acc = ref 0. in
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some _ ->
-        let leak = t.leak_power.(id) *. clock in
-        acc := !acc +. (0.2 *. t.dyn_energy.(id)) +. leak)
-    t.cells;
+  for id = 0 to Array.length t.cells - 1 do
+    match t.cells.(id) with
+    | None -> ()
+    | Some _ ->
+      let leak = t.leak_power.(id) *. clock in
+      acc := !acc +. (0.2 *. t.dyn_energy.(id)) +. leak
+  done;
   !acc
 
 (* Exactly Assignment.total_area's fold. *)
 let area t =
   let acc = ref 0. in
-  Array.iteri
-    (fun id cell ->
-      match cell with None -> () | Some _ -> acc := !acc +. t.cell_area.(id))
-    t.cells;
+  for id = 0 to Array.length t.cells - 1 do
+    match t.cells.(id) with None -> () | Some _ -> acc := !acc +. t.cell_area.(id)
+  done;
   !acc
 
 let metrics t ~unreliability =

@@ -57,6 +57,8 @@ type t = private {
   glitch : Ser_cell.Library.glitch option array;
       (** each gate's glitch model, refreshed only when its cell
           changes; [None] throughout a timing-only core *)
+  pin_cap : float array;
+      (** each gate's input-pin capacitance, refreshed with its cell *)
   loads : float array;
   input_ramp : float array;
   delays : float array;
@@ -70,8 +72,13 @@ type t = private {
   cell_area : float array;
   glitch_low : float array;  (** generated width, strike with output low *)
   glitch_high : float array;  (** ... with output high *)
+  work : work;
 }
 (** Read-only outside this module: the arrays are the live state. *)
+
+and work
+(** The handle's own scratch (the dirty flags and the kernel's output
+    slots) and its undo log; never shared with a fork. *)
 
 type dirty = {
   touched : bool array;
@@ -97,6 +104,21 @@ val create :
 
 val fork : t -> t
 (** O(nodes) copy; the compiled models are shared. *)
+
+(** {1 Trials}
+
+    An in-place trial: between {!begin_trial} and {!rollback} every
+    write of {!propagate}, {!set_cells} and {!adopt} first saves the
+    node's whole state (cell, models, loads, timing and electrical
+    terms) once in the handle's undo log, and {!rollback} copies the
+    saved nodes and the critical delay back, bit for bit. {!commit}
+    keeps the trial's state and drops the log. *)
+
+val begin_trial : t -> unit
+(** Raises [Invalid_argument] when a trial is already open. *)
+
+val rollback : t -> unit
+val commit : t -> unit
 
 val changes :
   who:string ->
@@ -127,7 +149,9 @@ val adopt : t -> Timing.t -> unit
 
 val propagate : t -> (int * Ser_device.Cell_params.t) list -> dirty
 (** Apply a validated, no-op-free batch (see {!changes}) and propagate
-    it through loads, forward STA and the electrical terms. *)
+    it through loads, forward STA and the electrical terms. The flag
+    arrays of the result are the handle's scratch: valid until the next
+    [propagate]. *)
 
 val assignment : t -> Assignment.t
 (** A fresh assignment holding the current cells. *)

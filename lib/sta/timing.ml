@@ -61,24 +61,24 @@ let analyze ?(env = default_env) lib asg =
   let delays = Array.make n 0. in
   let ramps = Array.make n env.pi_ramp in
   let arrival = Array.make n 0. in
+  let out = [| 0.; 0. |] in
   Array.iter
     (fun (nd : Circuit.node) ->
       if nd.kind <> Gate.Input then begin
         let id = nd.id in
         let worst_ramp = ref env.pi_ramp in
         let worst_arrival = ref 0. in
-        Array.iter
-          (fun f ->
-            if ramps.(f) > !worst_ramp then worst_ramp := ramps.(f);
-            if arrival.(f) > !worst_arrival then worst_arrival := arrival.(f))
-          nd.fanin;
+        let fanin = nd.fanin in
+        for q = 0 to Array.length fanin - 1 do
+          let f = fanin.(q) in
+          if ramps.(f) > !worst_ramp then worst_ramp := ramps.(f);
+          if arrival.(f) > !worst_arrival then worst_arrival := arrival.(f)
+        done;
         let k = Library.kernel lib (Assignment.get asg id) in
-        let d, r =
-          Library.kernel_timing k ~input_ramp:!worst_ramp ~cload:loads.(id)
-        in
+        Library.kernel_timing k ~input_ramp:!worst_ramp ~cload:loads.(id) out;
         input_ramp.(id) <- !worst_ramp;
-        delays.(id) <- d;
-        ramps.(id) <- r;
+        delays.(id) <- out.(0);
+        ramps.(id) <- out.(1);
         arrival.(id) <- !worst_arrival +. delays.(id)
       end)
     c.nodes;

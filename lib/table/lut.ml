@@ -130,8 +130,17 @@ let interpolate_1d ~xs ~ys x =
   if n = 0 then invalid_arg "Lut.interpolate_1d: empty";
   if n = 1 then ys.(0)
   else begin
+    (* [Floatx.clamp], [inv_lerp] and [lerp] written out in the same
+       operation order: the calls would box their float arguments *)
     let i = Ser_util.Floatx.binary_search_bracket xs x in
-    let x = Ser_util.Floatx.clamp ~lo:xs.(0) ~hi:xs.(n - 1) x in
-    let t = Ser_util.Floatx.inv_lerp xs.(i) xs.(i + 1) x in
-    Ser_util.Floatx.lerp ys.(i) ys.(i + 1) t
+    let lo = xs.(0) and hi = xs.(n - 1) in
+    let a = xs.(i) and b = xs.(i + 1) in
+    let t =
+      if a = b then 0.
+      else if x < lo then (lo -. a) /. (b -. a)
+      else if x > hi then (hi -. a) /. (b -. a)
+      else (x -. a) /. (b -. a)
+    in
+    let y0 = ys.(i) in
+    y0 +. ((ys.(i + 1) -. y0) *. t)
   end

@@ -24,13 +24,12 @@ let logspace a b n =
    circuit mixes very wide and very narrow glitch widths. *)
 let sum xs =
   let s = ref 0. and c = ref 0. in
-  let add x =
-    let y = x -. !c in
+  for i = 0 to Array.length xs - 1 do
+    let y = Array.unsafe_get xs i -. !c in
     let t = !s +. y in
     c := t -. !s -. y;
     s := t
-  in
-  Array.iter add xs;
+  done;
   !s
 
 let mean xs =

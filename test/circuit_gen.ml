@@ -62,3 +62,17 @@ let perturb ~seed ~n lib c asg =
     let g, cand = random_move rng lib c gates in
     Ser_sta.Assignment.set asg g cand
   done
+
+(* Every bit of an STA core: its cells, the eleven per-node float
+   arrays and the critical delay. *)
+let core_fingerprint (s : Ser_sta.Incr_sta.t) =
+  let fl a = List.map Int64.bits_of_float (Array.to_list a) in
+  ( List.map
+      (Option.fold ~none:"pi" ~some:Ser_device.Cell_params.to_string)
+      (Array.to_list s.cells),
+    List.concat_map fl
+      [
+        s.pin_cap; s.loads; s.input_ramp; s.delays; s.ramps; s.arrival;
+        s.dyn_energy; s.leak_power; s.cell_area; s.glitch_low; s.glitch_high;
+        [| s.critical_delay |];
+      ] )

@@ -255,7 +255,9 @@ let prop_kernel_matches_walk =
         (fun p ->
           let d_ref, r_ref = reference_timing p ~input_ramp ~cload in
           let k = L.kernel lib p in
-          let d, r = L.kernel_timing k ~input_ramp ~cload in
+          let out = [| 0.; 0. |] in
+          L.kernel_timing k ~input_ramp ~cload out;
+          let d = out.(0) and r = out.(1) in
           let d_lib = L.delay lib p ~input_ramp ~cload in
           let r_lib = L.output_ramp lib p ~input_ramp ~cload in
           let g = L.glitch_kernel lib p in
@@ -286,7 +288,9 @@ let test_transient_kernel () =
           let k = L.kernel lib p in
           List.iter
             (fun (input_ramp, cload) ->
-              let d, r = L.kernel_timing k ~input_ramp ~cload in
+              let out = [| 0.; 0. |] in
+              L.kernel_timing k ~input_ramp ~cload out;
+              let d = out.(0) and r = out.(1) in
               let same a b = Int64.equal (bits a) (bits b) in
               Alcotest.(check bool)
                 (Printf.sprintf "%s ramp=%g cload=%g" (P.to_string p) input_ramp

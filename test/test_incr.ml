@@ -101,6 +101,106 @@ let incremental_equals_scratch_prop =
       && bits t.Timing.critical_delay = bits (Incr.critical_delay e)
       && objective_matches)
 
+(* Every bit of a handle's state: timing, brackets, WS tables,
+   estimates, generated and expected widths, FIT, the STA core and
+   stats. *)
+let fingerprint c e =
+  let n = Circuit.node_count c in
+  let s = Incr.snapshot e in
+  let t = s.Analysis.timing in
+  let fl a = List.map bits (Array.to_list a) in
+  let ids = List.init n Fun.id in
+  List.concat
+    [
+      fl t.Timing.loads; fl t.Timing.input_ramp; fl t.Timing.delays;
+      fl t.Timing.ramps; fl t.Timing.arrival;
+      [ bits t.Timing.critical_delay; bits (Incr.critical_delay e) ];
+      fl s.Analysis.gen_width;
+      List.concat_map fl (Array.to_list s.Analysis.expected_width);
+      fl s.Analysis.unreliability;
+      List.concat_map
+        (fun m -> List.concat_map fl (Array.to_list m))
+        (Array.to_list s.Analysis.tables);
+      fl (Array.init n (Incr.fit e));
+      List.concat_map
+        (fun id ->
+          let lo, fr = Incr.brackets e id in
+          List.map Int64.of_int (Array.to_list lo) @ fl fr)
+        ids;
+    ]
+  |> fun state ->
+  let st = Incr.stats e in
+  ( state,
+    Circuit_gen.core_fingerprint (Incr.core e),
+    { st with Ser_incr.Cone.updates = st.Ser_incr.Cone.updates } )
+
+let same_metrics (a : Incr.metrics) (b : Incr.metrics) =
+  bits a.Incr.m_unreliability = bits b.Incr.m_unreliability
+  && bits a.Incr.m_delay = bits b.Incr.m_delay
+  && bits a.Incr.m_energy = bits b.Incr.m_energy
+  && bits a.Incr.m_area = bits b.Incr.m_area
+
+(* A random gate's menu (capped as SERTOPT caps it) and one batch
+   moving every gate (above Incr_sta.wants_rebuild's threshold, the
+   wholesale path, on circuits of more than 8 gates). *)
+let scoring_moves rng lib c gates e =
+  let g = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
+  let menu =
+    Opt.sample_menu ~cap:24 (Array.to_list (variants_of lib c g))
+    |> List.map (fun p -> [ (g, p) ])
+  in
+  let everything =
+    Array.to_list gates
+    |> List.filter_map (fun g ->
+           Array.to_list (variants_of lib c g)
+           |> List.find_opt (fun p -> not (Cell_params.equal p (Incr.cell e g)))
+           |> Option.map (fun p -> (g, p)))
+  in
+  menu @ [ everything ]
+
+(* In-place scoring is fork scoring: on a random incumbent, every menu
+   entry scored with [Incr.score] must return exactly the metrics of a
+   fork after the same update, and the rollback must leave every bit of
+   the handle (stats included) as it was before the move — under both
+   objectives, and on the rebuild path too (which the c432 rebuild case
+   also scores). *)
+let in_place_score_prop =
+  QCheck.Test.make ~count:10
+    ~name:"in-place score = fork score, rollback restores every bit"
+    (QCheck.pair Circuit_gen.arb QCheck.bool)
+    (fun ((seed, n_swaps, n_gates, depth), spectrum) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      let lib = Library.create () in
+      let asg = Assignment.uniform lib c in
+      let masking = Analysis.compute_masking config c in
+      let rate =
+        if not spectrum then None
+        else
+          let clock_period =
+            1.2
+            *. (Timing.analyze ~env:config.Analysis.env lib asg).Timing.critical_delay
+          in
+          Some
+            (Aserta.Ser_rate.quadrature ~spectrum:Aserta.Ser_rate.default_spectrum
+               ~clock_period ())
+      in
+      let e = Incr.create ?rate ~config lib asg masking in
+      let rng = Ser_rng.Rng.create (seed + 31) in
+      let gates = non_inputs c in
+      for _ = 1 to n_swaps do
+        let g, cand = Circuit_gen.random_move rng lib c gates in
+        Incr.set_cell e g cand
+      done;
+      let before = fingerprint c e in
+      let moves = scoring_moves rng lib c gates e in
+      List.for_all
+           (fun batch ->
+             let f = Incr.fork e in
+             Incr.update f batch;
+             let got = Incr.score e batch Incr.metrics in
+             same_metrics (Incr.metrics f) got && fingerprint c e = before)
+           moves)
+
 (* ------------------- directed engine tests (c432) ------------------- *)
 
 let setup =
@@ -156,8 +256,20 @@ let test_full_rebuild_path () =
         batch := (g, cand) :: !batch
       end)
     gates;
+  (* scored in place first: the rebuild under the undo log rolls back *)
+  let scored =
+    List.map
+      (fun h ->
+        let before = fingerprint c h in
+        let m = Incr.score h !batch Incr.metrics in
+        Alcotest.(check bool) "rebuild rolled back" true (fingerprint c h = before);
+        m)
+      [ e; es ]
+  in
   Incr.update e !batch;
   Incr.update es !batch;
+  Alcotest.(check bool) "in-place score of the rebuild = the update" true
+    (List.for_all2 (fun m h -> same_metrics m (Incr.metrics h)) scored [ e; es ]);
   Alcotest.(check bool) "took the rebuild path" true
     ((Incr.stats e).Ser_incr.Cone.full_rebuilds >= 1
     && (Incr.stats es).Ser_incr.Cone.full_rebuilds >= 1);
@@ -305,5 +417,8 @@ let () =
             test_pins_spectrum;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest incremental_equals_scratch_prop ] );
+        [
+          QCheck_alcotest.to_alcotest incremental_equals_scratch_prop;
+          QCheck_alcotest.to_alcotest in_place_score_prop;
+        ] );
     ]

@@ -109,13 +109,12 @@ let test_diag_error_keeps_subsystem () =
 let test_budget_degrades () =
   Par.set_jobs 2;
   let b = Budget.create ~max_evals:5 () in
-  let out =
-    Par.parallel_map_budgeted ~budget:b ~chunk:1
-      (fun x ->
+  let out = Array.make 64 None in
+  Par.parallel_chunks ~budget:b ~chunk:1 ~n:64 (fun ~slot:_ ~lo ~hi ->
+      for i = lo to hi - 1 do
         Budget.tick b;
-        x + 1)
-      (Array.init 64 Fun.id)
-  in
+        out.(i) <- Some (i + 1)
+      done);
   Alcotest.(check bool) "budget latched" true (Budget.was_exhausted b);
   let completed =
     Array.fold_left

@@ -219,6 +219,80 @@ let incremental_equals_scratch_prop =
       !ok
       && List.for_all (fun (a, p) -> handle_matches_scratch lib a p) !parents)
 
+(* Every bit of a serpp handle's state: brackets, profiles, estimates,
+   metrics, the STA core (cells, loads, timing, electrical terms) and
+   stats. *)
+let fingerprint c h =
+  let n = Circuit.node_count c in
+  let m = Serpp_incr.metrics h in
+  let fl a = List.map bits (Array.to_list a) in
+  let st = Serpp_incr.stats h in
+  ( List.concat
+      [
+        fl (Array.init n (Serpp_incr.estimate h));
+        List.concat_map
+          (fun id ->
+            let lo, fr = Serpp_incr.brackets h id in
+            fl (Serpp_incr.profile h id)
+            @ List.map Int64.of_int (Array.to_list lo)
+            @ fl fr)
+          (List.init n Fun.id);
+        List.map bits
+          Ser_sta.Incr_sta.[ m.m_unreliability; m.m_delay; m.m_energy; m.m_area ];
+      ],
+    Circuit_gen.core_fingerprint (Serpp_incr.core h),
+    { st with Ser_incr.Cone.updates = st.Ser_incr.Cone.updates } )
+
+let same_metrics (a : Ser_sta.Incr_sta.metrics) (b : Ser_sta.Incr_sta.metrics) =
+  bits a.m_unreliability = bits b.m_unreliability
+  && bits a.m_delay = bits b.m_delay
+  && bits a.m_energy = bits b.m_energy
+  && bits a.m_area = bits b.m_area
+
+(* In-place scoring is fork scoring: on a random incumbent, a random
+   gate's menu (capped as SERTOPT caps it) and one batch moving every gate (the rebuild path
+   on circuits of more than 8 gates; the c432 rebuild case scores one
+   too) scored with [Serpp_incr.score] return exactly the metrics of a
+   fork after the same update, and each rollback leaves every bit of
+   the handle as it was. *)
+let in_place_score_prop =
+  QCheck.Test.make ~count:10
+    ~name:"serpp in-place score = fork score, rollback restores every bit"
+    Circuit_gen.arb
+    (fun (seed, n_swaps, n_gates, depth) ->
+      let c = Circuit_gen.circuit ~seed ~n_gates ~depth in
+      let lib = Lazy.force lib in
+      let asg = Assignment.uniform lib c in
+      let h = Serpp_incr.of_run lib asg (Serpp.run lib asg) in
+      let rng = Ser_rng.Rng.create (seed + 37) in
+      let gates = Circuit_gen.non_inputs c in
+      for _ = 1 to n_swaps do
+        let g, cand = Circuit_gen.random_move rng lib c gates in
+        Serpp_incr.set_cell h g cand
+      done;
+      let cells = (Serpp_incr.core h).Ser_sta.Incr_sta.cells in
+      let g = gates.(Ser_rng.Rng.int rng (Array.length gates)) in
+      let menu =
+        Sertopt.Optimizer.sample_menu ~cap:24
+          (Array.to_list (Circuit_gen.variants_of lib c g))
+        |> List.map (fun p -> [ (g, p) ])
+      in
+      let everything =
+        Array.to_list gates
+        |> List.filter_map (fun g ->
+               Array.to_list (Circuit_gen.variants_of lib c g)
+               |> List.find_opt (fun p -> cells.(g) <> Some p)
+               |> Option.map (fun p -> (g, p)))
+      in
+      let before = fingerprint c h in
+      List.for_all
+           (fun batch ->
+             let f = Serpp_incr.fork h in
+             Serpp_incr.update f batch;
+             let got = Serpp_incr.score h batch Serpp_incr.metrics in
+             same_metrics (Serpp_incr.metrics f) got && fingerprint c h = before)
+           (menu @ [ everything ]))
+
 let test_fork_isolation () =
   let l, asg = sized_bench "c432" in
   let h = Serpp_incr.of_run l asg (Serpp.run l asg) in
@@ -255,7 +329,7 @@ let test_rebuild_path () =
   let c = Assignment.circuit asg in
   let h = Serpp_incr.of_run l asg (Serpp.run l asg) in
   let target = Assignment.copy asg in
-  let moved = ref 0 in
+  let moved = ref 0 and batch = ref [] in
   Array.iteri
     (fun k g ->
       if k mod 3 = 0 then begin
@@ -265,12 +339,19 @@ let test_rebuild_path () =
         |> List.find_opt (fun p -> not (Cell_params.equal p cur))
         |> Option.iter (fun p ->
                Assignment.set target g p;
+               batch := (g, p) :: !batch;
                incr moved)
       end)
     (Circuit_gen.non_inputs c);
   Alcotest.(check bool) "batch is above the rebuild threshold" true
     (!moved > max 8 (Circuit.gate_count c / 8));
+  (* scored in place first: the rebuild under the undo log rolls back *)
+  let before = fingerprint c h in
+  let scored = Serpp_incr.score h !batch Serpp_incr.metrics in
+  Alcotest.(check bool) "rebuild rolled back" true (fingerprint c h = before);
   Serpp_incr.sync h target;
+  Alcotest.(check bool) "in-place score of the rebuild = the sync" true
+    (same_metrics scored (Serpp_incr.metrics h));
   let st = Serpp_incr.stats h in
   Alcotest.(check int) "one update" 1 st.Ser_incr.Cone.updates;
   Alcotest.(check int) "one rebuild" 1 st.Ser_incr.Cone.full_rebuilds;
@@ -520,6 +601,7 @@ let () =
           Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
           Alcotest.test_case "rebuild path" `Quick test_rebuild_path;
           QCheck_alcotest.to_alcotest incremental_equals_scratch_prop;
+          QCheck_alcotest.to_alcotest in_place_score_prop;
         ] );
       ( "xval",
         [

@@ -674,6 +674,58 @@ let test_prepared_sizes_once () =
       | Error d -> Alcotest.fail (Ser_util.Diag.to_string d))
     docs
 
+(* The pool width changes nothing: a small c432 optimize, exact and
+   serpp-tiered, renders the same document and moves every incr.*,
+   serpp.* and sertopt.* counter and histogram by the same amount at
+   -j 1 and -j 2. Slot 1 scores on copies of the engine and the
+   ranking handle that follow each accept silently, and every in-place
+   score rolls back: neither may count. *)
+let test_pool_width_invariant () =
+  let module Request = Ser_cli.Request in
+  let module Handlers = Ser_cli.Handlers in
+  let module Metrics = Ser_obs.Obs.Metrics in
+  let module Json = Ser_util.Json in
+  let prefixes = [ "incr."; "serpp."; "sertopt." ] in
+  let watched (name, _) =
+    List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+  in
+  let run jobs tier =
+    Ser_par.Par.set_jobs jobs;
+    List.iter (fun prefix -> Metrics.reset ~prefix ()) prefixes;
+    let req =
+      {
+        (Request.defaults Request.Optimize (Request.Spec "c432")) with
+        Request.vectors = 300;
+        evals = 6;
+        greedy = 1;
+        eval_tier = tier;
+        tier_k = 6;
+      }
+    in
+    let doc =
+      match Handlers.run req with
+      | Ok doc -> Json.to_string doc
+      | Error d -> Alcotest.fail (Ser_util.Diag.to_string d)
+    in
+    let section name =
+      match Json.member name (Metrics.snapshot ()) with
+      | Some (Json.Obj fields) -> List.filter watched fields
+      | _ -> Alcotest.fail ("metrics snapshot has no " ^ name)
+    in
+    (doc, Json.to_string (Json.Obj (section "counters" @ section "histograms")))
+  in
+  let jobs = Ser_par.Par.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Ser_par.Par.set_jobs jobs)
+    (fun () ->
+      List.iter
+        (fun tier ->
+          let doc1, metrics1 = run 1 tier in
+          let doc2, metrics2 = run 2 tier in
+          Alcotest.(check string) (tier ^ ": result document") doc1 doc2;
+          Alcotest.(check string) (tier ^ ": counter deltas") metrics1 metrics2)
+        [ "exact"; "serpp" ])
+
 let test_masking_override () =
   let c = Ser_circuits.Iscas.c17 () in
   let lib = lib_small () in
@@ -803,6 +855,8 @@ let () =
           Alcotest.test_case "pure nullspace no regression" `Slow test_optimize_pure_nullspace;
           Alcotest.test_case "replay guard" `Slow test_replay_guard;
           Alcotest.test_case "masking override" `Quick test_masking_override;
+          Alcotest.test_case "pool width changes nothing" `Quick
+            test_pool_width_invariant;
           Alcotest.test_case "menu sampling" `Quick test_sample_menu;
           Alcotest.test_case "odc-seeded downsizing pins" `Quick
             test_optimize_odc_pins;
