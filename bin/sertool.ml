@@ -694,12 +694,7 @@ let serve_cmd jobs obs socket tcp max_queue max_frame deadline cache_dir
     }
   in
   Printf.printf "sertool serve: pid %d listening on %s\n%!" (Unix.getpid ())
-    (String.concat ", "
-       (List.map
-          (function
-            | Server.Unix_sock p -> "unix:" ^ p
-            | Server.Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p)
-          addrs));
+    (String.concat ", " (List.map Server.addr_to_string addrs));
   (match Server.run cfg with
   | Ok () ->
     print_endline "sertool serve: drained cleanly";
@@ -724,7 +719,6 @@ let client_cmd socket tcp op spec inline override connect_timeout timeout
   in
   let opts =
     {
-      Client.default_opts with
       Client.connect_timeout_s = connect_timeout;
       request_timeout_s = timeout;
       retries;
@@ -762,23 +756,14 @@ let client_cmd socket tcp op spec inline override connect_timeout timeout
       in
       Request.to_json (request opv source override)
   in
-  (* --repeat > 1 keeps one framed connection alive across the whole
-     loop (the daemon already serves many requests per connection);
-     conn_call transparently re-dials and retries if it drops *)
-  let conn =
-    if repeat > 1 then Some (Client.conn ~opts addr) else None
-  in
-  let call request =
-    match conn with
-    | Some c -> Client.conn_call c request
-    | None ->
-      if retry_rejected then Client.call_retrying ~opts addr request
-      else Client.call ~opts addr request
-  in
+  (* one framed connection stays alive across the whole --repeat loop
+     (the daemon serves many requests per connection); conn_call
+     transparently re-dials and retries if it drops *)
+  let conn = Client.conn ~opts addr in
   let rec iterate i last =
     if i >= repeat then last
     else
-      match call request with
+      match Client.conn_call ~retry_rejected conn request with
       | Error _ as e -> e
       | Ok r ->
         if repeat > 1 then
@@ -793,7 +778,7 @@ let client_cmd socket tcp op spec inline override connect_timeout timeout
         iterate (i + 1) (Ok r)
   in
   let result = iterate 0 (Error (Ser_util.Diag.make ~subsystem:"serve" "no attempt")) in
-  (match conn with Some c -> Client.conn_close c | None -> ());
+  Client.conn_close conn;
   match result with
   | Error d ->
     render_diag d;
@@ -1617,8 +1602,7 @@ let client_t =
     Arg.(value & flag & info [ "retry-rejected" ]
            ~doc:"Also retry retryable protocol rejections (overloaded, \
                  shutting_down, worker_failed); pair with --id so \
-                 re-execution stays idempotent. Ignored with --repeat \
-                 (the kept-alive path retries transport failures only).")
+                 re-execution stays idempotent.")
   in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"

@@ -1,16 +1,9 @@
 module Json = Ser_util.Json
 module Diag = Ser_util.Diag
-module Circuit = Ser_netlist.Circuit
 
 let subsystem = "serve"
 
-(* --------------------------- content keys -------------------------- *)
-
-(* The canonical structural digest lives with the netlist now
-   ({!Ser_netlist.Circuit.digest}) so the ODC report binding and the
-   cache keys can never drift apart; this alias keeps existing call
-   sites and the persisted key format byte-identical. *)
-let circuit_digest (c : Circuit.t) = Circuit.digest c
+(* ------------------------------- keys ------------------------------ *)
 
 (* The leading version names the payload schema: bump it whenever a
    payload's shape or values change, so a persisted --cache-dir written
@@ -20,9 +13,7 @@ let key ~circuit ~library ~params =
     (Digest.string
        (Printf.sprintf "v3|%s|%s|%s" circuit library (Json.to_string params)))
 
-(* ------------------------------- LRU ------------------------------- *)
-
-type entry = { value : Json.t; mutable gen : int }
+(* ------------------------------ table ------------------------------ *)
 
 type stats = {
   hits : int;
@@ -33,14 +24,12 @@ type stats = {
 }
 
 type t = {
-  max_entries : int;
+  lru : Json.t Lru.t;
   dir : string option;
   writer : string -> string -> unit;
-  table : (string, entry) Hashtbl.t;
-  mutable clock : int;
+  mutable load_evictions : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable persist_errors : int;
 }
 
@@ -63,30 +52,11 @@ let atomic_write path contents =
 
 let cache_file dir = Filename.concat dir "cache.json"
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-let insert t k v =
-  (match Hashtbl.find_opt t.table k with
-  | Some _ -> Hashtbl.replace t.table k { value = v; gen = tick t }
-  | None -> Hashtbl.replace t.table k { value = v; gen = tick t });
-  while Hashtbl.length t.table > t.max_entries do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, g) when g <= e.gen -> acc
-          | _ -> Some (k, e.gen))
-        t.table None
-    in
-    match victim with
-    | Some (k, _) ->
-      Hashtbl.remove t.table k;
-      t.evictions <- t.evictions + 1;
-      Ser_obs.Obs.Metrics.incr m_evictions
-    | None -> ()
-  done
+let add t k v =
+  let before = Lru.evictions t.lru in
+  Lru.add t.lru k v;
+  if Lru.evictions t.lru > before then
+    Ser_obs.Obs.Metrics.incr m_evictions
 
 let load t path =
   if not (Sys.file_exists path) then []
@@ -105,7 +75,7 @@ let load t path =
         List.iter
           (fun item ->
             match (Json.member "key" item, Json.member "payload" item) with
-            | Some (Json.Str k), Some v -> insert t k v
+            | Some (Json.Str k), Some v -> add t k v
             | _ -> ())
           items;
         []
@@ -116,17 +86,14 @@ let load t path =
         ])
 
 let create ?(max_entries = 256) ?dir ?(writer = atomic_write) () =
-  let max_entries = max 1 max_entries in
   let t =
     {
-      max_entries;
+      lru = Lru.create max_entries;
       dir;
       writer;
-      table = Hashtbl.create 64;
-      clock = 0;
+      load_evictions = 0;
       hits = 0;
       misses = 0;
-      evictions = 0;
       persist_errors = 0;
     }
   in
@@ -134,29 +101,25 @@ let create ?(max_entries = 256) ?dir ?(writer = atomic_write) () =
     match dir with None -> [] | Some d -> load t (cache_file d)
   in
   (* Loading is not eviction churn worth reporting. *)
-  t.evictions <- 0;
+  t.load_evictions <- Lru.evictions t.lru;
   (t, diags)
 
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | Some e ->
-    e.gen <- tick t;
+  match Lru.find t.lru k with
+  | Some _ as hit ->
     t.hits <- t.hits + 1;
     Ser_obs.Obs.Metrics.incr m_hits;
-    Some e.value
+    hit
   | None ->
     t.misses <- t.misses + 1;
     Ser_obs.Obs.Metrics.incr m_misses;
     None
 
-let add t k v = insert t k v
-
 let render t =
   let items =
-    Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.table []
-    |> List.sort (fun (_, a) (_, b) -> compare a.gen b.gen)
-    |> List.map (fun (k, e) ->
-           Json.Obj [ ("key", Json.Str k); ("payload", e.value) ])
+    List.map
+      (fun (k, v) -> Json.Obj [ ("key", Json.Str k); ("payload", v) ])
+      (Lru.to_list t.lru)
   in
   Json.to_string
     (Json.Obj [ ("version", Json.int 1); ("entries", Json.List items) ])
@@ -186,9 +149,9 @@ let stats t =
   {
     hits = t.hits;
     misses = t.misses;
-    evictions = t.evictions;
+    evictions = Lru.evictions t.lru - t.load_evictions;
     persist_errors = t.persist_errors;
-    entries = Hashtbl.length t.table;
+    entries = Lru.length t.lru;
   }
 
 let stats_json t =

@@ -1,4 +1,5 @@
-(** Content-addressed LRU result cache with atomic on-disk persistence.
+(** Content-addressed result cache with atomic on-disk persistence,
+    an {!Lru} of result payloads.
 
     Keys are digests of the {e content} that determines a result — the
     canonical netlist rendering, the cell-library axes, the canonical
@@ -16,15 +17,11 @@
     Write failures (e.g. ENOSPC) are likewise contained: the daemon
     keeps serving from memory and counts the failure. *)
 
-val circuit_digest : Ser_netlist.Circuit.t -> string
-(** MD5 hex of a canonical rendering (sorted input/output/gate lines,
-    fanin pin order preserved) — invariant under the declaration order
-    of the source netlist. *)
-
 val key :
   circuit:string -> library:string -> params:Ser_util.Json.t -> string
-(** Combine a {!circuit_digest}, a {!Ser_cli.Handlers.library_id} and a
-    canonical {!Ser_cli.Request.params_json} into one digest. The
+(** Combine a {!Ser_netlist.Circuit.digest}, a
+    {!Ser_cli.Handlers.library_id} and a canonical
+    {!Ser_cli.Request.params_json} into one digest. The
     digest also covers a payload-schema version, so entries persisted
     by a build with another payload shape miss. *)
 
@@ -55,7 +52,8 @@ val find : t -> string -> Ser_util.Json.t option
 
 val add : t -> string -> Ser_util.Json.t -> unit
 (** Insert or refresh; evicts the least recently used entry beyond
-    [max_entries]. *)
+    [max_entries]. The [evictions] of {!stats} leave out those made
+    while loading [cache.json]. *)
 
 val flush : t -> Ser_util.Diag.t list
 (** Persist to disk ([[]] when no [dir] or on success); failures come

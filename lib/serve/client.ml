@@ -8,44 +8,22 @@ type opts = {
   connect_timeout_s : float;
   request_timeout_s : float;
   retries : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  max_frame : int;
 }
 
 let default_opts =
-  {
-    connect_timeout_s = 5.;
-    request_timeout_s = 300.;
-    retries = 5;
-    backoff_base_s = 0.1;
-    backoff_max_s = 2.;
-    max_frame = Frame.default_max_frame;
-  }
+  { connect_timeout_s = 5.; request_timeout_s = 300.; retries = 5 }
 
-let backoff opts attempt =
-  Float.min opts.backoff_max_s
-    (opts.backoff_base_s *. (2. ** float_of_int attempt))
-
-let sockaddr = function
-  | Server.Unix_sock path -> Unix.ADDR_UNIX path
-  | Server.Tcp (host, port) ->
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    Unix.ADDR_INET (ip, port)
+(* retry [attempt + 1] waits 0.1 s doubling, at most 2 s *)
+let backoff attempt = Float.min 2. (0.1 *. (2. ** float_of_int attempt))
 
 let connect opts addr =
-  let domain =
-    match addr with
-    | Server.Unix_sock _ -> Unix.PF_UNIX
-    | Server.Tcp _ -> Unix.PF_INET
+  let sa = Server.sockaddr addr in
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0
   in
-  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   let deadline = Mono.now () +. opts.connect_timeout_s in
   let rec go () =
-    match Unix.connect fd (sockaddr addr) with
+    match Unix.connect fd sa with
     | () -> Ok fd
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       if Mono.now () > deadline then Error "connect timed out" else go ()
@@ -58,59 +36,6 @@ let connect opts addr =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error msg
 
-let once opts addr request =
-  match connect opts addr with
-  | Error msg -> Error (`Transport msg)
-  | Ok fd -> (
-    let finish r =
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      r
-    in
-    match Frame.write_frame fd request with
-    | Error e -> finish (Error (`Transport (Frame.error_to_string e)))
-    | Ok () -> (
-      let deadline = Mono.now () +. opts.request_timeout_s in
-      match Frame.read_frame ~max:opts.max_frame ~deadline fd with
-      | Error Frame.Timeout ->
-        finish (Error (`Timeout opts.request_timeout_s))
-      | Error e -> finish (Error (`Transport (Frame.error_to_string e)))
-      | Ok json -> (
-        match Wire.response_of_json json with
-        | Ok r -> finish (Ok r)
-        | Error msg -> finish (Error (`Transport ("bad envelope: " ^ msg))))))
-
-let call_gen ~retry_rejections ?(opts = default_opts) addr request =
-  let rec go attempt last =
-    if attempt > opts.retries then
-      Error
-        (Diag.make ~subsystem
-           ~context:[ ("attempts", string_of_int (attempt)) ]
-           (Printf.sprintf "request failed after %d attempt(s): %s" attempt
-              last))
-    else begin
-      if attempt > 0 then Unix.sleepf (backoff opts (attempt - 1));
-      match once opts addr request with
-      | Ok r -> (
-        match r.Wire.r_status with
-        | Wire.Rejected (reject, msg, _)
-          when retry_rejections && Wire.retryable reject ->
-          go (attempt + 1)
-            (Printf.sprintf "%s: %s" (Wire.reject_to_string reject) msg)
-        | _ -> Ok r)
-      | Error (`Timeout s) ->
-        (* the request may still be executing server-side; retrying a
-           timed-out call is only idempotent when the request carries
-           an id, so surface it instead of silently re-running *)
-        Error
-          (Diag.make ~subsystem
-             (Printf.sprintf "no response within %.1fs" s))
-      | Error (`Transport msg) -> go (attempt + 1) msg
-    end
-  in
-  go 0 "never attempted"
-
-(* -------------------- persistent connections -------------------- *)
-
 type conn = {
   c_addr : Server.addr;
   c_opts : opts;
@@ -119,42 +44,48 @@ type conn = {
 
 let conn ?(opts = default_opts) addr = { c_addr = addr; c_opts = opts; c_fd = None }
 
-let conn_drop c =
+let conn_close c =
   match c.c_fd with
   | None -> ()
   | Some fd ->
     c.c_fd <- None;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let conn_close = conn_drop
-
 let conn_fd c =
   match c.c_fd with
   | Some fd -> Ok fd
-  | None -> (
-    match connect c.c_opts c.c_addr with
-    | Ok fd ->
-      c.c_fd <- Some fd;
-      Ok fd
-    | Error msg -> Error msg)
+  | None ->
+    Result.map
+      (fun fd ->
+        c.c_fd <- Some fd;
+        fd)
+      (connect c.c_opts c.c_addr)
 
-(* One exchange over the persistent fd. Any transport failure — EPIPE
+(* A write into a connection the daemon has closed (it restarted since
+   the last exchange) must come back as EPIPE, not kill the process. *)
+let write_ignoring_sigpipe fd request =
+  let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe old)
+    (fun () -> Frame.write_frame fd request)
+
+(* One exchange over the connection's fd. Any transport failure — EPIPE
    on write into a dead server, EOF or garbage on read — poisons the
    fd: responses could otherwise desynchronise from requests, so the
    only safe reaction is to drop the connection and dial fresh. *)
-let conn_once c request =
+let exchange c request =
   match conn_fd c with
   | Error msg -> Error (`Transport msg)
   | Ok fd -> (
     let fail r =
-      conn_drop c;
+      conn_close c;
       r
     in
-    match Frame.write_frame fd request with
+    match write_ignoring_sigpipe fd request with
     | Error e -> fail (Error (`Transport (Frame.error_to_string e)))
     | Ok () -> (
       let deadline = Mono.now () +. c.c_opts.request_timeout_s in
-      match Frame.read_frame ~max:c.c_opts.max_frame ~deadline fd with
+      match Frame.read_frame ~deadline fd with
       | Error Frame.Timeout -> fail (Error (`Timeout c.c_opts.request_timeout_s))
       | Error e -> fail (Error (`Transport (Frame.error_to_string e)))
       | Ok json -> (
@@ -162,23 +93,26 @@ let conn_once c request =
         | Ok r -> Ok r (* the connection stays open for the next call *)
         | Error msg -> fail (Error (`Transport ("bad envelope: " ^ msg))))))
 
-let conn_call c request =
-  (* Transparent reconnect-and-retry: a first failure on a kept-alive
-     fd is most often a stale connection (the daemon restarted since
-     the last exchange), which conn_once already turned into a fresh
-     dial — so the retry loop is the same transport policy as {!call}.
-     Timeouts are not retried: the request may still be executing. *)
-  let opts = c.c_opts in
+(* A first failure on a kept-alive fd is most often a stale connection
+   (the daemon restarted since the last exchange), which [exchange]
+   already turned into a fresh dial on the next attempt. Timeouts are
+   not retried: the request may still be executing server-side, and
+   re-running it is only idempotent when it carries an id. *)
+let conn_call ?(retry_rejected = false) c request =
   let rec go attempt last =
-    if attempt > opts.retries then
+    if attempt > c.c_opts.retries then
       Error
         (Diag.make ~subsystem
            ~context:[ ("attempts", string_of_int attempt) ]
            (Printf.sprintf "request failed after %d attempt(s): %s" attempt
               last))
     else begin
-      if attempt > 0 then Unix.sleepf (backoff opts (attempt - 1));
-      match conn_once c request with
+      if attempt > 0 then Unix.sleepf (backoff (attempt - 1));
+      match exchange c request with
+      | Ok { Wire.r_status = Wire.Rejected (reject, msg, _); _ }
+        when retry_rejected && Wire.retryable reject ->
+        go (attempt + 1)
+          (Printf.sprintf "%s: %s" (Wire.reject_to_string reject) msg)
       | Ok r -> Ok r
       | Error (`Timeout s) ->
         Error
@@ -189,10 +123,8 @@ let conn_call c request =
   go 0 "never attempted"
 
 let call ?opts addr request =
-  call_gen ~retry_rejections:false ?opts addr request
-
-let call_retrying ?opts addr request =
-  call_gen ~retry_rejections:true ?opts addr request
+  let c = conn ?opts addr in
+  Fun.protect ~finally:(fun () -> conn_close c) (fun () -> conn_call c request)
 
 let health ?(opts = default_opts) addr =
   let probe_opts = { opts with retries = 0 } in

@@ -24,10 +24,7 @@ let error_to_string = function
 let encode_raw payload =
   let n = String.length payload in
   let b = Bytes.create (header_bytes + n) in
-  Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 b 3 (n land 0xff);
+  Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b header_bytes n;
   Bytes.unsafe_to_string b
 
@@ -38,22 +35,25 @@ type decoded =
   | Incomplete
   | Invalid of error
 
+(* The payload length announced by the header at the start of [s], or
+   the error that rejects it. The high bit of a valid length is never
+   set (max < 2^31), so a set bit 31 reads as a negative length and is
+   rejected the same way an over-limit one is. *)
+let header_length ~max s =
+  let len = Int32.to_int (String.get_int32_be s 0) in
+  if len < 0 || len > max then Error (Bad_length { len; max }) else Ok len
+
 let decode ?(max = default_max_frame) s =
   let have = String.length s in
   if have < header_bytes then Incomplete
   else
-    let byte i = Char.code s.[i] in
-    (* The high bit of a valid length is never set (max < 2^31), so a
-       set bit 31 reads as a negative/absurd length and is rejected the
-       same way an over-limit one is. *)
-    let len =
-      (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-    in
-    let len = if byte 0 land 0x80 <> 0 then -(0x1_0000_0000 - len) else len in
-    if len < 0 || len > max then Invalid (Bad_length { len; max })
-    else if have < header_bytes + len then Incomplete
-    else Complete { payload = String.sub s header_bytes len;
-                    consumed = header_bytes + len }
+    match header_length ~max s with
+    | Error e -> Invalid e
+    | Ok len when have < header_bytes + len -> Incomplete
+    | Ok len ->
+      Complete
+        { payload = String.sub s header_bytes len;
+          consumed = header_bytes + len }
 
 (* --------------------------- fd transport -------------------------- *)
 
@@ -98,19 +98,15 @@ let read_frame ?(max = default_max_frame) ?deadline fd =
   match read_exact fd deadline header_bytes with
   | Error _ as e -> e
   | Ok header -> (
-    let byte i = Char.code header.[i] in
-    let len =
-      (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-    in
-    let len = if byte 0 land 0x80 <> 0 then -(0x1_0000_0000 - len) else len in
-    if len < 0 || len > max then Error (Bad_length { len; max })
-    else
+    match header_length ~max header with
+    | Error _ as e -> e
+    | Ok len -> (
       match read_exact fd deadline len with
       | Error _ as e -> e
       | Ok payload -> (
         match Json.of_string payload with
         | Ok j -> Ok j
-        | Error msg -> Error (Bad_json msg)))
+        | Error msg -> Error (Bad_json msg))))
 
 let write_frame fd j =
   let s = encode j in

@@ -21,8 +21,6 @@ type config = {
   cache_dir : string option;
   cache_writer : (string -> string -> unit) option;
   pool_entries : int;
-  replay_entries : int;
-  worker_exe : string option;
   make_worker :
     (Ser_cli.Request.t -> spool:string -> Ser_jobs.Supervisor.job) option;
   worker_timeout_s : float;
@@ -42,8 +40,6 @@ let default ~socket =
     cache_dir = None;
     cache_writer = None;
     pool_entries = 4;
-    replay_entries = 128;
-    worker_exe = None;
     make_worker = None;
     worker_timeout_s = 120.;
     worker_retries = 1;
@@ -62,6 +58,9 @@ let m_replayed = Obs.Metrics.counter "serve.replayed"
 let m_bad = Obs.Metrics.counter "serve.bad_requests"
 let m_worker_failed = Obs.Metrics.counter "serve.worker_failures"
 let m_disconnects = Obs.Metrics.counter "serve.client_disconnects"
+let m_abandoned = Obs.Metrics.counter "serve.abandoned"
+let m_pool_warm = Obs.Metrics.counter "serve.pool_warm_hits"
+let m_pool_builds = Obs.Metrics.counter "serve.pool_builds"
 let m_latency = Obs.Metrics.histogram "serve.latency_us"
 let h_fsync = Obs.Metrics.histogram "jobs.journal_fsync_us"
 
@@ -81,31 +80,23 @@ type pending = {
   p_deadline : float option;  (* absolute Mono instant *)
 }
 
-type replay_slot = { r_response : Json.t; mutable r_gen : int }
-
+(* The request counters live in the (process-wide) obs registry only:
+   the health endpoint reads them back from their handles. *)
 type state = {
   cfg : config;
   started : float;
   cache : Cache.t;
-  pool : Pool.t;
+  pool : Handlers.prepared Lru.t;
+  replay : Json.t Lru.t;  (* pinned envelopes by request id *)
   queue : pending Queue.t;
-  replay : (string, replay_slot) Hashtbl.t;
-  mutable replay_clock : int;
+  read_buf : Bytes.t;  (* the one receive buffer: the loop is serial *)
   mutable conns : conn list;
   mutable listeners : (Unix.file_descr * addr) list;
   mutable spool_seq : int;
-  (* stats mirrored into the obs registry; kept locally too so the
-     health endpoint needs no registry scan *)
-  mutable received : int;
-  mutable completed : int;
-  mutable shed : int;
-  mutable expired : int;
-  mutable replayed : int;
-  mutable bad_requests : int;
-  mutable worker_failures : int;
-  mutable disconnects : int;
-  mutable abandoned : int;
 }
+
+(* the idempotency window: the most recently pinned request ids *)
+let replay_entries = 128
 
 let logf st fmt =
   Printf.ksprintf
@@ -127,66 +118,31 @@ let respond st conn json =
     | Ok () -> ()
     | Error e ->
       (* client went away mid-response: contained, counted *)
-      st.disconnects <- st.disconnects + 1;
       Obs.Metrics.incr m_disconnects;
       logf st "client %s lost while responding: %s" conn.c_peer
         (Frame.error_to_string e);
       close_conn st conn
 
-let remember st (req : Request.t) response =
+(* Successes and non-retryable rejections are pinned: a client retrying
+   an [overloaded] or [worker_failed] id expects re-execution. *)
+let remember st (req : Request.t) ~reject envelope =
+  let pinned =
+    match reject with None -> true | Some r -> not (Wire.retryable r)
+  in
   match req.Request.id with
-  | None -> ()
-  | Some id ->
-    let retryable =
-      match Json.member "error" response with
-      | Some (Json.Str e) -> (
-        match Wire.reject_of_string e with
-        | Some r -> Wire.retryable r
-        | None -> true)
-      | _ -> false
-    in
-    (* only non-retryable outcomes are pinned: a client retrying an
-       [overloaded] or [worker_failed] id expects re-execution *)
-    if not retryable then begin
-      st.replay_clock <- st.replay_clock + 1;
-      Hashtbl.replace st.replay id
-        { r_response = response; r_gen = st.replay_clock };
-      while Hashtbl.length st.replay > st.cfg.replay_entries do
-        let victim =
-          Hashtbl.fold
-            (fun k s acc ->
-              match acc with
-              | Some (_, g) when g <= s.r_gen -> acc
-              | _ -> Some (k, s.r_gen))
-            st.replay None
-        in
-        match victim with
-        | Some (k, _) -> Hashtbl.remove st.replay k
-        | None -> ()
-      done
-    end
+  | Some id when pinned -> Lru.add st.replay id envelope
+  | _ -> ()
 
 let replay_find st (req : Request.t) =
-  match req.Request.id with
-  | None -> None
-  | Some id -> (
-    match Hashtbl.find_opt st.replay id with
-    | None -> None
-    | Some slot ->
-      st.replay_clock <- st.replay_clock + 1;
-      slot.r_gen <- st.replay_clock;
-      (* re-mark the stored envelope as a replay *)
-      let json =
-        match slot.r_response with
-        | Json.Obj fields ->
-          Json.Obj
-            (List.map
-               (fun (k, v) ->
-                 if k = "replayed" then (k, Json.Bool true) else (k, v))
-               fields)
-        | j -> j
-      in
-      Some json)
+  match Option.bind req.Request.id (Lru.find st.replay) with
+  | Some (Json.Obj fields) ->
+    (* re-mark the stored envelope as a replay *)
+    Some
+      (Json.Obj
+         (List.map
+            (fun (k, v) -> if k = "replayed" then (k, Json.Bool true) else (k, v))
+            fields))
+  | other -> other
 
 (* ------------------------------ health ----------------------------- *)
 
@@ -208,6 +164,7 @@ let mem_gauges_json () =
   | _ -> Json.Obj []
 
 let health_payload st ~draining =
+  let count c = Json.int (Obs.Metrics.value c) in
   Json.Obj
     [
       ("cmd", Json.Str "health");
@@ -219,18 +176,25 @@ let health_payload st ~draining =
       ( "requests",
         Json.Obj
           [
-            ("received", Json.int st.received);
-            ("completed", Json.int st.completed);
-            ("shed_overload", Json.int st.shed);
-            ("deadline_expired", Json.int st.expired);
-            ("replayed", Json.int st.replayed);
-            ("bad_requests", Json.int st.bad_requests);
-            ("worker_failures", Json.int st.worker_failures);
-            ("client_disconnects", Json.int st.disconnects);
-            ("abandoned", Json.int st.abandoned);
+            ("received", count m_requests);
+            ("completed", count m_completed);
+            ("shed_overload", count m_shed);
+            ("deadline_expired", count m_expired);
+            ("replayed", count m_replayed);
+            ("bad_requests", count m_bad);
+            ("worker_failures", count m_worker_failed);
+            ("client_disconnects", count m_disconnects);
+            ("abandoned", count m_abandoned);
           ] );
       ("cache", Cache.stats_json st.cache);
-      ("pool", Pool.stats_json st.pool);
+      ( "pool",
+        Json.Obj
+          [
+            ("entries", Json.int (Lru.length st.pool));
+            ("warm_hits", count m_pool_warm);
+            ("builds", count m_pool_builds);
+            ("evictions", Json.int (Lru.evictions st.pool));
+          ] );
       ("latency_us", quantiles_json m_latency);
       ("journal_fsync_us", quantiles_json h_fsync);
       ("mem", mem_gauges_json ());
@@ -266,7 +230,15 @@ let run_inline st (req : Request.t) (p : Handlers.prepared) ~pool_key
   let p, warm =
     match req.Request.op with
     | Request.Odc -> (p, false)
-    | _ -> Pool.warm st.pool ~key:pool_key p
+    | _ -> (
+      match Lru.find st.pool pool_key with
+      | Some pooled ->
+        Obs.Metrics.incr m_pool_warm;
+        (pooled, true)
+      | None ->
+        Lru.add st.pool pool_key p;
+        Obs.Metrics.incr m_pool_builds;
+        (p, false))
   in
   (* the deadline bounds an inline optimize's search *)
   let budget =
@@ -337,11 +309,8 @@ let run_isolated st (req : Request.t) ~deadline_left =
       match st.cfg.make_worker with
       | Some f -> f req ~spool
       | None ->
-        let exe =
-          Option.value st.cfg.worker_exe ~default:Sys.executable_name
-        in
         Supervisor.job ~id:"req"
-          [| exe; "worker"; "--req-file"; spool |]
+          [| Sys.executable_name; "worker"; "--req-file"; spool |]
     in
     let timeout_s =
       match deadline_left with
@@ -392,14 +361,16 @@ let execute st (p : pending) =
   let deadline_left =
     Option.map (fun d -> Float.max 0.01 (d -. t0)) p.p_deadline
   in
-  let envelope =
+  let ok ?cache_hit ?warm payload =
+    Ok
+      (Wire.ok ?cache_hit ?warm ~id:req.Request.id
+         ~elapsed_s:(Mono.now () -. t0) payload)
+  in
+  let outcome =
     match Handlers.prepare req with
-    | Error d ->
-      st.bad_requests <- st.bad_requests + 1;
-      Obs.Metrics.incr m_bad;
-      Wire.error ~id:req.Request.id Wire.Bad_request d
+    | Error d -> Error (Wire.Bad_request, d)
     | Ok prepared -> (
-      let digest = Cache.circuit_digest prepared.Handlers.circuit in
+      let digest = Ser_netlist.Circuit.digest prepared.Handlers.circuit in
       let lib_id = Handlers.library_id prepared.Handlers.library in
       let ckey =
         Cache.key ~circuit:digest ~library:lib_id
@@ -411,9 +382,7 @@ let execute st (p : pending) =
            || req.Request.deadline_s = None)
       in
       match (if cacheable then Cache.find st.cache ckey else None) with
-      | Some payload ->
-        Wire.ok ~cache_hit:true ~id:req.Request.id
-          ~elapsed_s:(Mono.now () -. t0) payload
+      | Some payload -> ok ~cache_hit:true payload
       | None -> (
         let isolate =
           match req.Request.isolate with
@@ -425,24 +394,11 @@ let execute st (p : pending) =
           match run_isolated st req ~deadline_left with
           | Ok payload ->
             if cacheable then cache_store st ckey payload;
-            Wire.ok ~id:req.Request.id ~elapsed_s:(Mono.now () -. t0)
-              payload
-          | Error (reject, d) ->
-            if reject = Wire.Worker_failed then begin
-              st.worker_failures <- st.worker_failures + 1;
-              Obs.Metrics.incr m_worker_failed
-            end
-            else if reject = Wire.Bad_request then begin
-              st.bad_requests <- st.bad_requests + 1;
-              Obs.Metrics.incr m_bad
-            end;
-            Wire.error ~id:req.Request.id reject d
+            ok payload
+          | Error _ as e -> e
         else
           match inline_fault_ok req.Request.fault with
-          | Error d ->
-            st.bad_requests <- st.bad_requests + 1;
-            Obs.Metrics.incr m_bad;
-            Wire.error ~id:req.Request.id Wire.Bad_request d
+          | Error d -> Error (Wire.Bad_request, d)
           | Ok sleep -> (
             Option.iter Unix.sleepf sleep;
             let pool_key =
@@ -452,16 +408,23 @@ let execute st (p : pending) =
             match run_inline st req prepared ~pool_key ~deadline_left with
             | Ok (payload, warm) ->
               if cacheable then cache_store st ckey payload;
-              Wire.ok ~warm ~id:req.Request.id
-                ~elapsed_s:(Mono.now () -. t0) payload
-            | Error d ->
-              Wire.error ~id:req.Request.id Wire.Internal d)))
+              ok ~warm payload
+            | Error d -> Error (Wire.Internal, d))))
   in
-  st.completed <- st.completed + 1;
+  let envelope, reject =
+    match outcome with
+    | Ok envelope -> (envelope, None)
+    | Error (reject, d) ->
+      (match reject with
+      | Wire.Bad_request -> Obs.Metrics.incr m_bad
+      | Wire.Worker_failed -> Obs.Metrics.incr m_worker_failed
+      | _ -> ());
+      (Wire.error ~id:req.Request.id reject d, Some reject)
+  in
   Obs.Metrics.incr m_completed;
   Obs.Metrics.observe m_latency (int_of_float (1e6 *. (Mono.now () -. t0)));
   Obs.memory_probe ();
-  remember st req envelope;
+  remember st req ~reject envelope;
   envelope
 
 (* ----------------------------- admission --------------------------- *)
@@ -472,7 +435,6 @@ let request_id_of_json j =
 let handle_payload st ~draining conn payload =
   match Json.of_string payload with
   | Error msg ->
-    st.bad_requests <- st.bad_requests + 1;
     Obs.Metrics.incr m_bad;
     respond st conn
       (Wire.error ~id:None Wire.Bad_request
@@ -484,17 +446,14 @@ let handle_payload st ~draining conn payload =
         (Wire.ok ~id:(request_id_of_json j) ~elapsed_s:0.
            (health_payload st ~draining))
     | _ -> (
-      st.received <- st.received + 1;
       Obs.Metrics.incr m_requests;
       match Request.of_json j with
       | Error d ->
-        st.bad_requests <- st.bad_requests + 1;
         Obs.Metrics.incr m_bad;
         respond st conn (Wire.error ~id:(request_id_of_json j) Wire.Bad_request d)
       | Ok req -> (
         match replay_find st req with
         | Some stored ->
-          st.replayed <- st.replayed + 1;
           Obs.Metrics.incr m_replayed;
           respond st conn stored
         | None ->
@@ -503,7 +462,6 @@ let handle_payload st ~draining conn payload =
               (Wire.error ~id:req.Request.id Wire.Shutting_down
                  (diagf "daemon is draining"))
           else if Queue.length st.queue >= st.cfg.max_queue then begin
-            st.shed <- st.shed + 1;
             Obs.Metrics.incr m_shed;
             respond st conn
               (Wire.error ~id:req.Request.id Wire.Overloaded
@@ -531,7 +489,6 @@ let drain_frames st ~draining conn =
     | Frame.Incomplete -> continue := false
     | Frame.Invalid e ->
       (* the stream cannot be resynchronised: answer and hang up *)
-      st.bad_requests <- st.bad_requests + 1;
       Obs.Metrics.incr m_bad;
       respond st conn
         (Wire.error ~id:None Wire.Bad_request
@@ -547,13 +504,10 @@ let drain_frames st ~draining conn =
   done
 
 let read_conn st ~draining conn =
-  let buf = Bytes.create 65536 in
+  let buf = st.read_buf in
   match Unix.read conn.c_fd buf 0 (Bytes.length buf) with
   | 0 ->
-    if String.length conn.c_data > 0 then begin
-      st.disconnects <- st.disconnects + 1;
-      Obs.Metrics.incr m_disconnects
-    end;
+    if String.length conn.c_data > 0 then Obs.Metrics.incr m_disconnects;
     logf st "client %s disconnected" conn.c_peer;
     close_conn st conn
   | n ->
@@ -563,7 +517,6 @@ let read_conn st ~draining conn =
     ->
     ()
   | exception Unix.Unix_error _ ->
-    st.disconnects <- st.disconnects + 1;
     Obs.Metrics.incr m_disconnects;
     close_conn st conn
 
@@ -573,29 +526,27 @@ let addr_to_string = function
   | Unix_sock p -> "unix:" ^ p
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
 
+let sockaddr = function
+  | Unix_sock path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) ->
+    let ip =
+      try Unix.inet_addr_of_string host
+      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+    in
+    Unix.ADDR_INET (ip, port)
+
 let bind_listener addr =
   Diag.guard ~subsystem (fun () ->
       try
-        match addr with
-        | Unix_sock path ->
-          if Sys.file_exists path then Sys.remove path;
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.bind fd (Unix.ADDR_UNIX path);
-          Unix.listen fd 64;
-          Unix.set_nonblock fd;
-          fd
-        | Tcp (host, port) ->
-          let ip =
-            try Unix.inet_addr_of_string host
-            with Failure _ ->
-              (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          in
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.setsockopt fd Unix.SO_REUSEADDR true;
-          Unix.bind fd (Unix.ADDR_INET (ip, port));
-          Unix.listen fd 64;
-          Unix.set_nonblock fd;
-          fd
+        let sa = sockaddr addr in
+        let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+        (match addr with
+        | Unix_sock path -> if Sys.file_exists path then Sys.remove path
+        | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+        Unix.bind fd sa;
+        Unix.listen fd 64;
+        Unix.set_nonblock fd;
+        fd
       with Unix.Unix_error (e, fn, arg) ->
         failwith
           (Printf.sprintf "cannot bind %s: %s(%s): %s" (addr_to_string addr)
@@ -658,22 +609,13 @@ let run ?on_ready ?(stop = fun () -> false) cfg =
         cfg;
         started = Mono.now ();
         cache;
-        pool = Pool.create ~max_entries:cfg.pool_entries ();
+        pool = Lru.create cfg.pool_entries;
+        replay = Lru.create replay_entries;
         queue = Queue.create ();
-        replay = Hashtbl.create 64;
-        replay_clock = 0;
+        read_buf = Bytes.create 65536;
         conns = [];
         listeners;
         spool_seq = 0;
-        received = 0;
-        completed = 0;
-        shed = 0;
-        expired = 0;
-        replayed = 0;
-        bad_requests = 0;
-        worker_failures = 0;
-        disconnects = 0;
-        abandoned = 0;
       }
     in
     List.iter (fun d -> logf st "cache: %s" (Diag.to_string d)) cache_diags;
@@ -719,7 +661,7 @@ let run ?on_ready ?(stop = fun () -> false) cfg =
         | Some p ->
           if not p.p_conn.c_alive then begin
             (* client hung up while queued: drop the work *)
-            st.abandoned <- st.abandoned + 1;
+            Obs.Metrics.incr m_abandoned;
             logf st "dropping request from dead client"
           end
           else if
@@ -727,7 +669,6 @@ let run ?on_ready ?(stop = fun () -> false) cfg =
             | Some d -> Mono.now () > d
             | None -> false
           then begin
-            st.expired <- st.expired + 1;
             Obs.Metrics.incr m_expired;
             respond st p.p_conn
               (Wire.error ~id:p.p_req.Request.id Wire.Deadline_exceeded
@@ -756,6 +697,8 @@ let run ?on_ready ?(stop = fun () -> false) cfg =
         | Tcp _ -> ())
       cfg.addrs;
     logf st "drained cleanly (%d completed, %d shed, %d worker failures)"
-      st.completed st.shed st.worker_failures;
+      (Obs.Metrics.value m_completed)
+      (Obs.Metrics.value m_shed)
+      (Obs.Metrics.value m_worker_failed);
     restore ();
     Ok ()

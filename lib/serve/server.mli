@@ -2,11 +2,12 @@
     service.
 
     One single-threaded event loop owns the sockets, the admission
-    queue, the {!Cache} and the warm {!Pool}; heavy work runs either
-    inline on warm handles (analyze / rate) or isolated in a
-    {!Ser_jobs.Supervisor} worker process (optimize, and anything with
-    [isolate = true]), so a crashing or hanging evaluation kills one
-    child, never the daemon.
+    queue, the {!Cache}, an {!Lru} pool of warm
+    {!Ser_cli.Handlers.prepared} values and the idempotency replay
+    window; heavy work runs either inline (every op but odc on a pooled
+    prepared value) or isolated in a {!Ser_jobs.Supervisor} worker
+    process (optimize, and anything with [isolate = true]), so a
+    crashing or hanging evaluation kills one child, never the daemon.
 
     Robustness contract, in protocol terms:
 
@@ -20,8 +21,9 @@
     - {e crash containment}: worker death by signal, hang or garbage
       output becomes a typed [worker_failed] response;
     - {e idempotency}: a request [id] that already produced a
-      non-retryable response is answered from a bounded replay window
-      without re-execution ([replayed = true]);
+      non-retryable response is answered from a replay window of the
+      128 most recent such ids without re-execution
+      ([replayed = true]);
     - {e graceful drain}: SIGTERM/SIGINT latch a drain — listeners
       close, queued requests finish, new ones get [shutting_down], the
       cache is flushed, the socket path is unlinked;
@@ -29,11 +31,20 @@
       one connection are counted and contained, never fatal.
 
     [health]/[stats] requests bypass the queue entirely and report
-    queue depth, cache hit rate, warm-pool state, p50/p99 service
-    latency, [jobs.journal_fsync_us] quantiles and the per-domain
-    memory high-water gauges. *)
+    queue depth, the process-wide [serve.*] request counters, cache
+    hit rate, warm-pool state, p50/p99 service latency,
+    [jobs.journal_fsync_us] quantiles and the per-domain memory
+    high-water gauges. Isolated workers run
+    [Sys.executable_name worker --req-file SPOOL]. *)
 
 type addr = Unix_sock of string | Tcp of string * int
+
+val addr_to_string : addr -> string
+(** [unix:PATH] or [tcp:HOST:PORT]. *)
+
+val sockaddr : addr -> Unix.sockaddr
+(** Resolve an address (a TCP host by name if it is not a literal
+    IP); the listener and {!Client} dial the same socket address. *)
 
 type config = {
   addrs : addr list;
@@ -45,10 +56,7 @@ type config = {
   cache_dir : string option;  (** persistence directory; [None] = memory only *)
   cache_writer : (string -> string -> unit) option;
       (** fault-injection hook forwarded to {!Cache.create} *)
-  pool_entries : int;
-  replay_entries : int;  (** idempotency window size *)
-  worker_exe : string option;
-      (** binary for isolated evaluation; [None] = current executable *)
+  pool_entries : int;  (** warm prepared values kept *)
   make_worker :
     (Ser_cli.Request.t -> spool:string -> Ser_jobs.Supervisor.job) option;
       (** test hook replacing the worker command line; the request JSON
@@ -64,8 +72,8 @@ type config = {
 
 val default : socket:string -> config
 (** Unix socket only; queue 16, 16 MiB frames, no default deadline,
-    256 cache entries (memory only), 4 warm handles, replay window
-    128, worker watchdog 120 s with 1 retry. *)
+    256 cache entries (memory only), 4 pooled prepared values, worker
+    watchdog 120 s with 1 retry. *)
 
 val run :
   ?on_ready:(unit -> unit) ->

@@ -31,6 +31,3 @@ let eval t x =
     let f = Ser_util.Floatx.inv_lerp t.times.(i) t.times.(i + 1) x in
     Ser_util.Floatx.lerp t.values.(i) t.values.(i + 1) f
   end
-
-let breakpoints t =
-  Array.to_list (Array.mapi (fun i time -> (time, t.values.(i))) t.times)

@@ -27,5 +27,3 @@ val glitch : ?t0:float -> base:float -> peak:float -> half_width:float -> unit -
 
 val eval : t -> float -> float
 (** Value at a time. *)
-
-val breakpoints : t -> (float * float) list

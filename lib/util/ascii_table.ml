@@ -27,10 +27,6 @@ let add_row t cells =
   let cells = if k < n then cells @ List.init (n - k) (fun _ -> "") else cells in
   t.rows <- Cells cells :: t.rows
 
-let add_float_row t ?(fmt = Printf.sprintf "%.3g") label xs =
-  add_row t (label :: List.map fmt xs);
-  t
-
 let add_separator t = t.rows <- Separator :: t.rows
 
 let pad align width s =

@@ -16,11 +16,6 @@ val add_row : t -> string list -> unit
 (** Append a row. Rows shorter than the header are padded with empty
     cells; longer rows raise [Invalid_argument]. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> t
-(** [add_float_row t label xs] appends a row whose first cell is [label]
-    and remaining cells are formatted floats (default ["%.3g"]).
-    Returns [t] for chaining. *)
-
 val add_separator : t -> unit
 (** Append a horizontal rule row. *)
 

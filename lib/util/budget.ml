@@ -34,8 +34,6 @@ let create ?max_evals ?max_seconds () =
     cancelled = Atomic.make false;
   }
 
-let unlimited () = create ()
-
 let tick b = Atomic.incr b.evals
 
 let evals b = Atomic.get b.evals
@@ -66,11 +64,6 @@ let exhausted b =
   end
 
 let was_exhausted b = Atomic.get b.latched
-
-let remaining_evals b =
-  match b.max_evals with
-  | Some n -> Some (max 0 (n - Atomic.get b.evals))
-  | None -> None
 
 let diag b =
   let evals = Atomic.get b.evals in

@@ -17,8 +17,6 @@ val create : ?max_evals:int -> ?max_seconds:float -> unit -> t
 (** Omitted limits are unlimited. The (monotonic) clock starts at
     creation. Raises [Invalid_argument] on negative limits. *)
 
-val unlimited : unit -> t
-
 val tick : t -> unit
 (** Record one objective evaluation. *)
 
@@ -41,8 +39,6 @@ val cancel : t -> unit
 
 val was_cancelled : t -> bool
 (** True iff {!cancel} fired (as opposed to a limit being hit). *)
-
-val remaining_evals : t -> int option
 
 val diag : t -> Diag.t
 (** A [Warning]-severity diagnostic describing which limit fired. *)

@@ -51,9 +51,6 @@ let stddev_opt xs = if Array.length xs = 0 then None else Some (stddev xs)
 
 let all_finite xs = Array.for_all Float.is_finite xs
 
-let count_nonfinite xs =
-  Array.fold_left (fun acc x -> if Float.is_finite x then acc else acc + 1) 0 xs
-
 let fold_range n ~init ~f =
   let rec loop acc i = if i >= n then acc else loop (f acc i) (i + 1) in
   loop init 0

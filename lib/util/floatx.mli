@@ -45,9 +45,6 @@ val stddev_opt : float array -> float option
 val all_finite : float array -> bool
 (** No NaN/Inf entries (true on the empty array). *)
 
-val count_nonfinite : float array -> int
-(** Number of NaN/Inf entries. *)
-
 val fold_range : int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_range n ~init ~f] folds [f] over [0 .. n-1]. *)
 

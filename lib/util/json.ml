@@ -36,15 +36,6 @@ let render_num x =
   else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
   else format_float "%.6g" x
 
-let nonfinite_count t =
-  let rec go acc = function
-    | Null | Bool _ | Str _ -> acc
-    | Num x -> if Float.is_finite x then acc else acc + 1
-    | List items -> List.fold_left go acc items
-    | Obj fields -> List.fold_left (fun acc (_, v) -> go acc v) acc fields
-  in
-  go 0 t
-
 (* A NaN/Inf field still renders as null (strict JSON), but poisoned
    reports must be detectable downstream: every object field holding a
    non-finite number grows a companion "<field>_nonfinite": true

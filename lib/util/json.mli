@@ -32,10 +32,6 @@ val to_file : ?indent:bool -> string -> t -> (unit, string) result
 (** Write [to_string t] plus a trailing newline to [path]. I/O errors
     ([Sys_error]) surface as [Error msg]; never raises. *)
 
-val nonfinite_count : t -> int
-(** Number of NaN/Inf numeric leaves in the tree — callers emit a
-    diagnostic when a report they are about to write contains any. *)
-
 val int : int -> t
 
 val field_opt : string -> t option -> (string * t) list

@@ -10,8 +10,3 @@ let fs_of_ps t = t *. 1000.
 let ns_of_ps t = t /. 1000.
 let pf_of_ff c = c /. 1000.
 let ua_of_ma i = i *. 1000.
-
-let pp_ps fmt t = Format.fprintf fmt "%.2f ps" t
-let pp_volt fmt v = Format.fprintf fmt "%.3f V" v
-let pp_ff fmt c = Format.fprintf fmt "%.3f fF" c
-let pp_fj fmt e = Format.fprintf fmt "%.3f fJ" e

@@ -47,10 +47,3 @@ val pf_of_ff : ff -> float
 
 val ua_of_ma : ma -> float
 (** [ua_of_ma i] converts mA to microamperes. *)
-
-val pp_ps : Format.formatter -> ps -> unit
-(** Print a time with unit suffix, e.g. ["42.1 ps"]. *)
-
-val pp_volt : Format.formatter -> volt -> unit
-val pp_ff : Format.formatter -> ff -> unit
-val pp_fj : Format.formatter -> fj -> unit

@@ -1,11 +1,14 @@
 (* lib/serve: the framing codec is total, cache keys are
-   content-addressed and order-invariant, the LRU and its persistence
-   behave, the request/response codecs round-trip, and a live forked
-   daemon serves, caches and replays. *)
+   content-addressed and order-invariant, the recency table agrees with
+   a list model, the cache and its persistence behave, the
+   request/response codecs round-trip, a live forked daemon serves,
+   caches and replays, and a kept-alive client survives a daemon
+   restart. *)
 
 module Frame = Ser_serve.Frame
 module Wire = Ser_serve.Wire
 module Cache = Ser_serve.Cache
+module Lru = Ser_serve.Lru
 module Server = Ser_serve.Server
 module Client = Ser_serve.Client
 module Request = Ser_cli.Request
@@ -101,8 +104,52 @@ let cache_key_order_prop =
         (Bench.parse_string text, Bench.parse_string (shuffle_lines seed text))
       with
       | Ok c1, Ok c2 ->
-        Cache.circuit_digest c1 = Cache.circuit_digest c2
+        Ser_netlist.Circuit.digest c1 = Ser_netlist.Circuit.digest c2
       | _ -> QCheck.Test.fail_report "shuffled c17 no longer parses")
+
+(* ---------------------- qcheck: recency table ---------------------- *)
+
+(* The reference: an association list, least recently used first, and
+   the number of entries dropped off its head. *)
+let model_touch entries k v = List.remove_assoc k entries @ [ (k, v) ]
+
+let lru_model_prop =
+  QCheck.Test.make ~count:500 ~name:"lru agrees with a list model"
+    QCheck.(
+      pair (int_range 1 4) (list (triple bool (int_range 0 5) small_int)))
+    (fun (bound, ops) ->
+      let t = Lru.create bound in
+      let step (entries, evicted) (is_add, k, v) =
+        let k = Printf.sprintf "k%d" k in
+        let entries, evicted =
+          if is_add then begin
+            Lru.add t k v;
+            let entries = model_touch entries k v in
+            if List.length entries > bound then (List.tl entries, evicted + 1)
+            else (entries, evicted)
+          end
+          else
+            let expected = List.assoc_opt k entries in
+            let got = Lru.find t k in
+            if got <> expected then
+              QCheck.Test.fail_reportf "find %s: %s, model %s" k
+                (Option.fold ~none:"none" ~some:string_of_int got)
+                (Option.fold ~none:"none" ~some:string_of_int expected);
+            match expected with
+            | Some v -> (model_touch entries k v, evicted)
+            | None -> (entries, evicted)
+        in
+        if Lru.to_list t <> entries then
+          QCheck.Test.fail_reportf "order/membership differ after %s %s"
+            (if is_add then "add" else "find") k;
+        if Lru.evictions t <> evicted || Lru.length t <> List.length entries
+        then
+          QCheck.Test.fail_reportf "evictions %d (model %d), length %d (model %d)"
+            (Lru.evictions t) evicted (Lru.length t) (List.length entries);
+        (entries, evicted)
+      in
+      ignore (List.fold_left step ([], 0) ops);
+      true)
 
 (* ------------------------ cache directed --------------------------- *)
 
@@ -399,6 +446,58 @@ let test_daemon_smoke () =
           | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
           | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n))
 
+(* A kept-alive connection: two exchanges on one conn, then the daemon
+   is replaced by a new one on the same socket, and the next call on
+   the same conn must re-dial and reach it. The new daemon's cache is
+   memory-only, so its answer is computed, not a hit. *)
+let test_conn_survives_restart () =
+  let dir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let socket = Filename.concat dir "k.sock" in
+      let addr = Server.Unix_sock socket in
+      let cfg = { (Server.default ~socket) with Server.spool_dir = Some dir } in
+      let stop pid =
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      in
+      let conn = Client.conn ~opts:client_opts addr in
+      let conn_ok what =
+        match Client.conn_call conn (analyze_json ()) with
+        | Ok ({ Wire.r_status = Wire.Ok_payload p; _ } as r) ->
+          (r.Wire.r_cache_hit, p)
+        | Ok { Wire.r_status = Wire.Rejected (k, msg, _); _ } ->
+          Alcotest.failf "%s rejected (%s): %s" what
+            (Wire.reject_to_string k) msg
+        | Error d -> Alcotest.failf "%s failed: %s" what (Diag.to_string d)
+      in
+      let with_daemon f =
+        let pid = fork_server cfg in
+        Fun.protect
+          ~finally:(fun () -> stop pid)
+          (fun () ->
+            Alcotest.(check bool) "daemon up" true
+              (Client.wait_ready ~opts:client_opts addr);
+            f ())
+      in
+      Fun.protect
+        ~finally:(fun () -> Client.conn_close conn)
+        (fun () ->
+          let first =
+            with_daemon (fun () ->
+                let hit1, p1 = conn_ok "first call" in
+                let hit2, p2 = conn_ok "second call" in
+                Alcotest.(check (pair bool bool)) "computed, then a hit"
+                  (false, true) (hit1, hit2);
+                Alcotest.(check bool) "same payload" true (p1 = p2);
+                p1)
+          in
+          with_daemon (fun () ->
+              let hit3, p3 = conn_ok "call after the restart" in
+              Alcotest.(check bool) "the new daemon computes" false hit3;
+              Alcotest.(check bool) "same payload" true (p3 = first))))
+
 (* The daemon executes every inline op but odc through Handlers on a
    pooled prepared value: a warm value answers with its memoized
    baseline and ASERTA analysis, odc runs on the request's own load.
@@ -491,6 +590,7 @@ let () =
             test_cache_corrupt_file;
           Alcotest.test_case "enospc contained" `Quick test_cache_enospc;
           QCheck_alcotest.to_alcotest cache_key_order_prop;
+          QCheck_alcotest.to_alcotest lru_model_prop;
         ] );
       ( "codec",
         [
@@ -502,6 +602,10 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "end-to-end smoke" `Quick test_daemon_smoke;
+          (* forks twice, so it runs before a case that starts the
+             domain pool in this process *)
+          Alcotest.test_case "kept-alive conn survives a restart" `Quick
+            test_conn_survives_restart;
           Alcotest.test_case "warm pool equals a cold run" `Quick
             test_warm_pool_equals_run;
         ] );
